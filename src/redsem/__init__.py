@@ -104,7 +104,6 @@ from .terms import (
     context_hole_count,
     is_proper_subterm,
     plug,
-    term_eq,
 )
 
 import types as _types

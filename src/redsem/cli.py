@@ -9,7 +9,6 @@ import sys
 from .errors import EngineError
 from .grammar import find_left_recursion
 from .language import (
-    LanguageDef,
     check_pattern_nonterminals,
     load_language,
     parse_pattern,
@@ -73,16 +72,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str) -> LanguageDef:
-    return load_language(path)
-
-
 def _bindings_json(b: Bindings) -> dict:
     return {var: print_term(value) for var, value in b.entries}
 
 
 def _cmd_match(args) -> int:
-    lang = _load(args.grammar)
+    lang = load_language(args.grammar)
     pattern = parse_pattern(args.pattern)
     check_pattern_nonterminals(lang.grammar, pattern)
     term = parse_term(args.term)
@@ -118,7 +113,7 @@ def _decomposition_line(c, sub, b) -> str:
 
 
 def _cmd_decompose(args) -> int:
-    lang = _load(args.grammar)
+    lang = load_language(args.grammar)
     pattern = parse_pattern(args.pattern)
     check_pattern_nonterminals(lang.grammar, pattern)
     term = parse_term(args.term)
@@ -161,7 +156,7 @@ def _cmd_plug(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    lang = _load(args.grammar)
+    lang = load_language(args.grammar)
     term = parse_term(args.term)
     for rule_name, reduct in step(lang.grammar, list(lang.rules), term):
         print(f"({rule_name} {print_term(reduct)})")
@@ -169,7 +164,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    lang = _load(args.grammar)
+    if args.max_steps < 0:
+        print("error: --max-steps must be non-negative", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    lang = load_language(args.grammar)
     term = parse_term(args.term)
     tr = trace(lang.grammar, list(lang.rules), term, args.max_steps)
     for i, (node, status) in enumerate(zip(tr.nodes, tr.statuses)):
@@ -180,7 +178,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_check_grammar(args) -> int:
-    lang = _load(args.grammar)
+    lang = load_language(args.grammar)
     cycle = find_left_recursion(lang.grammar)
     if cycle is None:
         print("not-left-recursive")

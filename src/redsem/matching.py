@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .errors import EngineError
-from .grammar import Grammar, Production, grammar_length, productions_of, remove_prod
+from .grammar import Grammar, Production, grammar_length
 from .terms import (
     HOLE,
     HOLE_TERM,
@@ -133,34 +133,124 @@ def default_fuel(t: Term, p: Pattern, g: Grammar) -> int:
     return 10 * (term_size(t) + 1) * (pattern_size(p) + grammar_length(g) + 1)
 
 
-def tuple_order_decreases(
-    g_orig: Grammar, nxt: MatchingTuple, prev: MatchingTuple
+class GrammarIndex(dict):
+    """A grammar's productions, addressed by bit.
+
+    Production i is bit ``1 << i``.  A grammar reached from this one by
+    removing productions is the int mask of the bits still live, so
+    removing a production clears one bit and comparing two grammar states
+    compares two ints.  The index maps each non-terminal, on first lookup,
+    to its ``(bit, rhs, same)`` entries in grammar order, where ``same``
+    holds the bits of every production equal to this one: removal clears
+    the lowest live bit of ``same``, which is the first occurrence, as
+    ``remove_prod`` removes it.
+    """
+
+    __slots__ = ("productions", "full")
+
+    def __init__(self, productions: tuple[Production, ...]):
+        super().__init__()
+        self.productions = productions
+        self.full = (1 << len(productions)) - 1
+
+    def __missing__(self, nt: str) -> tuple[tuple[int, Pattern, int], ...]:
+        entries: list[tuple[int, Pattern, int]] = []
+        for i, prod in enumerate(self.productions):
+            if prod.nonterminal != nt:
+                continue
+            bit, rhs = 1 << i, prod.pattern
+            same = bit
+            for j, (b, r, s) in enumerate(entries):
+                if r == rhs:
+                    entries[j] = (b, r, s | bit)
+                    same |= b
+            entries.append((bit, rhs, same))
+        self[nt] = found = tuple(entries)
+        return found
+
+    def mask(self, g: Grammar, within: int) -> int | None:
+        """Bits among `within` that spell g's productions in order, matched
+        right to left; None when g is not a sub-sequence of them.
+
+        Matching from the right maps ``remove_prod(h, q)`` to the bits of h
+        less the first occurrence of q, the bit the engine clears.
+        """
+        m, i = 0, len(self.productions) - 1
+        for prod in reversed(g.productions):
+            while i >= 0 and not (within >> i & 1 and self.productions[i] == prod):
+                i -= 1
+            if i < 0:
+                return None
+            m |= 1 << i
+            i -= 1
+        return m
+
+
+def grammar_index(g: Grammar) -> GrammarIndex:
+    """The index of g, built once and cached on the grammar object."""
+    index = g.__dict__.get("_index")
+    if index is None:
+        index = GrammarIndex(g.productions)
+        object.__setattr__(g, "_index", index)
+    return index
+
+
+def mask_order_decreases(
+    index: GrammarIndex,
+    t_next: Term,
+    p_next: Pattern,
+    m_next: int,
+    t_prev: Term,
+    p_prev: Pattern,
+    m_prev: int,
 ) -> bool:
-    """True iff nxt is strictly below prev in the matching tuple order.
+    """True iff (t_next, p_next, m_next) is strictly below (t_prev, p_prev,
+    m_prev) in the matching tuple order, grammars given as masks of index.
 
     Either the term shrank to a proper subterm, or the term is unchanged
     and the (pattern, grammar) pair took one of the four non-consuming
     steps: into an in-hole component, into a name body, or into one
     production of a non-terminal with that production removed.
     """
-    del g_orig
-    if is_proper_subterm(nxt.term, prev.term):
-        return True
-    if nxt.term != prev.term:
-        return False
-    p_prev, p_next = prev.pattern, nxt.pattern
-    if isinstance(p_prev, InHolePat) and nxt.grammar == prev.grammar:
-        if p_next == p_prev.context_pat or p_next == p_prev.hole_pat:
+    if t_next is not t_prev:
+        if is_proper_subterm(t_next, t_prev):
             return True
-    if isinstance(p_prev, NamePat) and nxt.grammar == prev.grammar:
-        if p_next == p_prev.pattern:
-            return True
+        if t_next != t_prev:
+            return False
+    if isinstance(p_prev, InHolePat):
+        return m_next == m_prev and (
+            p_next == p_prev.context_pat or p_next == p_prev.hole_pat
+        )
+    if isinstance(p_prev, NamePat):
+        return m_next == m_prev and p_next == p_prev.pattern
     if isinstance(p_prev, NtPat):
-        prod = Production(p_prev.name, p_next)
-        if prod in prev.grammar.productions:
-            if nxt.grammar == remove_prod(prev.grammar, prod):
-                return True
+        for _, rhs, same in index[p_prev.name]:
+            if rhs is p_next or rhs == p_next:
+                live = m_prev & same
+                return live != 0 and m_next == m_prev ^ (live & -live)
     return False
+
+
+def tuple_order_decreases(
+    g_orig: Grammar, nxt: MatchingTuple, prev: MatchingTuple
+) -> bool:
+    """True iff nxt is strictly below prev in the matching tuple order.
+
+    The grammars are read as masks of g_orig's index (see
+    `mask_order_decreases`); a prev grammar that is not a sub-grammar of
+    g_orig is indexed on its own.
+    """
+    index = grammar_index(g_orig)
+    m_prev = index.mask(prev.grammar, index.full)
+    if m_prev is None:
+        index = grammar_index(prev.grammar)
+        m_prev = index.full
+    m_next = index.mask(nxt.grammar, m_prev)
+    if m_next is None:  # not a sub-grammar of prev's: no step reaches it
+        m_next = -1
+    return mask_order_decreases(
+        index, nxt.term, nxt.pattern, m_next, prev.term, prev.pattern, m_prev
+    )
 
 
 def select(
@@ -265,15 +355,27 @@ def match_decompose(
     deterministic and may contain duplicates.  With debug checks on,
     every recursive call is verified to decrease the tuple order and each
     produced split is verified to plug back to its input.
+
+    Each distinct non-terminal subproblem (term object, non-terminal,
+    grammar state) is solved, and checked, once per call: its results are
+    memoized until the call returns.  The fuel budget bounds the depth of
+    the recursion actually made; a memo hit recurses no further.
     """
-    if current is None:
-        current = grammar
     if debug is None:
         debug = __debug__
     if fuel is _AUTO_FUEL:
         budget: int | None = default_fuel(term, pattern, grammar)
     else:
         budget = fuel  # type: ignore[assignment]
+    index = grammar_index(grammar)
+    orig = index.full
+    start = orig if current is None else index.mask(current, orig)
+    if start is None:  # current is not a sub-grammar: index both
+        index = GrammarIndex(grammar.productions + current.productions)
+        start = index.full ^ orig
+    # (id(term), non-terminal, mask) -> (term, results); holding the term
+    # keeps its id from being reused while the call runs.
+    memo: dict[tuple[int, str, int], tuple[Term, list[MatchResult]]] = {}
 
     def check_results(t: Term, results: list[MatchResult]) -> list[MatchResult]:
         for r in results:
@@ -293,21 +395,19 @@ def match_decompose(
                     )
         return results
 
-    def ev(t: Term, p: Pattern, g_cur: Grammar, depth: int) -> list[MatchResult]:
+    def ev(t: Term, p: Pattern, mask: int, depth: int) -> list[MatchResult]:
         if budget is not None and depth > budget:
             raise MatchFuelError(
                 "matching exceeded its recursion budget; "
                 "the grammar is probably left recursive"
             )
 
-        def rec(t2: Term, p2: Pattern, g2: Grammar) -> list[MatchResult]:
-            if debug and not tuple_order_decreases(
-                grammar, MatchingTuple(t2, p2, g2), MatchingTuple(t, p, g_cur)
-            ):
+        def rec(t2: Term, p2: Pattern, m2: int) -> list[MatchResult]:
+            if debug and not mask_order_decreases(index, t2, p2, m2, t, p, mask):
                 raise MeasureViolationError(
                     "recursive matching call does not decrease the tuple order"
                 )
-            return ev(t2, p2, g2, depth + 1)
+            return ev(t2, p2, m2, depth + 1)
 
         if isinstance(p, HolePat):
             if t == HOLE_TERM:
@@ -326,26 +426,35 @@ def match_decompose(
 
         elif isinstance(p, NamePat):
             results = []
-            for r in rec(t, p.pattern, g_cur):
+            for r in rec(t, p.pattern, mask):
                 extended = bind_name(p.var, t, r.decomposition, r.bindings)
                 if extended is not None:
                     results.append(MatchResult(r.decomposition, extended))
 
         elif isinstance(p, NtPat):
+            key = (id(t), p.name, mask)
+            hit = memo.get(key)
+            if hit is not None and hit[0] is t:
+                return hit[1]
             results = []
-            for rhs in productions_of(g_cur, p.name):
-                g2 = remove_prod(g_cur, Production(p.name, rhs))
-                for r in rec(t, rhs, g2):
-                    results.append(MatchResult(r.decomposition, EMPTY_BINDINGS))
+            for bit, rhs, same in index[p.name]:
+                if mask & bit:
+                    live = mask & same
+                    for r in rec(t, rhs, mask ^ (live & -live)):
+                        results.append(MatchResult(r.decomposition, EMPTY_BINDINGS))
+            if debug:
+                check_results(t, results)
+            memo[key] = (t, results)
+            return results
 
         elif isinstance(p, InHolePat):
             results = []
-            for rc in rec(t, p.context_pat, g_cur):
+            for rc in rec(t, p.context_pat, mask):
                 dc = rc.decomposition
                 if not isinstance(dc, ContextDecomposition):
                     continue
-                g_hole = g_cur if dc.subterm == t else grammar
-                for rh in rec(dc.subterm, p.hole_pat, g_hole):
+                m_hole = mask if dc.subterm == t else orig
+                for rh in rec(dc.subterm, p.hole_pat, m_hole):
                     merged = bindings_union(rc.bindings, rh.bindings)
                     if merged is None:
                         continue
@@ -353,7 +462,7 @@ def match_decompose(
                     results.append(MatchResult(d, merged))
 
         elif isinstance(p, ListPat):
-            results = _ev_list(t, p, g_cur, rec)
+            results = _ev_list(t, p, rec)
 
         else:
             results = []
@@ -362,7 +471,7 @@ def match_decompose(
             check_results(t, results)
         return results
 
-    def _ev_list(t: Term, p: ListPat, g_cur: Grammar, rec) -> list[MatchResult]:
+    def _ev_list(t: Term, p: ListPat, rec) -> list[MatchResult]:
         if isinstance(t, ListTerm):
             if not t.items and not p.items:
                 return [MatchResult(EMPTY_DECOMPOSITION, EMPTY_BINDINGS)]
@@ -391,10 +500,10 @@ def match_decompose(
         rec,
     ) -> list[MatchResult]:
         p_head, p_tail = p.items[0], ListPat(p.items[1:])
-        head_results = rec(head, p_head, grammar)
+        head_results = rec(head, p_head, orig)
         if not head_results:
             return []
-        tail_results = rec(tail_term, p_tail, grammar)
+        tail_results = rec(tail_term, p_tail, orig)
         out: list[MatchResult] = []
         for rh in head_results:
             for rt in tail_results:
@@ -407,7 +516,12 @@ def match_decompose(
                 out.append(MatchResult(d, merged))
         return out
 
-    return ev(term, pattern, current, 0)
+    try:
+        return ev(term, pattern, start, 0)
+    finally:
+        # ev closes over memo and itself; clearing now frees the memoized
+        # results without waiting for the cycle collector.
+        memo.clear()
 
 
 def matches(

@@ -126,25 +126,40 @@ Pattern = Union[LitPat, HolePat, ListPat, NamePat, NtPat, InHolePat]
 HOLE_PAT = HolePat()
 
 
-def term_eq(t1: Term, t2: Term) -> bool:
-    """Decidable structural equality on terms."""
-    return t1 == t2
-
-
 def term_size(t: Term) -> int:
+    """Number of nodes of t, cached on each list and context node.
+
+    The cache is an instance attribute outside the dataclass fields, so it
+    takes no part in equality, hashing or repr.
+    """
     if isinstance(t, Literal):
         return 1
-    if isinstance(t, ListTerm):
-        return 1 + sum(term_size(item) for item in t.items)
-    return 1 + context_size(t.context)
+    size = t.__dict__.get("_size")
+    if size is None:
+        if isinstance(t, ListTerm):
+            size = 1
+            for item in t.items:
+                size += term_size(item)
+        else:
+            size = 1 + context_size(t.context)
+        object.__setattr__(t, "_size", size)
+    return size
 
 
 def context_size(c: Context) -> int:
+    """Number of nodes of c, cached like term_size."""
     if isinstance(c, Hole):
         return 1
-    if isinstance(c, HeadCtx):
-        return 1 + context_size(c.hole_side) + sum(term_size(item) for item in c.tail)
-    return 1 + term_size(c.head) + context_size(c.rest)
+    size = c.__dict__.get("_size")
+    if size is None:
+        if isinstance(c, HeadCtx):
+            size = 1 + context_size(c.hole_side)
+            for item in c.tail:
+                size += term_size(item)
+        else:
+            size = 1 + term_size(c.head) + context_size(c.rest)
+        object.__setattr__(c, "_size", size)
+    return size
 
 
 def pattern_size(p: Pattern) -> int:
@@ -200,8 +215,23 @@ def proper_subterms(t: Term) -> Iterator[Term]:
 
 
 def is_proper_subterm(sub: Term, t: Term) -> bool:
-    """True iff sub occurs strictly inside t.  Irreflexive and transitive."""
-    return any(sub == s for s in proper_subterms(t))
+    """True iff sub occurs strictly inside t.  Irreflexive and transitive.
+
+    Every immediate subterm is smaller than its parent, so subtrees smaller
+    than sub are skipped and subtrees of sub's size are compared, not
+    entered.  The immediate subterms of t are compared before anything
+    deeper.
+    """
+    size = term_size(sub)
+    todo = [t]
+    while todo:
+        for s in immediate_subterms(todo.pop()):
+            n = term_size(s)
+            if n > size:
+                todo.append(s)
+            elif n == size and s == sub:
+                return True
+    return False
 
 
 def plug(c: Context, t: Term) -> Term:

@@ -186,6 +186,14 @@ class TestReduceAndTrace:
             "(edge 0 beta 1)\n"
         )
 
+    def test_trace_rejects_negative_max_steps(self, capsys):
+        argv = ("trace", "-g", LAMBDA_FILE, "-t", "((λ x x) (λ y y))", "--max-steps")
+        code, out, err = run(capsys, *argv, "-1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        code, out, _ = run(capsys, *argv, "0")
+        assert (code, out) == (0, "(node 0 ((λ x x) (λ y y)) cutoff)\n")
+
 
 class TestOracleMode:
     def test_agrees_on_bundled_corpus(self, capsys):

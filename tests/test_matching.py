@@ -20,14 +20,18 @@ from redsem import (
     MatchFuelError,
     MatchResult,
     MatchingTuple,
+    MeasureViolationError,
     NamePat,
     NtPat,
+    Production,
+    SoundnessCheckError,
     TailCtx,
     bind_name,
     bindings_from,
     bindings_union,
     combine,
     decompose,
+    is_proper_subterm,
     match_decompose,
     matches,
     new_grammar,
@@ -40,6 +44,7 @@ from redsem import (
     tuple_order_decreases,
 )
 from redsem.matching import EMPTY_BINDINGS, EMPTY_DECOMPOSITION
+from redsem.terms import proper_subterms, subpatterns
 
 A, B = Literal("a"), Literal("b")
 AB = ListTerm((A, B))
@@ -239,6 +244,26 @@ class TestDecompose:
         assert got == oracle_decompose(lam.grammar, t, p)
 
 
+def reference_order(nxt, prev):
+    """The tuple order read on Grammar values."""
+    if is_proper_subterm(nxt.term, prev.term):
+        return True
+    if nxt.term != prev.term:
+        return False
+    p_prev, p_next = prev.pattern, nxt.pattern
+    same_grammar = nxt.grammar == prev.grammar
+    if isinstance(p_prev, InHolePat):
+        return same_grammar and p_next in (p_prev.context_pat, p_prev.hole_pat)
+    if isinstance(p_prev, NamePat):
+        return same_grammar and p_next == p_prev.pattern
+    if isinstance(p_prev, NtPat):
+        prod = Production(p_prev.name, p_next)
+        return prod in prev.grammar.productions and nxt.grammar == remove_prod(
+            prev.grammar, prod
+        )
+    return False
+
+
 class TestTupleOrder:
     def test_subterm_component(self):
         g = new_grammar([("n", LitPat(A))])
@@ -273,8 +298,185 @@ class TestTupleOrder:
         tup = MatchingTuple(A, LitPat(A), g)
         assert not tuple_order_decreases(g, tup, tup)
 
+    @given(seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_order_on_grammar_values(self, seed):
+        rng = random.Random(seed)
+        g, t, p = gen_case(rng)
+        prods = list(g.productions)
+        for _ in range(rng.randint(0, 2) if prods else 0):
+            prods.insert(rng.randint(0, len(prods)), rng.choice(prods))
+        g = new_grammar(prods)
+        prev_g = g
+        for _ in range(rng.randint(0, 2)):
+            if prev_g.productions:
+                prev_g = remove_prod(prev_g, rng.choice(prev_g.productions))
+        if seed % 4 == 0:  # mostly not a sub-grammar of g
+            prev_g = new_grammar(reversed(prev_g.productions))
+        grammars = [g, prev_g, new_grammar(reversed(prev_g.productions))]
+        grammars += [remove_prod(prev_g, q) for q in prev_g.productions]
+        patterns = list(subpatterns(p)) + [q.pattern for q in prods]
+        patterns += [NtPat(q.nonterminal) for q in prods]
+        terms = [t, *list(proper_subterms(t))[:3]]
+        pairs = [  # every production step, and random pairs
+            (
+                MatchingTuple(t, q.pattern, h),
+                MatchingTuple(t, NtPat(q.nonterminal), prev_g),
+            )
+            for q in prods
+            for h in grammars
+        ]
+        for _ in range(40):
+            nxt = MatchingTuple(
+                rng.choice(terms), rng.choice(patterns), rng.choice(grammars)
+            )
+            prev = MatchingTuple(rng.choice(terms), rng.choice(patterns), prev_g)
+            pairs.append((nxt, prev))
+        for nxt, prev in pairs:
+            assert tuple_order_decreases(g, nxt, prev) == reference_order(nxt, prev)
+
     def test_grammar_must_shrink_for_nt(self):
         g = new_grammar([("n", LitPat(A))])
         assert not tuple_order_decreases(
             g, MatchingTuple(A, LitPat(A), g), MatchingTuple(A, NtPat("n"), g)
         )
+
+
+def right_chain(n):
+    """((λ v v) (... ((λ x x) (λ x x)))) with n applications."""
+    src = "(λ x x)"
+    for i in range(1, n + 1):
+        v = "xyzwfg"[i % 6]
+        src = f"((λ {v} {v}) {src})"
+    return parse_term(src)
+
+
+def left_chain(n):
+    """(((λ x x) (λ y y)) ... (λ v v)) with n applications."""
+    src = "(λ x x)"
+    for i in range(1, n + 1):
+        v = "xyzwfg"[i % 6]
+        src = f"({src} (λ {v} {v}))"
+    return parse_term(src)
+
+
+CHAIN_PATTERNS = {
+    "redex": "(in-hole (name E (nt E)) ((name f (nt v)) (name a (nt v))))",
+    "E": "(nt E)",
+    "e": "(nt e)",
+}
+
+# (shape, n, pattern) -> (raw, distinct) match_decompose results, recorded
+# before non-terminal subproblems were memoized.
+CHAIN_RESULT_COUNTS = {
+    ("right", 4, "redex"): (1, 1),
+    ("right", 4, "E"): (9, 9),
+    ("right", 4, "e"): (1, 1),
+    ("right", 8, "redex"): (1, 1),
+    ("right", 8, "E"): (17, 17),
+    ("right", 8, "e"): (1, 1),
+    ("right", 16, "redex"): (1, 1),
+    ("right", 16, "E"): (33, 33),
+    ("right", 16, "e"): (1, 1),
+    ("left", 4, "redex"): (1, 1),
+    ("left", 4, "E"): (6, 6),
+    ("left", 4, "e"): (1, 1),
+    ("left", 8, "redex"): (1, 1),
+    ("left", 8, "E"): (10, 10),
+    ("left", 8, "e"): (1, 1),
+    ("left", 16, "redex"): (1, 1),
+    ("left", 16, "E"): (18, 18),
+    ("left", 16, "e"): (1, 1),
+}
+
+
+class TestRawResults:
+    @pytest.mark.parametrize("key", sorted(CHAIN_RESULT_COUNTS))
+    def test_chain_counts_pinned(self, lam, key):
+        shape, n, name = key
+        t = (right_chain if shape == "right" else left_chain)(n)
+        p = parse_pattern(CHAIN_PATTERNS[name])
+        checked = match_decompose(lam.grammar, t, p, debug=True)
+        unchecked = match_decompose(lam.grammar, t, p, debug=False)
+        assert checked == unchecked
+        assert (len(checked), len(set(checked))) == CHAIN_RESULT_COUNTS[key]
+
+    def test_duplicate_production_removes_first_occurrence(self):
+        # n -> R | a | R | hole with R = (in-hole hole (nt n)): inside the
+        # second R the first R must be the one removed, else the inner
+        # lookup sees (R a) instead of (a R) and the results come reordered
+        r = InHolePat(HOLE_PAT, NtPat("n"))
+        g = new_grammar([("n", r), ("n", LitPat(A)), ("n", r), ("n", HOLE_PAT)])
+        got = match_decompose(g, A, NtPat("n"), debug=True)
+        kinds = "".join(
+            "s" if isinstance(x.decomposition, ContextDecomposition) else "m"
+            for x in got
+        )
+        assert kinds == "mmssmmmsss"
+
+    def test_current_grammar_is_read_before_input_is_consumed(self):
+        g = new_grammar([("n", LitPat(A)), ("n", LitPat(B))])
+        smaller = remove_prod(g, ("n", LitPat(A)))
+        assert match_decompose(g, A, NtPat("n"), smaller) == []
+        assert match_decompose(g, B, NtPat("n"), smaller) == [
+            MatchResult(EMPTY_DECOMPOSITION, EMPTY_BINDINGS)
+        ]
+        # a current grammar that is not a sub-sequence of g
+        other = new_grammar([("n", LitPat(B)), ("n", ListPat((NtPat("n"),)))])
+        for t in (A, B, ListTerm((A,)), ListTerm((ListTerm((B,)),))):
+            assert matches(g, t, NtPat("n"), current=other) == oracle_match(
+                g, t, NtPat("n"), other
+            )
+
+
+class TestDebugChecksUnderMemo:
+    # tuple-order checks on right chain 16 under (nt E) when every
+    # non-terminal subproblem was solved afresh, before memoization
+    UNMEMOIZED_CHECKS = 8566
+
+    def query(self, lam):
+        return lam.grammar, right_chain(16), NtPat("E")
+
+    def counting(self, monkeypatch, name, reject_at=None, wrong=None):
+        import redsem.matching as matching
+
+        real = getattr(matching, name)
+        calls = [0]
+
+        def wrapped(*args):
+            calls[0] += 1
+            if calls[0] == reject_at:
+                return wrong
+            return real(*args)
+
+        monkeypatch.setattr(matching, name, wrapped)
+        return calls
+
+    def test_measure_check_runs_on_every_distinct_edge(self, lam, monkeypatch):
+        g, t, p = self.query(lam)
+        calls = self.counting(monkeypatch, "mask_order_decreases")
+        assert len(match_decompose(g, t, p, debug=True)) == 33
+        total = calls[0]
+        assert 0 < total < self.UNMEMOIZED_CHECKS // 2
+        for k in (1, total // 2, total):
+            monkeypatch.undo()
+            self.counting(monkeypatch, "mask_order_decreases", k, False)
+            with pytest.raises(MeasureViolationError):
+                match_decompose(g, t, p, debug=True)
+
+    def test_broken_plug_is_caught(self, lam, monkeypatch):
+        g, t, p = self.query(lam)
+        calls = self.counting(monkeypatch, "plug")
+        match_decompose(g, t, p, debug=True)
+        total = calls[0]
+        assert total > 0
+        for k in (1, total):
+            monkeypatch.undo()
+            self.counting(monkeypatch, "plug", k, HOLE_TERM)
+            with pytest.raises(SoundnessCheckError):
+                match_decompose(g, t, p, debug=True)
+
+
+def test_deep_right_chain_within_default_recursion_limit(lam):
+    # about ten Python frames per chain level: the memo must add none
+    assert len(decompose(lam.grammar, right_chain(80), NtPat("E"))) == 161

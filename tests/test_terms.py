@@ -16,8 +16,8 @@ from redsem import (
     enumerate_decompositions,
     is_proper_subterm,
     plug,
-    term_eq,
 )
+from redsem.terms import proper_subterms, term_size
 
 A, B, C = Literal("a"), Literal("b"), Literal("c")
 AB = ListTerm((A, B))
@@ -35,34 +35,50 @@ def rnd_context(seed, depth=3):
 
 class TestTermEq:
     def test_identical_literals(self):
-        assert term_eq(Literal("a"), Literal("a"))
+        assert Literal("a") == Literal("a")
 
     def test_distinct_literals(self):
-        assert not term_eq(Literal("a"), Literal("b"))
+        assert Literal("a") != Literal("b")
 
     def test_structural_lists(self):
-        assert term_eq(ListTerm((A, B)), ListTerm((A, B)))
+        assert ListTerm((A, B)) == ListTerm((A, B))
 
     def test_bool_and_int_literals_differ(self):
-        assert not term_eq(Literal(True), Literal(1))
-        assert not term_eq(Literal(False), Literal(0))
+        assert Literal(True) != Literal(1)
+        assert Literal(False) != Literal(0)
         assert hash(Literal(True)) != hash(Literal(1))
 
     @given(seeds)
     def test_reflexive(self, seed):
         t = rnd_term(seed)
-        assert term_eq(t, t)
+        assert t == t
 
     @given(seeds, seeds)
     def test_symmetric(self, s1, s2):
         t1, t2 = rnd_term(s1), rnd_term(s2)
-        assert term_eq(t1, t2) == term_eq(t2, t1)
+        assert (t1 == t2) == (t2 == t1)
 
     @given(seeds, seeds, seeds)
     def test_transitive(self, s1, s2, s3):
         t1, t2, t3 = rnd_term(s1), rnd_term(s2), rnd_term(s3)
-        if term_eq(t1, t2) and term_eq(t2, t3):
-            assert term_eq(t1, t3)
+        if t1 == t2 and t2 == t3:
+            assert t1 == t3
+
+
+class TestTermSize:
+    def test_counts_nodes(self):
+        assert term_size(A) == 1
+        assert term_size(AB) == 3
+        assert term_size(CtxTerm(HeadCtx(HOLE, (B,)))) == 4
+
+    @given(seeds)
+    def test_cache_stays_out_of_eq_hash_repr(self, seed):
+        t, twin = rnd_term(seed), rnd_term(seed)
+        before = repr(t)
+        term_size(t)
+        assert repr(t) == before
+        assert t == twin and hash(t) == hash(twin)
+        assert term_size(twin) == term_size(t)
 
 
 class TestProperSubterm:
@@ -87,8 +103,6 @@ class TestProperSubterm:
     def test_transitive_random(self, seed):
         rng = random.Random(seed)
         t = gen_term(rng, 4)
-        from redsem.terms import proper_subterms
-
         subs = list(proper_subterms(t))[:8]
         for s1 in subs:
             for s2 in proper_subterms(s1):
@@ -102,6 +116,17 @@ class TestProperSubterm:
         for c, sub in enumerate_decompositions(t):
             if c != HOLE:
                 assert is_proper_subterm(sub, t)
+
+    @given(seeds, seeds)
+    @settings(max_examples=80)
+    def test_agrees_with_exhaustive_scan(self, s1, s2):
+        # the size-pruned walk answers as a scan of every proper subterm does
+        rng = random.Random(s1)
+        t = CtxTerm(gen_context(rng, 3)) if s1 % 3 == 0 else gen_term(rng, 4)
+        candidates = [t, rnd_term(s2, 2), *list(proper_subterms(t))[:12]]
+        for sub in candidates:
+            expected = any(sub == s for s in proper_subterms(t))
+            assert is_proper_subterm(sub, t) == expected
 
     def test_list_tail_is_subterm_but_not_a_split(self):
         tail = ListTerm((B,))
