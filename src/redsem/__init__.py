@@ -12,7 +12,6 @@ from .grammar import (
     Production,
     ProductionNotFoundError,
     find_left_recursion,
-    grammar_length,
     hole_matchable,
     is_left_recursive,
     is_subgrammar,
@@ -42,20 +41,14 @@ from .matching import (
     Bindings,
     ContextDecomposition,
     EmptyDecomposition,
-    MatchFuelError,
     MatchResult,
-    MatchingTuple,
     MeasureViolationError,
     SoundnessCheckError,
     bindings_from,
     bindings_union,
-    bind_name,
-    combine,
     decompose,
     match_decompose,
     matches,
-    select,
-    tuple_order_decreases,
 )
 from .oracle import (
     OracleFuelError,

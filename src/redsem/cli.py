@@ -214,3 +214,7 @@ def run_cli(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

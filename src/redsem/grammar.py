@@ -39,10 +39,6 @@ def new_grammar(productions: Iterable[Production | tuple[str, Pattern]]) -> Gram
     return Grammar(tuple(_as_production(p) for p in productions))
 
 
-def grammar_length(g: Grammar) -> int:
-    return len(g.productions)
-
-
 def productions_of(g: Grammar, nonterminal: str) -> tuple[Pattern, ...]:
     """Right-hand sides of the non-terminal's productions, in grammar order."""
     return tuple(p.pattern for p in g.productions if p.nonterminal == nonterminal)

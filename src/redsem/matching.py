@@ -5,7 +5,8 @@ make the pattern match the term, and which (context, sub-term) splits of
 the term the pattern describes.  Recursion is justified by a lexicographic
 order (consume input first; otherwise consume pattern structure or grammar
 productions) and, when debug checks are on, every recursive call is
-verified against that order.
+verified against that order.  The order is well founded, so matching
+terminates on every grammar, left-recursive ones included.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .errors import EngineError
-from .grammar import Grammar, Production, grammar_length
+from .grammar import Grammar, Production
 from .terms import (
     HOLE,
     HOLE_TERM,
@@ -35,18 +36,12 @@ from .terms import (
     Term,
     compose,
     is_proper_subterm,
-    pattern_size,
     plug,
-    term_size,
 )
 
 
 class MeasureViolationError(EngineError):
     """A recursive matching call failed to decrease the tuple order."""
-
-
-class MatchFuelError(EngineError):
-    """The matcher exceeded its recursion budget (suspected left recursion)."""
 
 
 class SoundnessCheckError(EngineError):
@@ -127,10 +122,6 @@ class MatchingTuple:
     term: Term
     pattern: Pattern
     grammar: Grammar
-
-
-def default_fuel(t: Term, p: Pattern, g: Grammar) -> int:
-    return 10 * (term_size(t) + 1) * (pattern_size(p) + grammar_length(g) + 1)
 
 
 class GrammarIndex(dict):
@@ -312,13 +303,10 @@ def select(
     return None
 
 
-def combine(
-    whole: Term, context: Context, subterm: Term, d_hole: Decomposition
-) -> Decomposition:
+def combine(context: Context, d_hole: Decomposition) -> Decomposition:
     """Resolve an in-hole result: a match of the focused sub-term means the
     in-hole pattern matched the whole term; a further split composes the
     two contexts."""
-    assert plug(context, subterm) == whole
     if isinstance(d_hole, EmptyDecomposition):
         return EMPTY_DECOMPOSITION
     return ContextDecomposition(compose(context, d_hole.context), d_hole.subterm)
@@ -336,17 +324,13 @@ def bind_name(
     return bindings_union(bindings, Bindings(((var, value),)))
 
 
-_AUTO_FUEL = object()
-
-
 def match_decompose(
     grammar: Grammar,
     term: Term,
     pattern: Pattern,
     current: Grammar | None = None,
     *,
-    debug: bool | None = None,
-    fuel: int | None | object = _AUTO_FUEL,
+    debug: bool = __debug__,
 ) -> list[MatchResult]:
     """All matches and decompositions of term against pattern.
 
@@ -358,15 +342,8 @@ def match_decompose(
 
     Each distinct non-terminal subproblem (term object, non-terminal,
     grammar state) is solved, and checked, once per call: its results are
-    memoized until the call returns.  The fuel budget bounds the depth of
-    the recursion actually made; a memo hit recurses no further.
+    memoized until the call returns.
     """
-    if debug is None:
-        debug = __debug__
-    if fuel is _AUTO_FUEL:
-        budget: int | None = default_fuel(term, pattern, grammar)
-    else:
-        budget = fuel  # type: ignore[assignment]
     index = grammar_index(grammar)
     orig = index.full
     start = orig if current is None else index.mask(current, orig)
@@ -377,7 +354,7 @@ def match_decompose(
     # keeps its id from being reused while the call runs.
     memo: dict[tuple[int, str, int], tuple[Term, list[MatchResult]]] = {}
 
-    def check_results(t: Term, results: list[MatchResult]) -> list[MatchResult]:
+    def check_results(t: Term, results: list[MatchResult]) -> None:
         for r in results:
             d = r.decomposition
             if isinstance(d, ContextDecomposition):
@@ -393,21 +370,14 @@ def match_decompose(
                         "decomposition sub-term is neither the whole term "
                         "under a hole nor a proper sub-term"
                     )
-        return results
 
-    def ev(t: Term, p: Pattern, mask: int, depth: int) -> list[MatchResult]:
-        if budget is not None and depth > budget:
-            raise MatchFuelError(
-                "matching exceeded its recursion budget; "
-                "the grammar is probably left recursive"
-            )
-
+    def ev(t: Term, p: Pattern, mask: int) -> list[MatchResult]:
         def rec(t2: Term, p2: Pattern, m2: int) -> list[MatchResult]:
             if debug and not mask_order_decreases(index, t2, p2, m2, t, p, mask):
                 raise MeasureViolationError(
                     "recursive matching call does not decrease the tuple order"
                 )
-            return ev(t2, p2, m2, depth + 1)
+            return ev(t2, p2, m2)
 
         if isinstance(p, HolePat):
             if t == HOLE_TERM:
@@ -458,7 +428,7 @@ def match_decompose(
                     merged = bindings_union(rc.bindings, rh.bindings)
                     if merged is None:
                         continue
-                    d = combine(t, dc.context, dc.subterm, rh.decomposition)
+                    d = combine(dc.context, rh.decomposition)
                     results.append(MatchResult(d, merged))
 
         elif isinstance(p, ListPat):
@@ -517,7 +487,7 @@ def match_decompose(
         return out
 
     try:
-        return ev(term, pattern, start, 0)
+        return ev(term, pattern, start)
     finally:
         # ev closes over memo and itself; clearing now frees the memoized
         # results without waiting for the cycle collector.

@@ -92,10 +92,16 @@ def _phase_budget(p: Pattern, g: Grammar) -> int:
 
 
 class _Search:
-    """Rule-by-rule derivability search for both judgment forms."""
+    """Rule-by-rule derivability search for both judgment forms.
 
-    def __init__(self, original: Grammar):
+    With `removal` off, a non-terminal keeps the grammar it was read
+    against: the ungeneralized judgment, which loops on a left-recursive
+    grammar until the budget runs out.
+    """
+
+    def __init__(self, original: Grammar, removal: bool = True):
         self.original = original
+        self.removal = removal
         self.reset_weight = _grammar_weight(original)
 
     def _reset(self, p: Pattern) -> int:
@@ -129,7 +135,9 @@ class _Search:
 
         if isinstance(p, NtPat):
             for rhs in productions_of(g_cur, p.name):
-                shrunk = remove_prod(g_cur, Production(p.name, rhs))
+                shrunk = g_cur
+                if self.removal:
+                    shrunk = remove_prod(g_cur, Production(p.name, rhs))
                 if self.match(t, rhs, shrunk, fuel - 1):
                     return {EMPTY_BINDINGS}
             return set()
@@ -227,7 +235,9 @@ class _Search:
 
         if isinstance(p, NtPat):
             for rhs in productions_of(g_cur, p.name):
-                shrunk = remove_prod(g_cur, Production(p.name, rhs))
+                shrunk = g_cur
+                if self.removal:
+                    shrunk = remove_prod(g_cur, Production(p.name, rhs))
                 if self.decomp(t, c, sub, rhs, shrunk, fuel - 1):
                     return {EMPTY_BINDINGS}
             return set()
@@ -364,9 +374,14 @@ def oracle_decompose(
 def oracle_match_original(
     grammar: Grammar, term: Term, pattern: Pattern, *, fuel: int | None = None
 ) -> set[Bindings]:
-    """Matching under the ungeneralized judgment form.
+    """Matching under the ungeneralized judgment form, by exhaustive search.
 
-    Coincides with starting the generalized search at the original grammar,
-    which is how it is computed.
+    Non-terminals are always read against the full grammar and no
+    production is ever removed.  On a grammar that is not left recursive
+    this agrees with the generalized judgment; on a left-recursive one the
+    search can loop without consuming input, and then raises
+    OracleFuelError.
     """
-    return oracle_match(grammar, term, pattern, grammar, fuel=fuel)
+    search = _Search(grammar, removal=False)
+    budget = fuel if fuel is not None else _phase_budget(pattern, grammar)
+    return search.match(term, pattern, grammar, budget)

@@ -17,14 +17,13 @@ from .matching import Bindings, matches
 from .terms import (
     HOLE,
     CtxTerm,
-    InHolePat,
-    ListPat,
     ListTerm,
     Literal,
     NamePat,
     Pattern,
     Term,
     plug,
+    subpatterns,
 )
 
 
@@ -83,16 +82,7 @@ def template_vars(tpl: Template) -> set[str]:
 
 
 def pattern_binding_vars(p: Pattern) -> set[str]:
-    if isinstance(p, NamePat):
-        return {p.var} | pattern_binding_vars(p.pattern)
-    if isinstance(p, ListPat):
-        out: set[str] = set()
-        for item in p.items:
-            out |= pattern_binding_vars(item)
-        return out
-    if isinstance(p, InHolePat):
-        return pattern_binding_vars(p.context_pat) | pattern_binding_vars(p.hole_pat)
-    return set()
+    return {q.var for q in subpatterns(p) if isinstance(q, NamePat)}
 
 
 @dataclass(frozen=True)
@@ -133,11 +123,11 @@ def instantiate(tpl: Template, bindings: Bindings) -> Term:
     return plug(ctx_term.context, instantiate(tpl.body, bindings))
 
 
-def apply_rule(grammar: Grammar, rule: Rule, term: Term, **kwargs) -> list[Term]:
+def apply_rule(grammar: Grammar, rule: Rule, term: Term) -> list[Term]:
     """All reducts of term under one rule, deduplicated, deterministic."""
     out: list[Term] = []
     seen: set[Term] = set()
-    for b in sorted(matches(grammar, term, rule.lhs, **kwargs), key=repr):
+    for b in sorted(matches(grammar, term, rule.lhs), key=repr):
         reduct = instantiate(rule.rhs, b)
         if reduct not in seen:
             seen.add(reduct)
@@ -145,13 +135,11 @@ def apply_rule(grammar: Grammar, rule: Rule, term: Term, **kwargs) -> list[Term]
     return out
 
 
-def step(
-    grammar: Grammar, rules: list[Rule], term: Term, **kwargs
-) -> list[tuple[str, Term]]:
+def step(grammar: Grammar, rules: list[Rule], term: Term) -> list[tuple[str, Term]]:
     """One-step reducts under all rules, tagged with the rule name."""
     out: list[tuple[str, Term]] = []
     for rule in rules:
-        out.extend((rule.name, t2) for t2 in apply_rule(grammar, rule, term, **kwargs))
+        out.extend((rule.name, t2) for t2 in apply_rule(grammar, rule, term))
     return out
 
 
@@ -175,9 +163,7 @@ class Trace:
     edges: list[tuple[int, str, int]] = field(default_factory=list)
 
 
-def trace(
-    grammar: Grammar, rules: list[Rule], term: Term, max_steps: int, **kwargs
-) -> Trace:
+def trace(grammar: Grammar, rules: list[Rule], term: Term, max_steps: int) -> Trace:
     """Expand the reduction graph from term, at most max_steps layers deep.
 
     A successor term equal to an already-discovered one becomes a 'cycle'
@@ -192,7 +178,7 @@ def trace(
             break
         next_frontier: list[int] = []
         for i in frontier:
-            successors = step(grammar, rules, tr.nodes[i], **kwargs)
+            successors = step(grammar, rules, tr.nodes[i])
             if not successors:
                 tr.statuses[i] = NORMAL_FORM
                 continue
@@ -209,6 +195,6 @@ def trace(
                     next_frontier.append(j)
         frontier = next_frontier
     for i in frontier:
-        successors = step(grammar, rules, tr.nodes[i], **kwargs)
+        successors = step(grammar, rules, tr.nodes[i])
         tr.statuses[i] = NORMAL_FORM if not successors else CUTOFF
     return tr

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 from conftest import CORPUS_FILE, LAMBDA_FILE, LEFTREC_FILE
 from redsem.cli import run_cli
@@ -147,6 +150,22 @@ class TestPlug:
     def test_two_holes_is_input_error(self, capsys):
         code, _, err = run(capsys, "plug", "-c", "(hole hole)", "-t", "c")
         assert code == 2
+
+
+class TestModuleEntryPoint:
+    def test_python_m_redsem_cli_runs_main(self):
+        import redsem
+
+        src = os.path.dirname(os.path.dirname(redsem.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "redsem.cli", "plug", "-c", "(hole b)", "-t", "a"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "(a b)\n", "")
 
 
 class TestCheckGrammar:

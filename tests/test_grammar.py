@@ -14,7 +14,6 @@ from redsem import (
     Production,
     ProductionNotFoundError,
     find_left_recursion,
-    grammar_length,
     hole_matchable,
     is_left_recursive,
     is_subgrammar,
@@ -34,18 +33,18 @@ def rnd_grammar(seed):
 
 class TestConstruction:
     def test_empty(self):
-        assert grammar_length(new_grammar([])) == 0
+        assert len(new_grammar([])) == 0
 
     def test_single(self):
-        assert grammar_length(new_grammar([("e", A)])) == 1
+        assert len(new_grammar([("e", A)])) == 1
 
     def test_lambda_grammar_counts_every_rhs(self, lam):
         # 3 for e, 1 for v, 6 variable literals, 3 for E
-        assert grammar_length(lam.grammar) == 13
+        assert len(lam.grammar) == 13
 
     def test_duplicates_preserved(self):
         g = new_grammar([("e", A), ("e", A)])
-        assert grammar_length(g) == 2
+        assert len(g) == 2
 
 
 class TestProductionsOf:
@@ -63,7 +62,7 @@ class TestProductionsOf:
 class TestRemoveProd:
     def test_to_empty(self):
         g = remove_prod(new_grammar([("e", A)]), ("e", A))
-        assert grammar_length(g) == 0
+        assert len(g) == 0
 
     def test_removes_one_occurrence(self):
         g = remove_prod(new_grammar([("e", A), ("e", B)]), ("e", A))
@@ -75,7 +74,7 @@ class TestRemoveProd:
 
     def test_length_decreases_by_one(self):
         g = new_grammar([("e", A), ("e", A), ("v", C)])
-        assert grammar_length(remove_prod(g, ("e", A))) == grammar_length(g) - 1
+        assert len(remove_prod(g, ("e", A))) == len(g) - 1
 
     def test_membership_after_removal(self):
         g = new_grammar([("e", A), ("e", B)])
@@ -106,7 +105,7 @@ class TestSubgrammar:
     @given(seeds)
     def test_membership_transport(self, seed):
         g = rnd_grammar(seed)
-        if grammar_length(g) == 0:
+        if len(g) == 0:
             return
         rng = random.Random(seed)
         smaller = remove_prod(g, rng.choice(g.productions))
@@ -132,7 +131,7 @@ class TestHoleMatchable:
     @settings(max_examples=60)
     def test_monotone_in_grammar(self, seed):
         g = rnd_grammar(seed)
-        if grammar_length(g) == 0:
+        if len(g) == 0:
             return
         rng = random.Random(seed)
         smaller = remove_prod(g, rng.choice(g.productions))

@@ -17,20 +17,17 @@ from redsem import (
     ListTerm,
     Literal,
     LitPat,
-    MatchFuelError,
     MatchResult,
-    MatchingTuple,
     MeasureViolationError,
     NamePat,
     NtPat,
     Production,
     SoundnessCheckError,
     TailCtx,
-    bind_name,
     bindings_from,
     bindings_union,
-    combine,
     decompose,
+    is_left_recursive,
     is_proper_subterm,
     match_decompose,
     matches,
@@ -40,10 +37,16 @@ from redsem import (
     parse_pattern,
     parse_term,
     remove_prod,
+)
+from redsem.matching import (
+    EMPTY_BINDINGS,
+    EMPTY_DECOMPOSITION,
+    MatchingTuple,
+    bind_name,
+    combine,
     select,
     tuple_order_decreases,
 )
-from redsem.matching import EMPTY_BINDINGS, EMPTY_DECOMPOSITION
 from redsem.terms import proper_subterms, subpatterns
 
 A, B = Literal("a"), Literal("b")
@@ -109,17 +112,17 @@ class TestSelect:
 
 class TestCombine:
     def test_inner_match_is_whole_match(self):
-        assert combine(AB, HOLE, AB, EMPTY_DECOMPOSITION) == EMPTY_DECOMPOSITION
+        assert combine(HOLE, EMPTY_DECOMPOSITION) == EMPTY_DECOMPOSITION
 
     def test_inner_hole_split_keeps_context(self):
         c = HeadCtx(HOLE, (B,))
-        got = combine(AB, c, A, ContextDecomposition(HOLE, A))
+        got = combine(c, ContextDecomposition(HOLE, A))
         assert got == ContextDecomposition(c, A)
 
     def test_composes_contexts(self):
         outer = TailCtx(A, HeadCtx(HOLE, ()))
         inner = ContextDecomposition(HOLE, B)
-        got = combine(AB, outer, B, inner)
+        got = combine(outer, inner)
         assert got == ContextDecomposition(outer, B)
 
 
@@ -193,20 +196,22 @@ class TestMatchDecompose:
         assert matches(g, t, p) == oracle_match(g, t, p)
         assert decompose(g, t, p) == oracle_decompose(g, t, p)
 
-    def test_fuel_cap_raises(self):
-        p = NamePat("x", NamePat("y", LitPat(A)))
-        with pytest.raises(MatchFuelError):
-            match_decompose(EMPTY_G, A, p, fuel=1)
-
     def test_left_recursive_grammar_still_terminates(self):
         # production removal shrinks the grammar on every non-consuming
         # lookup, so even a left-recursive grammar cannot loop; it only
         # loses the correspondence with the ungeneralized judgments
         g = new_grammar([("n", NamePat("x", NtPat("n"))), ("n", LitPat(A))])
-        from redsem import is_left_recursive
-
         assert is_left_recursive(g)
         assert matches(g, A, NtPat("n"), debug=True) == {EMPTY_BINDINGS}
+
+        # n -> (nt n) derives nothing: its one production is removed on the
+        # first lookup, so the second finds none
+        g = new_grammar([("n", NtPat("n"))])
+        assert is_left_recursive(g)
+        assert matches(g, A, NtPat("n"), debug=True) == set()
+        assert decompose(g, A, NtPat("n"), debug=True) == set()
+        assert oracle_match(g, A, NtPat("n")) == set()
+        assert oracle_decompose(g, A, NtPat("n")) == set()
 
 
 class TestMatches:

@@ -18,10 +18,10 @@ from redsem import (
     Literal,
     LitPat,
     NamePat,
+    NtPat,
     OracleFuelError,
     TailCtx,
     enumerate_decompositions,
-    grammar_length,
     is_proper_subterm,
     is_subgrammar,
     matches,
@@ -159,6 +159,15 @@ class TestOriginalSystem:
     def test_literal(self):
         assert oracle_match_original(EMPTY_G, A, LitPat(A)) == {EMPTY_BINDINGS}
 
+    def test_left_recursive_grammar_exhausts_budget(self):
+        # without production removal, n -> (name x (nt n)) reads (nt n)
+        # at the same term forever; the generalized judgment (and the
+        # engine) remove the production and fall through to n -> a
+        g = new_grammar([("n", NamePat("x", NtPat("n"))), ("n", LitPat(A))])
+        assert matches(g, A, NtPat("n")) == {EMPTY_BINDINGS}
+        with pytest.raises(OracleFuelError):
+            oracle_match_original(g, A, NtPat("n"))
+
     @given(seeds)
     @settings(max_examples=60, deadline=None)
     def test_equals_generalized_at_original_grammar(self, seed):
@@ -178,7 +187,7 @@ class TestGrammarWeakening:
     def test_fewer_productions_derive_fewer_matches(self, seed):
         rng = random.Random(seed)
         g, t, p = gen_case(rng)
-        if grammar_length(g) == 0:
+        if len(g) == 0:
             return
         smaller = remove_prod(g, rng.choice(g.productions))
         assert is_subgrammar(smaller, g)
