@@ -341,8 +341,31 @@ def match_decompose(
     produced split is verified to plug back to its input.
 
     Each distinct non-terminal subproblem (term object, non-terminal,
-    grammar state) is solved, and checked, once per call: its results are
-    memoized until the call returns.
+    grammar state, filter) is solved, and checked, once per call: its
+    results are memoized until the call returns.
+
+    Decomposition is hole-directed.  An in-hole pattern evaluates its
+    context pattern with its own hole pattern as the *filter*, and its
+    hole pattern with the filter it inherited; name, non-terminal and
+    list patterns pass the filter on.  A hole pattern on a term t under a
+    filter f drops its (hole, t) split when the query "has f any result
+    on t under the full grammar?" answers no; it never drops its match of
+    the hole term.  Every split that a filtered evaluation yields carries
+    the sub-term of some hole pattern's split, and the in-hole rule keeps
+    only the splits on whose sub-term its hole pattern has a result under
+    a sub-grammar of the full one.
+
+    The filter drops nothing that the in-hole rule would keep, because
+    matching is monotone in the grammar: no rule is negative, so the
+    results under a sub-grammar are among the results under the grammar.
+    Hence the raw result list, order and duplicates included, is the one
+    the unfiltered judgment gives.  Each query is answered once per call
+    and memoized under (term object, filter object).  A query re-entered
+    while it is still being answered answers "keep", which is always
+    sound; so each query is entered at most once per call, the tuple
+    order bounds the recursion between queries, and matching terminates
+    on every grammar.  Queries are fresh roots, not steps of the
+    judgment: the debug checks apply to every step inside them.
     """
     index = grammar_index(grammar)
     orig = index.full
@@ -350,9 +373,14 @@ def match_decompose(
     if start is None:  # current is not a sub-grammar: index both
         index = GrammarIndex(grammar.productions + current.productions)
         start = index.full ^ orig
-    # (id(term), non-terminal, mask) -> (term, results); holding the term
-    # keeps its id from being reused while the call runs.
-    memo: dict[tuple[int, str, int], tuple[Term, list[MatchResult]]] = {}
+    # (id(term), non-terminal, mask, id(filter)) -> (term, results);
+    # holding the term keeps its id from being reused while the call runs,
+    # and every filter is a sub-pattern of `pattern` or of a production.
+    memo: dict[tuple[int, str, int, int], tuple[Term, list[MatchResult]]] = {}
+    # (id(term), id(filter)) -> (term, filter, keep); keep is True while
+    # the query is being answered
+    queries: dict[tuple[int, int], tuple[Term, Pattern, bool]] = {}
+    full = index.full
 
     def check_results(t: Term, results: list[MatchResult]) -> None:
         for r in results:
@@ -371,22 +399,32 @@ def match_decompose(
                         "under a hole nor a proper sub-term"
                     )
 
-    def ev(t: Term, p: Pattern, mask: int) -> list[MatchResult]:
-        def rec(t2: Term, p2: Pattern, m2: int) -> list[MatchResult]:
+    def ev(t: Term, p: Pattern, mask: int, filt: Pattern | None) -> list[MatchResult]:
+        def rec(
+            t2: Term, p2: Pattern, m2: int, f2: Pattern | None
+        ) -> list[MatchResult]:
             if debug and not mask_order_decreases(index, t2, p2, m2, t, p, mask):
                 raise MeasureViolationError(
                     "recursive matching call does not decrease the tuple order"
                 )
-            return ev(t2, p2, m2)
+            return ev(t2, p2, m2, f2)
 
         if isinstance(p, HolePat):
+            keep = True
+            if filt is not None:
+                key = (id(t), id(filt))
+                if key not in queries:
+                    # a re-entered query finds this entry and keeps the split
+                    queries[key] = (t, filt, True)
+                    queries[key] = (t, filt, bool(ev(t, filt, full, None)))
+                keep = queries[key][2]
+            results = []
+            if keep:
+                results.append(
+                    MatchResult(ContextDecomposition(HOLE, t), EMPTY_BINDINGS)
+                )
             if t == HOLE_TERM:
-                results = [
-                    MatchResult(ContextDecomposition(HOLE, HOLE_TERM), EMPTY_BINDINGS),
-                    MatchResult(EMPTY_DECOMPOSITION, EMPTY_BINDINGS),
-                ]
-            else:
-                results = [MatchResult(ContextDecomposition(HOLE, t), EMPTY_BINDINGS)]
+                results.append(MatchResult(EMPTY_DECOMPOSITION, EMPTY_BINDINGS))
 
         elif isinstance(p, LitPat):
             if isinstance(t, Literal) and t == p.lit:
@@ -394,15 +432,18 @@ def match_decompose(
             else:
                 results = []
 
+        # name and non-terminal results carry their child's splits of the
+        # same term unchanged, and the child has checked those
         elif isinstance(p, NamePat):
             results = []
-            for r in rec(t, p.pattern, mask):
+            for r in rec(t, p.pattern, mask, filt):
                 extended = bind_name(p.var, t, r.decomposition, r.bindings)
                 if extended is not None:
                     results.append(MatchResult(r.decomposition, extended))
+            return results
 
         elif isinstance(p, NtPat):
-            key = (id(t), p.name, mask)
+            key = (id(t), p.name, mask, id(filt))
             hit = memo.get(key)
             if hit is not None and hit[0] is t:
                 return hit[1]
@@ -410,21 +451,19 @@ def match_decompose(
             for bit, rhs, same in index[p.name]:
                 if mask & bit:
                     live = mask & same
-                    for r in rec(t, rhs, mask ^ (live & -live)):
+                    for r in rec(t, rhs, mask ^ (live & -live), filt):
                         results.append(MatchResult(r.decomposition, EMPTY_BINDINGS))
-            if debug:
-                check_results(t, results)
             memo[key] = (t, results)
             return results
 
         elif isinstance(p, InHolePat):
             results = []
-            for rc in rec(t, p.context_pat, mask):
+            for rc in rec(t, p.context_pat, mask, p.hole_pat):
                 dc = rc.decomposition
                 if not isinstance(dc, ContextDecomposition):
                     continue
                 m_hole = mask if dc.subterm == t else orig
-                for rh in rec(dc.subterm, p.hole_pat, m_hole):
+                for rh in rec(dc.subterm, p.hole_pat, m_hole, filt):
                     merged = bindings_union(rc.bindings, rh.bindings)
                     if merged is None:
                         continue
@@ -432,7 +471,7 @@ def match_decompose(
                     results.append(MatchResult(d, merged))
 
         elif isinstance(p, ListPat):
-            results = _ev_list(t, p, rec)
+            results = _ev_list(t, p, rec, filt)
 
         else:
             results = []
@@ -441,24 +480,26 @@ def match_decompose(
             check_results(t, results)
         return results
 
-    def _ev_list(t: Term, p: ListPat, rec) -> list[MatchResult]:
+    def _ev_list(t: Term, p: ListPat, rec, filt) -> list[MatchResult]:
         if isinstance(t, ListTerm):
             if not t.items and not p.items:
                 return [MatchResult(EMPTY_DECOMPOSITION, EMPTY_BINDINGS)]
             if not t.items or not p.items:
                 return []
             head, tail = t.items[0], t.items[1:]
-            return _cross(t, head, ListTerm(tail), tail, p, rec)
+            return _cross(t, head, ListTerm(tail), tail, p, rec, filt)
         if isinstance(t, CtxTerm) and isinstance(t.context, HeadCtx):
             if not p.items:
                 return []
             c = t.context
-            return _cross(t, CtxTerm(c.hole_side), ListTerm(c.tail), c.tail, p, rec)
+            return _cross(
+                t, CtxTerm(c.hole_side), ListTerm(c.tail), c.tail, p, rec, filt
+            )
         if isinstance(t, CtxTerm) and isinstance(t.context, TailCtx):
             if not p.items:
                 return []
             c = t.context
-            return _cross(t, c.head, CtxTerm(c.rest), (), p, rec)
+            return _cross(t, c.head, CtxTerm(c.rest), (), p, rec, filt)
         return []
 
     def _cross(
@@ -468,12 +509,13 @@ def match_decompose(
         tail_items: tuple[Term, ...],
         p: ListPat,
         rec,
+        filt: Pattern | None,
     ) -> list[MatchResult]:
         p_head, p_tail = p.items[0], ListPat(p.items[1:])
-        head_results = rec(head, p_head, orig)
+        head_results = rec(head, p_head, orig, filt)
         if not head_results:
             return []
-        tail_results = rec(tail_term, p_tail, orig)
+        tail_results = rec(tail_term, p_tail, orig, filt)
         out: list[MatchResult] = []
         for rh in head_results:
             for rt in tail_results:
@@ -487,11 +529,12 @@ def match_decompose(
         return out
 
     try:
-        return ev(term, pattern, start)
+        return ev(term, pattern, start, None)
     finally:
-        # ev closes over memo and itself; clearing now frees the memoized
-        # results without waiting for the cycle collector.
+        # ev closes over the memos and itself; clearing now frees the
+        # memoized results without waiting for the cycle collector.
         memo.clear()
+        queries.clear()
 
 
 def matches(

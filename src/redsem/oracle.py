@@ -243,17 +243,14 @@ class _Search:
             return set()
 
         if isinstance(p, ListPat):
-            return self._decomp_list(t, c, sub, p, fuel)
+            return self._decomp_list(t, c, sub, p)
 
         if isinstance(p, InHolePat):
             return self._decomp_inhole(t, c, sub, p, g_cur, fuel)
 
         return set()
 
-    def _decomp_list(
-        self, t: Term, c: Context, sub: Term, p: ListPat, fuel: int
-    ) -> set[Bindings]:
-        del fuel
+    def _decomp_list(self, t: Term, c: Context, sub: Term, p: ListPat) -> set[Bindings]:
         g1 = self.original
         if not p.items:
             return set()

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import redsem
+from conftest import LAMBDA_FILE
 from genterms import gen_case
 from redsem import (
     HOLE,
@@ -36,6 +41,7 @@ from redsem import (
     oracle_match,
     parse_pattern,
     parse_term,
+    print_term,
     remove_prod,
 )
 from redsem.matching import (
@@ -485,3 +491,80 @@ class TestDebugChecksUnderMemo:
 def test_deep_right_chain_within_default_recursion_limit(lam):
     # about ten Python frames per chain level: the memo must add none
     assert len(decompose(lam.grammar, right_chain(80), NtPat("E"))) == 161
+
+
+# n -> (in-hole (nt n) (nt n)) | hole | a | (in-hole (nt m) (nt n))
+# m -> (in-hole hole (nt n)) | (hole (nt n)) | ((nt n) hole)
+# is left recursive through in-hole, so a filter query asked at a hole
+# leaf reaches the same hole leaf with the same filter again.
+REENTRY_PRODUCTIONS = (
+    ("n", "(in-hole (nt n) (nt n))"),
+    ("n", "hole"),
+    ("n", "a"),
+    ("n", "(in-hole (nt m) (nt n))"),
+    ("m", "(in-hole hole (nt n))"),
+    ("m", "(hole (nt n))"),
+    ("m", "((nt n) hole)"),
+)
+
+# (term, pattern) -> raw match_decompose results, recorded before
+# decomposition was hole-directed
+REENTRY_RAW_COUNTS = {
+    ("a", "(nt n)"): 18,
+    ("a", "(nt m)"): 4,
+    ("a", "(in-hole (nt m) (nt n))"): 36,
+    ("(a a)", "(nt n)"): 3897,
+    ("(a a)", "(nt m)"): 3584,
+}
+
+
+class TestHoleDirected:
+    @pytest.mark.parametrize("key", sorted(REENTRY_RAW_COUNTS))
+    def test_reentered_filter_query_keeps_the_split(self, key):
+        g = new_grammar([(nt, parse_pattern(rhs)) for nt, rhs in REENTRY_PRODUCTIONS])
+        assert is_left_recursive(g)
+        term, pattern = key
+        got = match_decompose(g, parse_term(term), parse_pattern(pattern), debug=True)
+        assert len(got) == REENTRY_RAW_COUNTS[key]
+
+    @given(seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_results_are_monotone_in_the_grammar(self, seed):
+        # the lemma that lets a filter query read the full grammar
+        g, t, p = gen_case(random.Random(seed))
+        under_full = set(match_decompose(g, t, p))
+        for prod in g.productions:
+            smaller = remove_prod(g, prod)
+            assert set(match_decompose(g, t, p, smaller)) <= under_full
+
+
+DEPTH_SCRIPT = """\
+import sys
+from redsem import load_language, match_decompose, parse_pattern, parse_term
+g = load_language(sys.argv[1]).grammar
+for i in range(2, len(sys.argv), 2):
+    p, t = parse_pattern(sys.argv[i]), parse_term(sys.argv[i + 1])
+    print(len(match_decompose(g, t, p, debug=True)))
+"""
+
+
+def test_recursion_cliff_does_not_move_down():
+    # the deepest right chains a fresh interpreter decides today, at its
+    # default recursion limit, called from module level; the checks add
+    # frames, so the unchecked calls go deeper still
+    src = os.path.dirname(os.path.dirname(redsem.__file__))
+    queries = [
+        (CHAIN_PATTERNS["redex"], 96),
+        (CHAIN_PATTERNS["E"], 97),
+        (CHAIN_PATTERNS["e"], 97),
+    ]
+    argv = [a for pat, n in queries for a in (pat, print_term(right_chain(n)))]
+    proc = subprocess.run(
+        [sys.executable, "-c", DEPTH_SCRIPT, LAMBDA_FILE, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n195\n1\n"
