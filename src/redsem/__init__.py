@@ -44,7 +44,6 @@ from .matching import (
     MatchResult,
     MeasureViolationError,
     SoundnessCheckError,
-    bindings_from,
     bindings_union,
     decompose,
     match_decompose,

@@ -12,7 +12,7 @@ terminates on every grammar, left-recursive ones included.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 from .errors import EngineError
 from .grammar import Grammar, Production
@@ -70,15 +70,6 @@ class Bindings:
 EMPTY_BINDINGS = Bindings(())
 
 
-def bindings_from(pairs: Iterable[tuple[str, Term]]) -> Bindings:
-    merged: dict[str, Term] = {}
-    for var, value in pairs:
-        if var in merged and merged[var] != value:
-            raise ValueError(f"conflicting bindings for {var!r}")
-        merged[var] = value
-    return Bindings(tuple(sorted(merged.items(), key=lambda e: e[0])))
-
-
 def bindings_union(b1: Bindings, b2: Bindings) -> Bindings | None:
     """Disjoint union: defined iff shared variables agree on their terms."""
     merged = dict(b1.entries)
@@ -124,17 +115,64 @@ class MatchingTuple:
     grammar: Grammar
 
 
+Shape = Union[Literal, int, None]
+Entry = tuple[int, Pattern, int, Shape]
+
+
+def _same_term(p: Pattern) -> tuple[Pattern, ...]:
+    """The sub-patterns that match p's own term: no input is consumed."""
+    if isinstance(p, NamePat):
+        return (p.pattern,)
+    if isinstance(p, InHolePat):
+        return (p.context_pat, p.hole_pat)
+    return ()
+
+
+def _same_filter(p: Pattern) -> tuple[Pattern, ...]:
+    """The sub-patterns that inherit p's filter (see `match_decompose`)."""
+    if isinstance(p, NamePat):
+        return (p.pattern,)
+    if isinstance(p, InHolePat):
+        return (p.hole_pat,)
+    if isinstance(p, ListPat):
+        return p.items
+    return ()
+
+
+def _list_count(t: Term) -> int | None:
+    """The item count a list pattern needs to have a result on t, if any."""
+    if isinstance(t, ListTerm):
+        return len(t.items)
+    if not isinstance(t, CtxTerm):
+        return None
+    c, n = t.context, 1
+    while isinstance(c, TailCtx):
+        c, n = c.rest, n + 1
+    if isinstance(c, HeadCtx):
+        return n + len(c.tail)
+    return None  # a bare hole
+
+
 class GrammarIndex(dict):
     """A grammar's productions, addressed by bit.
 
     Production i is bit ``1 << i``.  A grammar reached from this one by
     removing productions is the int mask of the bits still live, so
     removing a production clears one bit and comparing two grammar states
-    compares two ints.  The index maps each non-terminal, on first lookup,
-    to its ``(bit, rhs, same)`` entries in grammar order, where ``same``
-    holds the bits of every production equal to this one: removal clears
-    the lowest live bit of ``same``, which is the first occurrence, as
-    ``remove_prod`` removes it.
+    compares two ints.  The index maps each non-terminal N, on first
+    lookup, to ``(entries, reads, filtered)``:
+
+    - ``entries`` are N's ``(bit, rhs, same, shape)`` in grammar order.
+      ``same`` holds the bits of every production equal to this one:
+      removal clears the lowest live bit of ``same``, which is the first
+      occurrence, as ``remove_prod`` removes it.  ``shape`` is the literal
+      of a literal rhs, the item count of a list rhs, else None.
+    - ``reads`` holds the bits of every production of every non-terminal
+      reachable from N without consuming input: through non-terminals,
+      name bodies and both sides of an in-hole.
+    - ``filtered`` tells whether a hole pattern is reachable from N
+      through the sub-patterns that inherit the filter: non-terminals,
+      name bodies, list items and the hole side of an in-hole.
     """
 
     __slots__ = ("productions", "full")
@@ -144,20 +182,52 @@ class GrammarIndex(dict):
         self.productions = productions
         self.full = (1 << len(productions)) - 1
 
-    def __missing__(self, nt: str) -> tuple[tuple[int, Pattern, int], ...]:
-        entries: list[tuple[int, Pattern, int]] = []
+    def __missing__(self, nt: str) -> tuple[tuple[Entry, ...], int, bool]:
+        entries: list[Entry] = []
         for i, prod in enumerate(self.productions):
             if prod.nonterminal != nt:
                 continue
             bit, rhs = 1 << i, prod.pattern
             same = bit
-            for j, (b, r, s) in enumerate(entries):
+            for j, (b, r, s, f) in enumerate(entries):
                 if r == rhs:
-                    entries[j] = (b, r, s | bit)
+                    entries[j] = (b, r, s | bit, f)
                     same |= b
-            entries.append((bit, rhs, same))
-        self[nt] = found = tuple(entries)
+            if isinstance(rhs, LitPat):
+                shape: Shape = rhs.lit
+            elif isinstance(rhs, ListPat):
+                shape = len(rhs.items)
+            else:
+                shape = None
+            entries.append((bit, rhs, same, shape))
+        reads = self._reach(nt, _same_term)[0]
+        filtered = self._reach(nt, _same_filter)[1]
+        self[nt] = found = (tuple(entries), reads, filtered)
         return found
+
+    def _reach(self, nt: str, edges) -> tuple[int, bool]:
+        """The bits of every production of every non-terminal reachable
+        from nt along `edges`, and whether a hole pattern is reached."""
+        bits, hole = 0, False
+        seen, todo = {nt}, [nt]
+        while todo:
+            name = todo.pop()
+            for i, prod in enumerate(self.productions):
+                if prod.nonterminal != name:
+                    continue
+                bits |= 1 << i
+                stack = [prod.pattern]
+                while stack:
+                    p = stack.pop()
+                    if isinstance(p, NtPat):
+                        if p.name not in seen:
+                            seen.add(p.name)
+                            todo.append(p.name)
+                    elif isinstance(p, HolePat):
+                        hole = True
+                    else:
+                        stack.extend(edges(p))
+        return bits, hole
 
     def mask(self, g: Grammar, within: int) -> int | None:
         """Bits among `within` that spell g's productions in order, matched
@@ -215,7 +285,7 @@ def mask_order_decreases(
     if isinstance(p_prev, NamePat):
         return m_next == m_prev and p_next == p_prev.pattern
     if isinstance(p_prev, NtPat):
-        for _, rhs, same in index[p_prev.name]:
+        for _, rhs, same, _ in index[p_prev.name][0]:
             if rhs is p_next or rhs == p_next:
                 live = m_prev & same
                 return live != 0 and m_next == m_prev ^ (live & -live)
@@ -340,9 +410,29 @@ def match_decompose(
     every recursive call is verified to decrease the tuple order and each
     produced split is verified to plug back to its input.
 
-    Each distinct non-terminal subproblem (term object, non-terminal,
-    grammar state, filter) is solved, and checked, once per call: its
-    results are memoized until the call returns.
+    Each distinct non-terminal subproblem is solved, and checked, once per
+    call: its results are memoized until the call returns, under a key
+    that holds only what the subproblem reads.  Two lemmas make that key,
+    and the pruning of the production loop, exact:
+
+    - *Read set.*  ev(t, (nt N), m, f) reads the grammar mask m only at
+      the bits in ``reads(N)``, the productions of the non-terminals
+      reachable from N without consuming input (`GrammarIndex`): list
+      items, and an in-hole's hole side on a proper sub-term, start
+      again from the original grammar, and a filter query from the full
+      one.  It reads the filter f only at hole leaves, and only when
+      ``filtered(N)``.  So the key is (term object, N, m & reads(N), f),
+      with None for f when N is not filtered.
+    - *Shape.*  A literal pattern has no result on any term but its
+      literal, and a list pattern of k items none on a term that is not a
+      list, or a list context, of k items; a bare hole has no item
+      count.  So a production of that shape is skipped on a term that
+      cannot have it: it would give no result.
+
+    Neither lemma changes a result, so the raw list, order and duplicates
+    included, is the one the plain judgment gives.  Every edge still made
+    is checked against the tuple order, and every split still produced
+    goes through the plug-back check.
 
     Decomposition is hole-directed.  An in-hole pattern evaluates its
     context pattern with its own hole pattern as the *filter*, and its
@@ -373,10 +463,13 @@ def match_decompose(
     if start is None:  # current is not a sub-grammar: index both
         index = GrammarIndex(grammar.productions + current.productions)
         start = index.full ^ orig
-    # (id(term), non-terminal, mask, id(filter)) -> (term, results);
-    # holding the term keeps its id from being reused while the call runs,
-    # and every filter is a sub-pattern of `pattern` or of a production.
-    memo: dict[tuple[int, str, int, int], tuple[Term, list[MatchResult]]] = {}
+    # (id(term), non-terminal, mask & reads, id(filter) or None) ->
+    # (term, results); holding the term keeps its id from being reused
+    # while the call runs, and every filter is a sub-pattern of `pattern`
+    # or of a production.
+    memo: dict[
+        tuple[int, str, int, int | None], tuple[Term, list[MatchResult]]
+    ] = {}
     # (id(term), id(filter)) -> (term, filter, keep); keep is True while
     # the query is being answered
     queries: dict[tuple[int, int], tuple[Term, Pattern, bool]] = {}
@@ -442,14 +535,18 @@ def match_decompose(
                     results.append(MatchResult(r.decomposition, extended))
             return results
 
+        # the key holds only what the subproblem reads, and a production
+        # whose shape t cannot have is not tried (see the docstring)
         elif isinstance(p, NtPat):
-            key = (id(t), p.name, mask, id(filt))
+            entries, reads, filtered = index[p.name]
+            key = (id(t), p.name, mask & reads, id(filt) if filtered else None)
             hit = memo.get(key)
             if hit is not None and hit[0] is t:
                 return hit[1]
             results = []
-            for bit, rhs, same in index[p.name]:
-                if mask & bit:
+            shape = t if isinstance(t, Literal) else _list_count(t)
+            for bit, rhs, same, fit in entries:
+                if mask & bit and (fit is None or fit == shape):
                     live = mask & same
                     for r in rec(t, rhs, mask ^ (live & -live), filt):
                         results.append(MatchResult(r.decomposition, EMPTY_BINDINGS))

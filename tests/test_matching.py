@@ -29,7 +29,6 @@ from redsem import (
     Production,
     SoundnessCheckError,
     TailCtx,
-    bindings_from,
     bindings_union,
     decompose,
     is_left_recursive,
@@ -41,6 +40,7 @@ from redsem import (
     oracle_match,
     parse_pattern,
     parse_term,
+    plug,
     print_term,
     remove_prod,
 )
@@ -48,8 +48,10 @@ from redsem.matching import (
     EMPTY_BINDINGS,
     EMPTY_DECOMPOSITION,
     MatchingTuple,
+    _list_count,
     bind_name,
     combine,
+    grammar_index,
     select,
     tuple_order_decreases,
 )
@@ -63,7 +65,7 @@ seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
 
 def bnd(**kw):
-    return bindings_from(kw.items())
+    return Bindings(tuple(sorted(kw.items())))
 
 
 class TestBindingsUnion:
@@ -536,6 +538,98 @@ class TestHoleDirected:
         for prod in g.productions:
             smaller = remove_prod(g, prod)
             assert set(match_decompose(g, t, p, smaller)) <= under_full
+
+
+def list_count(t):
+    """Item count of t as a list: a list context counts the items of the
+    list it plugs to, and a bare hole plugs to no list."""
+    if isinstance(t, CtxTerm):
+        t = plug(t.context, A)
+    return len(t.items) if isinstance(t, ListTerm) else None
+
+
+class TestExactPruning:
+    @given(seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_unread_productions_do_not_change_results(self, seed):
+        # read-set lemma: (nt N) reads the grammar only at reads(N)
+        g, t, _ = gen_case(random.Random(seed))
+        index = grammar_index(g)
+        for nt in {q.nonterminal for q in g.productions}:
+            reads = index[nt][1]
+            under_g = match_decompose(g, t, NtPat(nt))
+            for i, q in enumerate(g.productions):
+                if not reads >> i & 1:
+                    smaller = remove_prod(g, q)
+                    assert match_decompose(g, t, NtPat(nt), smaller) == under_g
+
+    @given(seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_productions_of_another_shape_give_nothing(self, seed):
+        # shape lemma: a production the loop skips would give no result
+        g, t, _ = gen_case(random.Random(seed))
+        for s in [t, *proper_subterms(t)]:
+            assert _list_count(s) == list_count(s)
+            for q in g.productions:
+                rhs = q.pattern
+                if (isinstance(rhs, LitPat) and s != rhs.lit) or (
+                    isinstance(rhs, ListPat) and list_count(s) != len(rhs.items)
+                ):
+                    assert match_decompose(g, s, rhs) == []
+
+    # nested in-hole patterns: the inner in-hole's non-terminals read the
+    # outer one's filter, so a memo key without the filter mixes them up
+    # (pattern, shape) -> (raw, distinct) results on chain 4, recorded
+    # before the pruning
+    NESTED = (
+        "(in-hole (nt E) (in-hole (nt E) ((nt v) (nt v))))",
+        "(in-hole (in-hole (nt E) ((nt v) (nt E))) ((nt v) (nt v)))",
+        "(in-hole (name C (nt E)) (in-hole (name D ((nt v) (nt E))) ((nt v) (nt v))))",
+        "(in-hole (nt E) (in-hole ((nt v) (nt E)) hole))",
+    )
+    NESTED_COUNTS = {
+        (0, "right"): (4, 1),
+        (0, "left"): (4, 1),
+        (1, "right"): (3, 1),
+        (1, "left"): (0, 0),
+        (2, "right"): (3, 3),
+        (2, "left"): (0, 0),
+        (3, "right"): (16, 7),
+        (3, "left"): (1, 1),
+    }
+
+    @pytest.mark.parametrize("key", sorted(NESTED_COUNTS))
+    def test_nested_in_hole_counts_pinned(self, lam, key):
+        i, shape = key
+        t = (right_chain if shape == "right" else left_chain)(4)
+        got = match_decompose(lam.grammar, t, parse_pattern(self.NESTED[i]))
+        assert (len(got), len(set(got))) == self.NESTED_COUNTS[key]
+
+    @pytest.mark.parametrize("i", [0, 2, 3])
+    def test_nested_in_hole_agrees_with_oracle(self, lam, i):
+        g, t, p = lam.grammar, right_chain(3), parse_pattern(self.NESTED[i])
+        assert matches(g, t, p) == oracle_match(g, t, p)
+        assert decompose(g, t, p) == oracle_decompose(g, t, p)
+
+    # mask_order_decreases calls on right chain 16 with the checks on;
+    # before the pruning the same queries made 1,210, 1,591 and 971
+    PRUNED_EDGES = {"redex": 455, "E": 517, "e": 333}
+
+    @pytest.mark.parametrize("name", sorted(PRUNED_EDGES))
+    def test_edge_counts_pinned(self, lam, monkeypatch, name):
+        import redsem.matching as matching
+
+        real, calls = matching.mask_order_decreases, [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(matching, "mask_order_decreases", counted)
+        t, p = right_chain(16), parse_pattern(CHAIN_PATTERNS[name])
+        got = match_decompose(lam.grammar, t, p, debug=True)
+        assert len(got) == CHAIN_RESULT_COUNTS[("right", 16, name)][0]
+        assert calls[0] == self.PRUNED_EDGES[name]
 
 
 DEPTH_SCRIPT = """\

@@ -8,9 +8,8 @@ from redsem import (
     HOLE,
     HOLE_PAT,
     HOLE_TERM,
-    bindings_from,
+    Bindings,
     CtxTerm,
-
     HeadCtx,
     Hole,
     ListPat,
@@ -42,7 +41,7 @@ seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
 
 def bnd(**kw):
-    return bindings_from(kw.items())
+    return Bindings(tuple(sorted(kw.items())))
 
 
 def count_positions(t):

@@ -25,7 +25,7 @@ from redsem import (
     step,
     trace,
 )
-from redsem.matching import bindings_from
+from redsem.matching import Bindings
 from redsem.reduction import CUTOFF, CYCLE, NORMAL_FORM, REDUCED
 
 A, B, C = Literal("a"), Literal("b"), Literal("c")
@@ -33,7 +33,7 @@ EMPTY_G = new_grammar([])
 
 
 def bnd(**kw):
-    return bindings_from(kw.items())
+    return Bindings(tuple(sorted(kw.items())))
 
 
 class TestInstantiate:
