@@ -4,6 +4,9 @@ Terms, contexts, and patterns; grammars with left-recursion analysis; a
 terminating matcher/decomposer; an independent brute-force oracle for the
 matching and decomposition judgments; context-sensitive reduction rules;
 and an s-expression surface syntax with a CLI.
+
+The imports below are the public API, the names the README's Library
+section lists; everything else is imported from its submodule.
 """
 
 from .errors import EngineError
@@ -14,28 +17,20 @@ from .grammar import (
     find_left_recursion,
     hole_matchable,
     is_left_recursive,
-    is_subgrammar,
     new_grammar,
     productions_of,
     remove_prod,
 )
 from .language import (
-    LanguageDef,
     LanguageError,
     MultipleHolesError,
     NoHoleError,
-    check_pattern_nonterminals,
     load_language,
-    parse_language,
     parse_pattern,
-    parse_template,
     parse_term,
     print_bindings,
     print_context,
-    print_pattern,
-    print_template,
     print_term,
-    to_context,
 )
 from .matching import (
     Bindings,
@@ -44,7 +39,6 @@ from .matching import (
     MatchResult,
     MeasureViolationError,
     SoundnessCheckError,
-    bindings_union,
     decompose,
     match_decompose,
     matches,
@@ -57,18 +51,9 @@ from .oracle import (
     oracle_match_original,
 )
 from .reduction import (
-    HoleTemplate,
-    InHoleTemplate,
-    ListTemplate,
-    LitTemplate,
-    RefTemplate,
-    Rule,
-    Template,
     TemplateContextError,
     Trace,
     UnboundTemplateVariableError,
-    apply_rule,
-    instantiate,
     step,
     trace,
 )
@@ -77,7 +62,6 @@ from .terms import (
     HOLE,
     HOLE_PAT,
     HOLE_TERM,
-    Context,
     CtxTerm,
     HeadCtx,
     Hole,
@@ -89,17 +73,13 @@ from .terms import (
     LitPat,
     NamePat,
     NtPat,
-    Pattern,
     TailCtx,
-    Term,
-    compose,
-    context_hole_count,
-    is_proper_subterm,
     plug,
 )
 
 import types as _types
 
+# importing a submodule binds it here too; only the imported names export
 __all__ = [
     name
     for name, value in list(globals().items())

@@ -60,8 +60,8 @@ def is_subgrammar(g1: Grammar, g2: Grammar) -> bool:
     return all(p in g2.productions for p in g1.productions)
 
 
-def hole_matchable(g: Grammar, extra: Iterable[Pattern] = ()) -> set[Pattern]:
-    """Patterns of the grammar (plus extras) that can match a bare hole.
+def hole_matchable(g: Grammar) -> set[Pattern]:
+    """Sub-patterns of the grammar's productions that can match a bare hole.
 
     Least fixed point: a hole pattern always can; a name pattern can iff
     its body can; a non-terminal can iff one of its productions can; an
@@ -70,9 +70,6 @@ def hole_matchable(g: Grammar, extra: Iterable[Pattern] = ()) -> set[Pattern]:
     universe: dict[Pattern, None] = {}
     for prod in g.productions:
         for sp in subpatterns(prod.pattern):
-            universe[sp] = None
-    for p in extra:
-        for sp in subpatterns(p):
             universe[sp] = None
 
     matchable: set[Pattern] = {p for p in universe if isinstance(p, HolePat)}

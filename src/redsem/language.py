@@ -251,18 +251,6 @@ def parse_template(src: str) -> Template:
     return _sexpr_template(parse_sexpr(src))
 
 
-def print_template(tpl: Template) -> str:
-    if isinstance(tpl, LitTemplate):
-        return print_literal(tpl.lit)
-    if isinstance(tpl, HoleTemplate):
-        return "hole"
-    if isinstance(tpl, ListTemplate):
-        return "(" + " ".join(print_template(item) for item in tpl.items) + ")"
-    if isinstance(tpl, RefTemplate):
-        return f"(ref {tpl.var})"
-    return f"(in-hole {print_template(tpl.context)} {print_template(tpl.body)})"
-
-
 def print_bindings(b: Bindings) -> str:
     return (
         "(bindings"
@@ -344,4 +332,8 @@ def parse_language(src: str) -> LanguageDef:
 
 def load_language(path: str) -> LanguageDef:
     with open(path, encoding="utf-8") as f:
-        return parse_language(f.read())
+        try:
+            src = f.read()
+        except UnicodeDecodeError as e:
+            raise LanguageError(f"{path}: not valid UTF-8 at byte {e.start}") from None
+    return parse_language(src)

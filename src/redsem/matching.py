@@ -106,15 +106,6 @@ class MatchResult:
     bindings: Bindings
 
 
-@dataclass(frozen=True)
-class MatchingTuple:
-    """One matching problem: a term, a pattern, and the current grammar."""
-
-    term: Term
-    pattern: Pattern
-    grammar: Grammar
-
-
 Shape = Union[Literal, int, None]
 Entry = tuple[int, Pattern, int, Shape]
 
@@ -229,16 +220,16 @@ class GrammarIndex(dict):
                         stack.extend(edges(p))
         return bits, hole
 
-    def mask(self, g: Grammar, within: int) -> int | None:
-        """Bits among `within` that spell g's productions in order, matched
-        right to left; None when g is not a sub-sequence of them.
+    def mask(self, g: Grammar) -> int | None:
+        """The bits that spell g's productions in order, matched right to
+        left; None when g is not a sub-sequence of the productions.
 
         Matching from the right maps ``remove_prod(h, q)`` to the bits of h
         less the first occurrence of q, the bit the engine clears.
         """
         m, i = 0, len(self.productions) - 1
         for prod in reversed(g.productions):
-            while i >= 0 and not (within >> i & 1 and self.productions[i] == prod):
+            while i >= 0 and self.productions[i] != prod:
                 i -= 1
             if i < 0:
                 return None
@@ -290,28 +281,6 @@ def mask_order_decreases(
                 live = m_prev & same
                 return live != 0 and m_next == m_prev ^ (live & -live)
     return False
-
-
-def tuple_order_decreases(
-    g_orig: Grammar, nxt: MatchingTuple, prev: MatchingTuple
-) -> bool:
-    """True iff nxt is strictly below prev in the matching tuple order.
-
-    The grammars are read as masks of g_orig's index (see
-    `mask_order_decreases`); a prev grammar that is not a sub-grammar of
-    g_orig is indexed on its own.
-    """
-    index = grammar_index(g_orig)
-    m_prev = index.mask(prev.grammar, index.full)
-    if m_prev is None:
-        index = grammar_index(prev.grammar)
-        m_prev = index.full
-    m_next = index.mask(nxt.grammar, m_prev)
-    if m_next is None:  # not a sub-grammar of prev's: no step reaches it
-        m_next = -1
-    return mask_order_decreases(
-        index, nxt.term, nxt.pattern, m_next, prev.term, prev.pattern, m_prev
-    )
 
 
 def select(
@@ -459,7 +428,7 @@ def match_decompose(
     """
     index = grammar_index(grammar)
     orig = index.full
-    start = orig if current is None else index.mask(current, orig)
+    start = orig if current is None else index.mask(current)
     if start is None:  # current is not a sub-grammar: index both
         index = GrammarIndex(grammar.productions + current.productions)
         start = index.full ^ orig

@@ -31,7 +31,6 @@ from redsem import (
     decompose,
     find_left_recursion,
     is_left_recursive,
-    is_proper_subterm,
     match_decompose,
     matches,
     new_grammar,
@@ -46,6 +45,7 @@ from redsem import (
     trace,
 )
 from redsem.cli import run_cli
+from redsem.terms import is_proper_subterm
 
 A, B = Literal("a"), Literal("b")
 

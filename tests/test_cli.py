@@ -178,6 +178,13 @@ class TestCheckGrammar:
         code, out, err = run(capsys, "check-grammar", "-g", LAMBDA_FILE)
         assert (code, out, err) == (0, "not-left-recursive\n", "")
 
+    def test_file_not_utf8_is_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.sexp"
+        bad.write_bytes(b"\xff\xfe(define-language")
+        code, out, err = run(capsys, "check-grammar", "-g", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: not valid UTF-8 at byte 0\n"
+
 
 class TestReduceAndTrace:
     def test_reduce_golden(self, capsys):

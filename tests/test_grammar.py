@@ -16,11 +16,11 @@ from redsem import (
     find_left_recursion,
     hole_matchable,
     is_left_recursive,
-    is_subgrammar,
     new_grammar,
     productions_of,
     remove_prod,
 )
+from redsem.grammar import is_subgrammar
 
 A, B, C = LitPat(Literal("a")), LitPat(Literal("b")), LitPat(Literal("c"))
 
@@ -116,14 +116,15 @@ class TestSubgrammar:
 
 class TestHoleMatchable:
     def test_hole_pattern_in(self):
-        assert HOLE_PAT in hole_matchable(new_grammar([]), [HOLE_PAT])
+        assert HOLE_PAT in hole_matchable(new_grammar([("n", HOLE_PAT)]))
 
     def test_literal_not_in(self):
-        assert A not in hole_matchable(new_grammar([]), [A])
+        assert A not in hole_matchable(new_grammar([("n", A)]))
 
     def test_lambda_contexts_match_hole(self, lam):
-        # E has a hole production, so (nt E) can match a bare hole
-        m = hole_matchable(lam.grammar, [NtPat("E"), NtPat("e")])
+        # E has a hole production, so (nt E) can match a bare hole; both
+        # non-terminals occur in the grammar's own productions
+        m = hole_matchable(lam.grammar)
         assert NtPat("E") in m
         assert NtPat("e") not in m
 

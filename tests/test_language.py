@@ -22,15 +22,12 @@ from redsem import (
     NtPat,
     ParseError,
     TailCtx,
-    parse_language,
     parse_pattern,
-    parse_template,
     parse_term,
     plug,
-    print_pattern,
     print_term,
-    to_context,
 )
+from redsem.language import parse_language, parse_template, print_pattern, to_context
 from redsem.reduction import InHoleTemplate, RefTemplate
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,10 +30,8 @@ from redsem import (
     Production,
     SoundnessCheckError,
     TailCtx,
-    bindings_union,
     decompose,
     is_left_recursive,
-    is_proper_subterm,
     match_decompose,
     matches,
     new_grammar,
@@ -47,15 +46,15 @@ from redsem import (
 from redsem.matching import (
     EMPTY_BINDINGS,
     EMPTY_DECOMPOSITION,
-    MatchingTuple,
     _list_count,
     bind_name,
+    bindings_union,
     combine,
     grammar_index,
+    mask_order_decreases,
     select,
-    tuple_order_decreases,
 )
-from redsem.terms import proper_subterms, subpatterns
+from redsem.terms import is_proper_subterm, proper_subterms, subpatterns
 
 A, B = Literal("a"), Literal("b")
 AB = ListTerm((A, B))
@@ -257,6 +256,14 @@ class TestDecompose:
         assert got == oracle_decompose(lam.grammar, t, p)
 
 
+class Problem(NamedTuple):
+    """One matching problem: a term, a pattern, and the current grammar."""
+
+    term: object
+    pattern: object
+    grammar: object
+
+
 def reference_order(nxt, prev):
     """The tuple order read on Grammar values."""
     if is_proper_subterm(nxt.term, prev.term):
@@ -277,39 +284,57 @@ def reference_order(nxt, prev):
     return False
 
 
+def order_decreases(g, nxt, prev):
+    """The engine's order, `mask_order_decreases`, on Grammar values.
+
+    prev's grammar maps to its mask of g's index, or is indexed on its own
+    when it is not a sub-sequence of g.  nxt's grammar is spelled among
+    prev's productions, the only ones a step can keep, and each of those
+    takes the bit it holds in prev's mask; a grammar that is not a
+    sub-sequence of prev's maps to -1, which no step reaches.
+    """
+    index = grammar_index(g)
+    m_prev = index.mask(prev.grammar)
+    if m_prev is None:
+        index = grammar_index(prev.grammar)
+        m_prev = index.full
+    within = grammar_index(prev.grammar).mask(nxt.grammar)
+    m_next = -1
+    if within is not None:
+        bits = [i for i in range(m_prev.bit_length()) if m_prev >> i & 1]
+        m_next = sum(1 << b for j, b in enumerate(bits) if within >> j & 1)
+    return mask_order_decreases(
+        index, nxt.term, nxt.pattern, m_next, prev.term, prev.pattern, m_prev
+    )
+
+
 class TestTupleOrder:
     def test_subterm_component(self):
         g = new_grammar([("n", LitPat(A))])
-        nxt = MatchingTuple(A, LitPat(A), g)
-        prev = MatchingTuple(AB, ListPat((LitPat(A), LitPat(B))), g)
-        assert tuple_order_decreases(g, nxt, prev)
+        nxt = Problem(A, LitPat(A), g)
+        prev = Problem(AB, ListPat((LitPat(A), LitPat(B))), g)
+        assert order_decreases(g, nxt, prev)
 
     def test_in_hole_component(self):
         g = EMPTY_G
         p = InHolePat(HOLE_PAT, LitPat(A))
-        assert tuple_order_decreases(
-            g, MatchingTuple(AB, HOLE_PAT, g), MatchingTuple(AB, p, g)
-        )
-        assert tuple_order_decreases(
-            g, MatchingTuple(AB, LitPat(A), g), MatchingTuple(AB, p, g)
-        )
+        assert order_decreases(g, Problem(AB, HOLE_PAT, g), Problem(AB, p, g))
+        assert order_decreases(g, Problem(AB, LitPat(A), g), Problem(AB, p, g))
 
     def test_name_body(self):
         g = EMPTY_G
         p = NamePat("x", LitPat(A))
-        assert tuple_order_decreases(
-            g, MatchingTuple(A, LitPat(A), g), MatchingTuple(A, p, g)
-        )
+        assert order_decreases(g, Problem(A, LitPat(A), g), Problem(A, p, g))
 
     def test_production_removal(self):
         g = new_grammar([("n", LitPat(A)), ("n", LitPat(B))])
-        nxt = MatchingTuple(A, LitPat(A), remove_prod(g, ("n", LitPat(A))))
-        assert tuple_order_decreases(g, nxt, MatchingTuple(A, NtPat("n"), g))
+        nxt = Problem(A, LitPat(A), remove_prod(g, ("n", LitPat(A))))
+        assert order_decreases(g, nxt, Problem(A, NtPat("n"), g))
 
     def test_strict(self):
         g = EMPTY_G
-        tup = MatchingTuple(A, LitPat(A), g)
-        assert not tuple_order_decreases(g, tup, tup)
+        tup = Problem(A, LitPat(A), g)
+        assert not order_decreases(g, tup, tup)
 
     @given(seeds)
     @settings(max_examples=60, deadline=None)
@@ -333,25 +358,23 @@ class TestTupleOrder:
         terms = [t, *list(proper_subterms(t))[:3]]
         pairs = [  # every production step, and random pairs
             (
-                MatchingTuple(t, q.pattern, h),
-                MatchingTuple(t, NtPat(q.nonterminal), prev_g),
+                Problem(t, q.pattern, h),
+                Problem(t, NtPat(q.nonterminal), prev_g),
             )
             for q in prods
             for h in grammars
         ]
         for _ in range(40):
-            nxt = MatchingTuple(
-                rng.choice(terms), rng.choice(patterns), rng.choice(grammars)
-            )
-            prev = MatchingTuple(rng.choice(terms), rng.choice(patterns), prev_g)
+            nxt = Problem(rng.choice(terms), rng.choice(patterns), rng.choice(grammars))
+            prev = Problem(rng.choice(terms), rng.choice(patterns), prev_g)
             pairs.append((nxt, prev))
         for nxt, prev in pairs:
-            assert tuple_order_decreases(g, nxt, prev) == reference_order(nxt, prev)
+            assert order_decreases(g, nxt, prev) == reference_order(nxt, prev)
 
     def test_grammar_must_shrink_for_nt(self):
         g = new_grammar([("n", LitPat(A))])
-        assert not tuple_order_decreases(
-            g, MatchingTuple(A, LitPat(A), g), MatchingTuple(A, NtPat("n"), g)
+        assert not order_decreases(
+            g, Problem(A, LitPat(A), g), Problem(A, NtPat("n"), g)
         )
 
 

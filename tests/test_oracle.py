@@ -21,8 +21,6 @@ from redsem import (
     OracleFuelError,
     TailCtx,
     enumerate_decompositions,
-    is_proper_subterm,
-    is_subgrammar,
     matches,
     new_grammar,
     oracle_decompose,
@@ -31,7 +29,9 @@ from redsem import (
     plug,
     remove_prod,
 )
+from redsem.grammar import is_subgrammar
 from redsem.matching import EMPTY_BINDINGS
+from redsem.terms import is_proper_subterm
 
 A, B = Literal("a"), Literal("b")
 AB = ListTerm((A, B))

@@ -4,20 +4,12 @@ from redsem import (
     HOLE,
     CtxTerm,
     HeadCtx,
-    HoleTemplate,
-    InHoleTemplate,
-    ListTemplate,
     ListTerm,
     Literal,
     LitPat,
-    LitTemplate,
     NamePat,
-    RefTemplate,
-    Rule,
     TemplateContextError,
     UnboundTemplateVariableError,
-    apply_rule,
-    instantiate,
     new_grammar,
     parse_pattern,
     parse_term,
@@ -26,7 +18,20 @@ from redsem import (
     trace,
 )
 from redsem.matching import Bindings
-from redsem.reduction import CUTOFF, CYCLE, NORMAL_FORM, REDUCED
+from redsem.reduction import (
+    CUTOFF,
+    CYCLE,
+    NORMAL_FORM,
+    REDUCED,
+    HoleTemplate,
+    InHoleTemplate,
+    ListTemplate,
+    LitTemplate,
+    RefTemplate,
+    Rule,
+    apply_rule,
+    instantiate,
+)
 
 A, B, C = Literal("a"), Literal("b"), Literal("c")
 EMPTY_G = new_grammar([])

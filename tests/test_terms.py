@@ -11,13 +11,16 @@ from redsem import (
     ListTerm,
     Literal,
     TailCtx,
-    compose,
-    context_hole_count,
     enumerate_decompositions,
-    is_proper_subterm,
     plug,
 )
-from redsem.terms import proper_subterms, term_size
+from redsem.terms import (
+    compose,
+    context_hole_count,
+    is_proper_subterm,
+    proper_subterms,
+    term_size,
+)
 
 A, B, C = Literal("a"), Literal("b"), Literal("c")
 AB = ListTerm((A, B))
