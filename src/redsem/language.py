@@ -336,4 +336,6 @@ def load_language(path: str) -> LanguageDef:
             src = f.read()
         except UnicodeDecodeError as e:
             raise LanguageError(f"{path}: not valid UTF-8 at byte {e.start}") from None
-    return parse_language(src)
+    # a leading byte-order mark is dropped after decoding, not by the
+    # utf-8-sig codec, which counts error offsets from the end of the mark
+    return parse_language(src.removeprefix("\ufeff"))

@@ -351,6 +351,94 @@ def combine(context: Context, d_hole: Decomposition) -> Decomposition:
     return ContextDecomposition(compose(context, d_hole.context), d_hole.subterm)
 
 
+def check_select(
+    d: Decomposition, d_head: Decomposition, d_tail: Decomposition, whole: Term
+) -> None:
+    """The list rule's one-level equation for a split that `select` built.
+
+    A head split holds the head result's context and sub-term objects
+    under whole's tail, and extracts no context term from a plain list; a
+    tail split holds the tail result's context (a list context, not a
+    bare hole) and sub-term objects under whole's head.
+    """
+    if isinstance(d, EmptyDecomposition):
+        return
+    c, s = d.context, d.subterm
+    w = whole.context if isinstance(whole, CtxTerm) else None
+    if isinstance(c, HeadCtx):
+        ok = (
+            isinstance(d_head, ContextDecomposition)
+            and c.hole_side is d_head.context
+            and s is d_head.subterm
+            and (
+                c.tail == whole.items[1:] and not isinstance(s, CtxTerm)
+                if isinstance(whole, ListTerm)
+                else isinstance(w, HeadCtx) and c.tail == w.tail
+            )
+        )
+    else:
+        ok = (
+            isinstance(c, TailCtx)
+            and isinstance(d_tail, ContextDecomposition)
+            and c.rest is d_tail.context
+            and not isinstance(c.rest, Hole)
+            and s is d_tail.subterm
+            and (
+                c.head == whole.items[0]
+                if isinstance(whole, ListTerm)
+                else isinstance(w, TailCtx) and c.head == w.head
+            )
+        )
+    if not ok:
+        raise SoundnessCheckError("list split is not built from its input's pieces")
+
+
+def check_combine(d: Decomposition, context: Context, d_hole: Decomposition) -> None:
+    """The in-hole rule's one-level equation for a split that `combine`
+    built: its context follows context's path with the same heads and
+    tails and holds the hole result's context object at its hole, and its
+    sub-term is the hole result's sub-term object."""
+    if isinstance(d, EmptyDecomposition):
+        return
+    c, outer = d.context, context
+    while not isinstance(outer, Hole) and type(c) is type(outer):
+        if isinstance(outer, HeadCtx):
+            if c.tail is not outer.tail:
+                break
+            c, outer = c.hole_side, outer.hole_side
+        else:
+            if c.head is not outer.head:
+                break
+            c, outer = c.rest, outer.rest
+    if not (
+        isinstance(outer, Hole)
+        and isinstance(d_hole, ContextDecomposition)
+        and c is d_hole.context
+        and d.subterm is d_hole.subterm
+    ):
+        raise SoundnessCheckError("in-hole split is not the composition of its parts")
+
+
+def check_results(t: Term, results: list[MatchResult]) -> None:
+    """The full check: each split of t plugs back to t, and its sub-term is
+    t under a bare hole or a proper sub-term of t."""
+    for r in results:
+        d = r.decomposition
+        if isinstance(d, ContextDecomposition):
+            if plug(d.context, d.subterm) != t:
+                raise SoundnessCheckError(
+                    "decomposition does not plug back to its input"
+                )
+            if not (
+                (d.subterm == t and d.context == HOLE)
+                or is_proper_subterm(d.subterm, t)
+            ):
+                raise SoundnessCheckError(
+                    "decomposition sub-term is neither the whole term "
+                    "under a hole nor a proper sub-term"
+                )
+
+
 def bind_name(
     var: str, whole: Term, decom: Decomposition, bindings: Bindings
 ) -> Bindings | None:
@@ -376,8 +464,10 @@ def match_decompose(
     Non-terminals are interpreted against `current` until input is
     consumed, then against the original grammar.  The result list is
     deterministic and may contain duplicates.  With debug checks on,
-    every recursive call is verified to decrease the tuple order and each
-    produced split is verified to plug back to its input.
+    every recursive call is verified to decrease the tuple order, each
+    split is checked where it is built against the one-level equation of
+    the rule that built it, and each split of the returned list is
+    plugged back in full (see *Inductive checks* below).
 
     Each distinct non-terminal subproblem is solved, and checked, once per
     call: its results are memoized until the call returns, under a key
@@ -401,7 +491,7 @@ def match_decompose(
     Neither lemma changes a result, so the raw list, order and duplicates
     included, is the one the plain judgment gives.  Every edge still made
     is checked against the tuple order, and every split still produced
-    goes through the plug-back check.
+    is checked where it is built.
 
     Decomposition is hole-directed.  An in-hole pattern evaluates its
     context pattern with its own hole pattern as the *filter*, and its
@@ -425,6 +515,35 @@ def match_decompose(
     order bounds the recursion between queries, and matching terminates
     on every grammar.  Queries are fresh roots, not steps of the
     judgment: the debug checks apply to every step inside them.
+
+    *Inductive checks.*  Every split (c, s) that ev yields on a term t is
+    sound: plug(c, s) = t, and s is t under a bare hole or a proper
+    sub-term of t.  By induction over ev's recursion, with each rule's
+    children sound, the one-level check of the rule is what is left to
+    show; it compares objects by identity in O(1) per split, or in the
+    depth of the outer context at an in-hole, as `compose` itself does.
+
+    - *Hole.*  The split is (hole, t) with t itself.
+    - *Name, non-terminal.*  The results are the child's splits of the
+      same term, unchanged: there is nothing to check.
+    - *List* (`check_select`).  A head split (HeadCtx(c, tail), s) holds
+      the head result's c and s under whole's tail.  For a plain list,
+      plug gives the list (plug(c, s), *tail) = whole when s is not a
+      context term, and a context term when it is, so that split is
+      refused.  A head-tagged context term whole has a context term for
+      its head, so s is a context term too, and plug gives
+      CtxTerm(HeadCtx(compose(c, s.context), tail)) = whole.  A tail split
+      (TailCtx(head, c), s) holds whole's head and the tail result's c, a
+      list context, and s, and plugs back the same way.  In both, s is
+      the head or the tail or inside it, so a proper sub-term of whole.
+    - *In-hole* (`check_combine`).  The split (compose(c1, c2), s) of t
+      holds the context result's split (c1, u) of t, followed along c1's
+      path, and the hole result's split (c2, s) of u at its hole.  By the
+      compose lemma plug(compose(c1, c2), s) = plug(c1, plug(c2, s)) =
+      plug(c1, u) = t, and s is u or inside u, which is t or inside t.
+
+    The full check of the returned list then re-derives, with `plug`
+    itself, what the induction shows, so a wrong `plug` still raises.
     """
     index = grammar_index(grammar)
     orig = index.full
@@ -443,23 +562,6 @@ def match_decompose(
     # the query is being answered
     queries: dict[tuple[int, int], tuple[Term, Pattern, bool]] = {}
     full = index.full
-
-    def check_results(t: Term, results: list[MatchResult]) -> None:
-        for r in results:
-            d = r.decomposition
-            if isinstance(d, ContextDecomposition):
-                if plug(d.context, d.subterm) != t:
-                    raise SoundnessCheckError(
-                        "decomposition does not plug back to its input"
-                    )
-                if not (
-                    (d.subterm == t and d.context == HOLE)
-                    or is_proper_subterm(d.subterm, t)
-                ):
-                    raise SoundnessCheckError(
-                        "decomposition sub-term is neither the whole term "
-                        "under a hole nor a proper sub-term"
-                    )
 
     def ev(t: Term, p: Pattern, mask: int, filt: Pattern | None) -> list[MatchResult]:
         def rec(
@@ -482,9 +584,10 @@ def match_decompose(
                 keep = queries[key][2]
             results = []
             if keep:
-                results.append(
-                    MatchResult(ContextDecomposition(HOLE, t), EMPTY_BINDINGS)
-                )
+                split = ContextDecomposition(HOLE, t)
+                if debug and (split.context is not HOLE or split.subterm is not t):
+                    raise SoundnessCheckError("hole split is not (hole, t)")
+                results.append(MatchResult(split, EMPTY_BINDINGS))
             if t == HOLE_TERM:
                 results.append(MatchResult(EMPTY_DECOMPOSITION, EMPTY_BINDINGS))
 
@@ -495,7 +598,7 @@ def match_decompose(
                 results = []
 
         # name and non-terminal results carry their child's splits of the
-        # same term unchanged, and the child has checked those
+        # same term unchanged, so they have no equation of their own
         elif isinstance(p, NamePat):
             results = []
             for r in rec(t, p.pattern, mask, filt):
@@ -534,6 +637,8 @@ def match_decompose(
                     if merged is None:
                         continue
                     d = combine(dc.context, rh.decomposition)
+                    if debug:
+                        check_combine(d, dc.context, rh.decomposition)
                     results.append(MatchResult(d, merged))
 
         elif isinstance(p, ListPat):
@@ -542,8 +647,6 @@ def match_decompose(
         else:
             results = []
 
-        if debug:
-            check_results(t, results)
         return results
 
     def _ev_list(t: Term, p: ListPat, rec, filt) -> list[MatchResult]:
@@ -588,6 +691,8 @@ def match_decompose(
                 d = select(head, rh.decomposition, tail_items, rt.decomposition, whole)
                 if d is None:
                     continue
+                if debug:
+                    check_select(d, rh.decomposition, rt.decomposition, whole)
                 merged = bindings_union(rh.bindings, rt.bindings)
                 if merged is None:
                     continue
@@ -595,12 +700,15 @@ def match_decompose(
         return out
 
     try:
-        return ev(term, pattern, start, None)
+        results = ev(term, pattern, start, None)
     finally:
         # ev closes over the memos and itself; clearing now frees the
         # memoized results without waiting for the cycle collector.
         memo.clear()
         queries.clear()
+    if debug:
+        check_results(term, results)
+    return results
 
 
 def matches(

@@ -185,6 +185,18 @@ class TestCheckGrammar:
         assert (code, out) == (2, "")
         assert err == f"error: {bad}: not valid UTF-8 at byte 0\n"
 
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path):
+        marked = tmp_path / "lambda.sexp"
+        with open(LAMBDA_FILE, "rb") as f:
+            marked.write_bytes(b"\xef\xbb\xbf" + f.read())
+        plain = run(capsys, "check-grammar", "-g", LAMBDA_FILE)
+        assert run(capsys, "check-grammar", "-g", str(marked)) == plain
+        # an invalid byte is still reported at its offset in the file
+        marked.write_bytes(b"\xef\xbb\xbf(define-language \xff")
+        code, out, err = run(capsys, "check-grammar", "-g", str(marked))
+        assert (code, out) == (2, "")
+        assert err == f"error: {marked}: not valid UTF-8 at byte 20\n"
+
 
 class TestReduceAndTrace:
     def test_reduce_golden(self, capsys):

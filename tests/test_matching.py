@@ -54,7 +54,7 @@ from redsem.matching import (
     mask_order_decreases,
     select,
 )
-from redsem.terms import is_proper_subterm, proper_subterms, subpatterns
+from redsem.terms import compose, is_proper_subterm, proper_subterms, subpatterns
 
 A, B = Literal("a"), Literal("b")
 AB = ListTerm((A, B))
@@ -511,6 +511,78 @@ class TestDebugChecksUnderMemo:
             self.counting(monkeypatch, "plug", k, HOLE_TERM)
             with pytest.raises(SoundnessCheckError):
                 match_decompose(g, t, p, debug=True)
+
+
+def inject(monkeypatch, name, at=None, wrong=None):
+    """Count the calls of redsem.matching.<name>; at call `at`, answer
+    wrong(*args) in place of the real result."""
+    import redsem.matching as matching
+
+    real, calls = getattr(matching, name), [0]
+
+    def wrapped(*args):
+        calls[0] += 1
+        return wrong(*args) if calls[0] == at else real(*args)
+
+    monkeypatch.setattr(matching, name, wrapped)
+    return calls
+
+
+def select_one_item_too_many(t_head, d_head, t_tail, d_tail, whole):
+    # a head split whose tail has an item that whole's tail lacks: it
+    # plugs back to a list one item longer than whole
+    if isinstance(d_head, ContextDecomposition):
+        c, s = d_head.context, d_head.subterm
+    else:
+        c, s = HOLE, t_head
+    return ContextDecomposition(HeadCtx(c, t_tail + (A,)), s)
+
+
+def combine_wrong_inner(context, d_hole):
+    # the hole result's context wrapped in a one-item list: the split
+    # plugs back to a term with one list node too many
+    assert isinstance(d_hole, ContextDecomposition)
+    return ContextDecomposition(
+        compose(context, HeadCtx(d_hole.context, ())), d_hole.subterm
+    )
+
+
+class TestInductiveDebugChecks:
+    # every hole result of (in-hole (nt E) (nt E)) on a closed term is a
+    # split, so every combine call composes two contexts; the message
+    # names the rule whose check caught the split
+    @pytest.mark.parametrize(
+        "name, pattern, wrong, message",
+        [
+            ("select", "(nt E)", select_one_item_too_many, "list split"),
+            (
+                "combine",
+                "(in-hole (nt E) (nt E))",
+                combine_wrong_inner,
+                "in-hole split",
+            ),
+        ],
+    )
+    def test_wrong_split_is_caught_where_it_is_built(
+        self, lam, monkeypatch, name, pattern, wrong, message
+    ):
+        g, t, p = lam.grammar, right_chain(16), parse_pattern(pattern)
+        calls = inject(monkeypatch, name)
+        match_decompose(g, t, p, debug=True)
+        total = calls[0]
+        assert total > 1
+        for k in (1, total // 2, total):
+            monkeypatch.undo()
+            inject(monkeypatch, name, k, wrong)
+            with pytest.raises(SoundnessCheckError, match=message):
+                match_decompose(g, t, p, debug=True)
+
+    def test_full_check_plugs_each_returned_split_once(self, lam, monkeypatch):
+        calls = inject(monkeypatch, "plug")
+        got = match_decompose(lam.grammar, right_chain(16), NtPat("E"), debug=True)
+        splits = [r for r in got if isinstance(r.decomposition, ContextDecomposition)]
+        assert len(splits) == 33
+        assert calls[0] == len(splits)
 
 
 def test_deep_right_chain_within_default_recursion_limit(lam):
