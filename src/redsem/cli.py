@@ -76,75 +76,59 @@ def _bindings_json(b: Bindings) -> dict:
     return {var: print_term(value) for var, value in b.entries}
 
 
-def _cmd_match(args) -> int:
-    lang = load_language(args.grammar)
-    pattern = parse_pattern(args.pattern)
-    check_pattern_nonterminals(lang.grammar, pattern)
-    term = parse_term(args.term)
-
-    engine = matches(lang.grammar, term, pattern)
-    if args.oracle:
-        oracle = oracle_match(lang.grammar, term, pattern)
-        if engine != oracle:
-            for b in sorted(engine - oracle, key=print_bindings):
-                print(f"only-engine: {print_bindings(b)}", file=sys.stderr)
-            for b in sorted(oracle - engine, key=print_bindings):
-                print(f"only-oracle: {print_bindings(b)}", file=sys.stderr)
-            return EXIT_ORACLE_DISAGREEMENT
-
-    lines = sorted(print_bindings(b) for b in engine)
-    if args.format == "json":
-        results = [
-            {"bindings": _bindings_json(b), "decomposition": None}
-            for b in sorted(engine, key=print_bindings)
-        ]
-        print(json.dumps({"results": results}, sort_keys=True, ensure_ascii=False))
-    else:
-        for line in lines:
-            print(line)
-    return EXIT_OK if engine else EXIT_NO_MATCH
-
-
-def _decomposition_line(c, sub, b) -> str:
+def _decomposition_line(r) -> str:
+    c, sub, b = r
     return (
         f"(decomposition (context {print_context(c)}) "
         f"(subterm {print_term(sub)}) {print_bindings(b)})"
     )
 
 
-def _cmd_decompose(args) -> int:
+def _match_json(b: Bindings) -> dict:
+    return {"bindings": _bindings_json(b), "decomposition": None}
+
+
+def _decomposition_json(r) -> dict:
+    c, s, b = r
+    return {
+        "bindings": _bindings_json(b),
+        "decomposition": {"context": print_context(c), "subterm": print_term(s)},
+    }
+
+
+def _cmd_query(args) -> int:
+    """`match` and `decompose`: one printed line or JSON object per
+    deduplicated result, in the order of their lines."""
+    # looked up when the command runs, so the engine can be replaced; a
+    # wrapper per command would add a frame under every engine call
+    if args.command == "match":
+        engine_fn, oracle_fn = matches, oracle_match
+        line, result_json = print_bindings, _match_json
+    else:
+        engine_fn, oracle_fn = decompose, oracle_decompose
+        line, result_json = _decomposition_line, _decomposition_json
     lang = load_language(args.grammar)
     pattern = parse_pattern(args.pattern)
     check_pattern_nonterminals(lang.grammar, pattern)
     term = parse_term(args.term)
 
-    engine = decompose(lang.grammar, term, pattern)
+    engine = engine_fn(lang.grammar, term, pattern)
     if args.oracle:
-        oracle = oracle_decompose(lang.grammar, term, pattern)
+        oracle = oracle_fn(lang.grammar, term, pattern)
         if engine != oracle:
-            for c, s, b in sorted(
-                engine - oracle, key=lambda r: _decomposition_line(*r)
-            ):
-                print(f"only-engine: {_decomposition_line(c, s, b)}", file=sys.stderr)
-            for c, s, b in sorted(
-                oracle - engine, key=lambda r: _decomposition_line(*r)
-            ):
-                print(f"only-oracle: {_decomposition_line(c, s, b)}", file=sys.stderr)
+            for r in sorted(engine - oracle, key=line):
+                print(f"only-engine: {line(r)}", file=sys.stderr)
+            for r in sorted(oracle - engine, key=line):
+                print(f"only-oracle: {line(r)}", file=sys.stderr)
             return EXIT_ORACLE_DISAGREEMENT
 
-    triples = sorted(engine, key=lambda r: _decomposition_line(*r))
+    ordered = sorted(engine, key=line)
     if args.format == "json":
-        results = [
-            {
-                "bindings": _bindings_json(b),
-                "decomposition": {"context": print_context(c), "subterm": print_term(s)},
-            }
-            for c, s, b in triples
-        ]
+        results = [result_json(r) for r in ordered]
         print(json.dumps({"results": results}, sort_keys=True, ensure_ascii=False))
     else:
-        for c, s, b in triples:
-            print(_decomposition_line(c, s, b))
+        for r in ordered:
+            print(line(r))
     return EXIT_OK if engine else EXIT_NO_MATCH
 
 
@@ -190,8 +174,8 @@ def _cmd_check_grammar(args) -> int:
 
 
 _COMMANDS = {
-    "match": _cmd_match,
-    "decompose": _cmd_decompose,
+    "match": _cmd_query,
+    "decompose": _cmd_query,
     "plug": _cmd_plug,
     "reduce": _cmd_reduce,
     "trace": _cmd_trace,

@@ -162,6 +162,18 @@ class TestPlug:
         for c, sub in enumerate_decompositions(t):
             assert plug(c, sub) == t
 
+    @given(seeds, seeds)
+    @settings(max_examples=200)
+    def test_plugged_subterm_is_whole_or_proper(self, s1, s2):
+        # why a plug-back check needs no sub-term check beside it:
+        # plug(hole, s) is s, and any other context holds s strictly inside
+        rng = random.Random(s2)
+        s = CtxTerm(gen_context(rng, 3)) if s2 % 2 else gen_term(rng, 4)
+        assert plug(HOLE, s) == s
+        c = rnd_context(s1)
+        if c != HOLE:
+            assert is_proper_subterm(s, plug(c, s))
+
 
 class TestCompose:
     def test_hole_left_identity(self):
