@@ -298,8 +298,9 @@ def select(
     the other side, t_tail or t_head.  None when no single-hole context
     exists for the combination: both sides split, or the split falls on
     the opposite side of a context's own hole path, or extracting the
-    sub-term would tear a context value out of a plain list, or a tail
-    split's context is a bare hole.
+    sub-term would tear a context value out of a plain list.  A tail
+    split's context is never a bare hole: the tail pattern is a list
+    pattern, whose splits all have list contexts.
     """
     if isinstance(d_head, ContextDecomposition):
         if isinstance(d_tail, ContextDecomposition):
@@ -312,9 +313,7 @@ def select(
         return ContextDecomposition(HeadCtx(d_head.context, t_tail), d_head.subterm)
     if not isinstance(d_tail, ContextDecomposition):
         return EMPTY_DECOMPOSITION
-    if isinstance(d_tail.context, Hole) or (
-        isinstance(whole, CtxTerm) and isinstance(whole.context, HeadCtx)
-    ):
+    if isinstance(whole, CtxTerm) and isinstance(whole.context, HeadCtx):
         return None
     return ContextDecomposition(TailCtx(t_head, d_tail.context), d_tail.subterm)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import EngineError
 from .grammar import Grammar, Production, productions_of, remove_prod
-from .matching import EMPTY_BINDINGS, Bindings, bindings_union
+from .matching import EMPTY_BINDINGS, Bindings
 from .terms import (
     HOLE,
     HOLE_TERM,
@@ -38,6 +38,19 @@ from .terms import (
 
 class OracleFuelError(EngineError):
     """The oracle's non-consumption budget ran out (suspected left recursion)."""
+
+
+def _union(b1: Bindings, b2: Bindings) -> Bindings | None:
+    """Disjoint union: defined iff shared variables agree on their terms."""
+    if not b1.entries:
+        return b2
+    if not b2.entries:
+        return b1
+    merged = dict(b1.entries)
+    for var, value in b2.entries:
+        if merged.setdefault(var, value) != value:
+            return None
+    return Bindings(tuple(sorted(merged.items())))
 
 
 def enumerate_decompositions(t: Term) -> list[tuple[Context, Term]]:
@@ -87,6 +100,9 @@ def _grammar_weight(g: Grammar) -> int:
     return sum(1 + pattern_size(p.pattern) for p in g.productions)
 
 
+# The budget is what stops the ungeneralized search on a left-recursive
+# grammar.  The generalized search removes a production on every step that
+# consumes no input, so it never runs out.
 def _phase_budget(p: Pattern, g: Grammar) -> int:
     return pattern_size(p) + _grammar_weight(g) + 1
 
@@ -128,7 +144,7 @@ class _Search:
         if isinstance(p, NamePat):
             out = set()
             for b in self.match(t, p.pattern, g_cur, fuel - 1):
-                merged = bindings_union(b, Bindings(((p.var, t),)))
+                merged = _union(b, Bindings(((p.var, t),)))
                 if merged is not None:
                     out.add(merged)
             return out
@@ -162,7 +178,7 @@ class _Search:
                     bhs = self.match(t_ctx, p.hole_pat, g1, self._reset(p.hole_pat))
                 for bc in bcs:
                     for bh in bhs:
-                        merged = bindings_union(bc, bh)
+                        merged = _union(bc, bh)
                         if merged is not None:
                             out.add(merged)
             return out
@@ -195,7 +211,7 @@ class _Search:
         out = set()
         for bh in heads:
             for bt in tails:
-                merged = bindings_union(bh, bt)
+                merged = _union(bh, bt)
                 if merged is not None:
                     out.add(merged)
         return out
@@ -228,7 +244,7 @@ class _Search:
         if isinstance(p, NamePat):
             out = set()
             for b in self.decomp(t, c, sub, p.pattern, g_cur, fuel - 1):
-                merged = bindings_union(b, Bindings(((p.var, CtxTerm(c)),)))
+                merged = _union(b, Bindings(((p.var, CtxTerm(c)),)))
                 if merged is not None:
                     out.add(merged)
             return out
@@ -280,7 +296,7 @@ class _Search:
                 tails = self.match(tail_term, p_tail, g1, self._reset(p_tail))
                 for bh in inner:
                     for bt in tails:
-                        merged = bindings_union(bh, bt)
+                        merged = _union(bh, bt)
                         if merged is not None:
                             out.add(merged)
         if tail_rule and isinstance(c, TailCtx) and c.head == head:
@@ -291,7 +307,7 @@ class _Search:
                 )
                 for bh in heads:
                     for bt in inner:
-                        merged = bindings_union(bh, bt)
+                        merged = _union(bh, bt)
                         if merged is not None:
                             out.add(merged)
         return out
@@ -326,41 +342,30 @@ class _Search:
                         )
             for bc in bcs:
                 for bh in bhs:
-                    merged = bindings_union(bc, bh)
+                    merged = _union(bc, bh)
                     if merged is not None:
                         out.add(merged)
         return out
 
 
 def oracle_match(
-    grammar: Grammar,
-    term: Term,
-    pattern: Pattern,
-    current: Grammar | None = None,
-    *,
-    fuel: int | None = None,
+    grammar: Grammar, term: Term, pattern: Pattern, current: Grammar | None = None
 ) -> set[Bindings]:
     """Bindings derivable for the matching judgment, by exhaustive search."""
     if current is None:
         current = grammar
     search = _Search(grammar)
-    budget = fuel if fuel is not None else _phase_budget(pattern, current)
-    return search.match(term, pattern, current, budget)
+    return search.match(term, pattern, current, _phase_budget(pattern, current))
 
 
 def oracle_decompose(
-    grammar: Grammar,
-    term: Term,
-    pattern: Pattern,
-    current: Grammar | None = None,
-    *,
-    fuel: int | None = None,
+    grammar: Grammar, term: Term, pattern: Pattern, current: Grammar | None = None
 ) -> set[tuple[Context, Term, Bindings]]:
     """Derivable (context, sub-term, bindings) triples, by exhaustive search."""
     if current is None:
         current = grammar
     search = _Search(grammar)
-    budget = fuel if fuel is not None else _phase_budget(pattern, current)
+    budget = _phase_budget(pattern, current)
     out: set[tuple[Context, Term, Bindings]] = set()
     for c, sub in enumerate_decompositions(term):
         for b in search.decomp(term, c, sub, pattern, current, budget):
@@ -369,7 +374,7 @@ def oracle_decompose(
 
 
 def oracle_match_original(
-    grammar: Grammar, term: Term, pattern: Pattern, *, fuel: int | None = None
+    grammar: Grammar, term: Term, pattern: Pattern
 ) -> set[Bindings]:
     """Matching under the ungeneralized judgment form, by exhaustive search.
 
@@ -380,5 +385,4 @@ def oracle_match_original(
     OracleFuelError.
     """
     search = _Search(grammar, removal=False)
-    budget = fuel if fuel is not None else _phase_budget(pattern, grammar)
-    return search.match(term, pattern, grammar, budget)
+    return search.match(term, pattern, grammar, _phase_budget(pattern, grammar))

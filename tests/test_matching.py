@@ -624,6 +624,15 @@ class TestHoleDirected:
         got = match_decompose(g, parse_term(term), parse_pattern(pattern), debug=True)
         assert len(got) == REENTRY_RAW_COUNTS[key]
 
+    @pytest.mark.parametrize("key", sorted(REENTRY_RAW_COUNTS))
+    def test_agrees_with_oracle_on_left_recursive_grammar(self, key):
+        # left recursive: the oracle's generalized search ends by production
+        # removal, never by running out of its budget
+        g = new_grammar([(nt, parse_pattern(rhs)) for nt, rhs in REENTRY_PRODUCTIONS])
+        t, p = parse_term(key[0]), parse_pattern(key[1])
+        assert matches(g, t, p) == oracle_match(g, t, p)
+        assert decompose(g, t, p) == oracle_decompose(g, t, p)
+
     @given(seeds)
     @settings(max_examples=60, deadline=None)
     def test_results_are_monotone_in_the_grammar(self, seed):

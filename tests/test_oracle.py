@@ -1,8 +1,10 @@
+import inspect
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import redsem.oracle
 from genterms import gen_case, gen_term
 from redsem import (
     HOLE,
@@ -12,6 +14,7 @@ from redsem import (
     CtxTerm,
     HeadCtx,
     Hole,
+    InHolePat,
     ListPat,
     ListTerm,
     Literal,
@@ -26,11 +29,13 @@ from redsem import (
     oracle_decompose,
     oracle_match,
     oracle_match_original,
+    parse_term,
     plug,
     remove_prod,
 )
 from redsem.grammar import is_subgrammar
 from redsem.matching import EMPTY_BINDINGS
+from redsem.oracle import _union
 from redsem.terms import is_proper_subterm
 
 A, B = Literal("a"), Literal("b")
@@ -71,6 +76,38 @@ def count_atoms(t):
     if isinstance(t, ListTerm):
         return sum(count_atoms(i) for i in t.items if not isinstance(i, CtxTerm))
     return 0
+
+
+class TestIndependence:
+    def test_no_engine_function_is_used(self):
+        # a bug shared with the engine would be invisible to agreement checks
+        borrowed = [
+            name
+            for name, obj in vars(redsem.oracle).items()
+            if inspect.isfunction(obj) and obj.__module__ == "redsem.matching"
+        ]
+        assert borrowed == []
+
+
+class TestUnion:
+    def test_empty_sides(self):
+        assert _union(EMPTY_BINDINGS, EMPTY_BINDINGS) == EMPTY_BINDINGS
+        assert _union(EMPTY_BINDINGS, bnd(x=A)) == bnd(x=A)
+        assert _union(bnd(x=A), EMPTY_BINDINGS) == bnd(x=A)
+
+    def test_conflict_is_absent(self):
+        assert _union(bnd(x=A), bnd(x=B)) is None
+        assert _union(bnd(x=A, y=B), bnd(y=A)) is None
+
+    def test_consistent_repeat(self):
+        assert _union(bnd(x=A), bnd(x=A)) == bnd(x=A)
+        assert _union(bnd(x=A, y=B), bnd(y=B)) == bnd(x=A, y=B)
+
+    def test_disjoint_merge_sorted(self):
+        assert _union(bnd(y=B), bnd(x=A)) == Bindings((("x", A), ("y", B)))
+        assert _union(bnd(x=A, z=A), bnd(y=B)) == Bindings(
+            (("x", A), ("y", B), ("z", A))
+        )
 
 
 class TestEnumerateDecompositions:
@@ -124,11 +161,6 @@ class TestOracleMatch:
         assert oracle_match(EMPTY_G, HOLE_TERM, HOLE_PAT) == {EMPTY_BINDINGS}
         assert oracle_match(EMPTY_G, A, HOLE_PAT) == set()
 
-    def test_fuel_error_with_tiny_budget(self):
-        p = NamePat("x", NamePat("y", LitPat(A)))
-        with pytest.raises(OracleFuelError):
-            oracle_match(EMPTY_G, A, p, fuel=1)
-
 
 class TestOracleDecompose:
     def test_hole_pattern_trivial_split(self):
@@ -158,14 +190,29 @@ class TestOriginalSystem:
     def test_literal(self):
         assert oracle_match_original(EMPTY_G, A, LitPat(A)) == {EMPTY_BINDINGS}
 
-    def test_left_recursive_grammar_exhausts_budget(self):
-        # without production removal, n -> (name x (nt n)) reads (nt n)
-        # at the same term forever; the generalized judgment (and the
-        # engine) remove the production and fall through to n -> a
-        g = new_grammar([("n", NamePat("x", NtPat("n"))), ("n", LitPat(A))])
-        assert matches(g, A, NtPat("n")) == {EMPTY_BINDINGS}
+    @pytest.mark.parametrize("term", ["a", "(a a)"])
+    @pytest.mark.parametrize(
+        "productions",
+        [
+            [("n", NtPat("n"))],
+            [("n", NamePat("x", NtPat("n"))), ("n", LitPat(A))],
+            # the loop runs through the decomposition judgment
+            [("n", InHolePat(NtPat("n"), HOLE_PAT)), ("n", LitPat(A))],
+        ],
+        ids=["nt", "name", "in-hole"],
+    )
+    def test_left_recursive_grammar_exhausts_budget(self, productions, term):
+        # without production removal, (nt n) is read at the same term
+        # forever; the generalized judgment (and the engine) remove the
+        # production and fall through to the others.  The ungeneralized
+        # search must stop with its own error, not overflow the Python stack.
+        g, t = new_grammar(productions), parse_term(term)
+        # only n -> a can match, and only the term a
+        matchable = t == A and ("n", LitPat(A)) in productions
+        expected = {EMPTY_BINDINGS} if matchable else set()
+        assert matches(g, t, NtPat("n")) == oracle_match(g, t, NtPat("n")) == expected
         with pytest.raises(OracleFuelError):
-            oracle_match_original(g, A, NtPat("n"))
+            oracle_match_original(g, t, NtPat("n"))
 
     @given(seeds)
     @settings(max_examples=60, deadline=None)
