@@ -116,19 +116,19 @@ def _cmd_query(args) -> int:
     if args.oracle:
         oracle = oracle_fn(lang.grammar, term, pattern)
         if engine != oracle:
-            for r in sorted(engine - oracle, key=line):
-                print(f"only-engine: {line(r)}", file=sys.stderr)
-            for r in sorted(oracle - engine, key=line):
-                print(f"only-oracle: {line(r)}", file=sys.stderr)
+            for text in sorted(map(line, engine - oracle)):
+                print(f"only-engine: {text}", file=sys.stderr)
+            for text in sorted(map(line, oracle - engine)):
+                print(f"only-oracle: {text}", file=sys.stderr)
             return EXIT_ORACLE_DISAGREEMENT
 
-    ordered = sorted(engine, key=line)
     if args.format == "json":
-        results = [result_json(r) for r in ordered]
+        results = [result_json(r) for r in sorted(engine, key=line)]
         print(json.dumps({"results": results}, sort_keys=True, ensure_ascii=False))
     else:
-        for r in ordered:
-            print(line(r))
+        # the printed lines are their own sort keys
+        for text in sorted(map(line, engine)):
+            print(text)
     return EXIT_OK if engine else EXIT_NO_MATCH
 
 
@@ -193,6 +193,13 @@ def run_cli(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (EngineError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    # the term layer and the oracle still recurse on the Python stack
+    except RecursionError:
+        print("error: input nested too deeply for this interpreter", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

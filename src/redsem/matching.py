@@ -12,7 +12,7 @@ terminates on every grammar, left-recursive ones included.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Generator, Union
 
 from .errors import EngineError
 from .grammar import Grammar, Production
@@ -48,7 +48,7 @@ class SoundnessCheckError(EngineError):
     """A produced decomposition failed its plug/subterm invariant."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bindings:
     """Finite map from pattern variables to terms, sorted by variable."""
 
@@ -88,7 +88,7 @@ class EmptyDecomposition:
     """The pattern matched the whole term; nothing was split off."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContextDecomposition:
     """The term was split into a context and the sub-term in its hole."""
 
@@ -101,7 +101,7 @@ Decomposition = Union[EmptyDecomposition, ContextDecomposition]
 EMPTY_DECOMPOSITION = EmptyDecomposition()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchResult:
     decomposition: Decomposition
     bindings: Bindings
@@ -436,7 +436,9 @@ def match_decompose(
     every recursive call is verified to decrease the tuple order, each
     split is checked where it is built against the one-level equation of
     the rule that built it, and each split of the returned list is
-    plugged back in full (see *Inductive checks* below).
+    plugged back in full (see *Inductive checks* below).  The steps of
+    the judgment run on a work stack, not on the Python stack, so the
+    depth of the recursion is bounded by memory alone.
 
     Each distinct non-terminal subproblem is solved, and checked, once per
     call: its results are memoized until the call returns, under a key
@@ -536,16 +538,16 @@ def match_decompose(
     queries: dict[tuple[int, int], tuple[Term, Pattern, bool]] = {}
     full = index.full
 
-    def ev(t: Term, p: Pattern, mask: int, filt: Pattern | None) -> list[MatchResult]:
-        def rec(
-            t2: Term, p2: Pattern, m2: int, f2: Pattern | None
-        ) -> list[MatchResult]:
-            if debug and not mask_order_decreases(index, t2, p2, m2, t, p, mask):
-                raise MeasureViolationError(
-                    "recursive matching call does not decrease the tuple order"
-                )
-            return ev(t2, p2, m2, f2)
+    def ev(
+        t: Term, p: Pattern, mask: int, filt: Pattern | None
+    ) -> Generator[tuple, list[MatchResult], list[MatchResult]]:
+        """One step of the judgment on (t, p, mask) under filter filt.
 
+        A generator: it yields each recursion edge as the sub-query
+        ``(t2, p2, m2, f2, edge)``, is sent that query's results, and
+        returns its own.  edge is False only for a filter query, a fresh
+        root that the tuple order does not bound.
+        """
         if isinstance(p, HolePat):
             keep = True
             if filt is not None:
@@ -553,7 +555,8 @@ def match_decompose(
                 if key not in queries:
                     # a re-entered query finds this entry and keeps the split
                     queries[key] = (t, filt, True)
-                    queries[key] = (t, filt, bool(ev(t, filt, full, None)))
+                    found = yield t, filt, full, None, False
+                    queries[key] = (t, filt, bool(found))
                 keep = queries[key][2]
             results = []
             if keep:
@@ -561,18 +564,18 @@ def match_decompose(
                 results.append(MatchResult(split, EMPTY_BINDINGS))
             if t == HOLE_TERM:
                 results.append(MatchResult(EMPTY_DECOMPOSITION, EMPTY_BINDINGS))
+            return results
 
-        elif isinstance(p, LitPat):
+        if isinstance(p, LitPat):
             if isinstance(t, Literal) and t == p.lit:
-                results = [MatchResult(EMPTY_DECOMPOSITION, EMPTY_BINDINGS)]
-            else:
-                results = []
+                return [MatchResult(EMPTY_DECOMPOSITION, EMPTY_BINDINGS)]
+            return []
 
         # name and non-terminal results carry their child's splits of the
         # same term unchanged, so they have no equation of their own
-        elif isinstance(p, NamePat):
+        if isinstance(p, NamePat):
             results = []
-            for r in rec(t, p.pattern, mask, filt):
+            for r in (yield t, p.pattern, mask, filt, True):
                 extended = bind_name(p.var, t, r.decomposition, r.bindings)
                 if extended is not None:
                     results.append(MatchResult(r.decomposition, extended))
@@ -580,7 +583,7 @@ def match_decompose(
 
         # the key holds only what the subproblem reads, and a production
         # whose shape t cannot have is not tried (see the docstring)
-        elif isinstance(p, NtPat):
+        if isinstance(p, NtPat):
             entries, reads, filtered = index[p.name]
             key = (id(t), p.name, mask & reads, id(filt) if filtered else None)
             hit = memo.get(key)
@@ -591,20 +594,20 @@ def match_decompose(
             for bit, rhs, same, fit in entries:
                 if mask & bit and (fit is None or fit == shape):
                     live = mask & same
-                    for r in rec(t, rhs, mask ^ (live & -live), filt):
+                    for r in (yield t, rhs, mask ^ (live & -live), filt, True):
                         results.append(MatchResult(r.decomposition, EMPTY_BINDINGS))
             memo[key] = (t, results)
             return results
 
-        elif isinstance(p, InHolePat):
+        if isinstance(p, InHolePat):
             results = []
-            for rc in rec(t, p.context_pat, mask, p.hole_pat):
+            for rc in (yield t, p.context_pat, mask, p.hole_pat, True):
                 dc = rc.decomposition
                 if not isinstance(dc, ContextDecomposition):
                     continue
                 # a bare-hole context consumed no input
                 m_hole = mask if isinstance(dc.context, Hole) else orig
-                for rh in rec(dc.subterm, p.hole_pat, m_hole, filt):
+                for rh in (yield dc.subterm, p.hole_pat, m_hole, filt, True):
                     merged = bindings_union(rc.bindings, rh.bindings)
                     if merged is None:
                         continue
@@ -612,70 +615,74 @@ def match_decompose(
                     if debug:
                         check_combine(d, dc.context, rh.decomposition)
                     results.append(MatchResult(d, merged))
+            return results
 
-        elif isinstance(p, ListPat):
-            results = _ev_list(t, p, rec, filt)
-
-        else:
-            results = []
-
-        return results
-
-    def _ev_list(t: Term, p: ListPat, rec, filt) -> list[MatchResult]:
+        if not isinstance(p, ListPat):
+            return []
+        # a list pattern splits t into its head and its tail, the tail's
+        # items given when t is a plain list or a head-tagged context
         if isinstance(t, ListTerm):
             if not t.items and not p.items:
                 return [MatchResult(EMPTY_DECOMPOSITION, EMPTY_BINDINGS)]
             if not t.items or not p.items:
                 return []
-            head, tail = t.items[0], t.items[1:]
-            return _cross(t, head, ListTerm(tail), tail, p, rec, filt)
-        if isinstance(t, CtxTerm) and isinstance(t.context, HeadCtx):
-            if not p.items:
-                return []
+            head, tail_items = t.items[0], t.items[1:]
+            tail = ListTerm(tail_items)
+        elif isinstance(t, CtxTerm) and p.items:
             c = t.context
-            return _cross(
-                t, CtxTerm(c.hole_side), ListTerm(c.tail), c.tail, p, rec, filt
-            )
-        if isinstance(t, CtxTerm) and isinstance(t.context, TailCtx):
-            if not p.items:
+            if isinstance(c, HeadCtx):
+                head, tail, tail_items = CtxTerm(c.hole_side), ListTerm(c.tail), c.tail
+            elif isinstance(c, TailCtx):
+                head, tail, tail_items = c.head, CtxTerm(c.rest), ()
+            else:
                 return []
-            c = t.context
-            return _cross(t, c.head, CtxTerm(c.rest), (), p, rec, filt)
-        return []
-
-    def _cross(
-        whole: Term,
-        head: Term,
-        tail_term: Term,
-        tail_items: tuple[Term, ...],
-        p: ListPat,
-        rec,
-        filt: Pattern | None,
-    ) -> list[MatchResult]:
-        p_head, p_tail = p.items[0], ListPat(p.items[1:])
-        head_results = rec(head, p_head, orig, filt)
+        else:
+            return []
+        head_results = yield head, p.items[0], orig, filt, True
         if not head_results:
             return []
-        tail_results = rec(tail_term, p_tail, orig, filt)
-        out: list[MatchResult] = []
+        tail_results = yield tail, ListPat(p.items[1:]), orig, filt, True
+        results = []
         for rh in head_results:
             for rt in tail_results:
-                d = select(head, rh.decomposition, tail_items, rt.decomposition, whole)
+                d = select(head, rh.decomposition, tail_items, rt.decomposition, t)
                 if d is None:
                     continue
                 if debug:
-                    check_select(d, rh.decomposition, rt.decomposition, whole)
+                    check_select(d, rh.decomposition, rt.decomposition, t)
                 merged = bindings_union(rh.bindings, rt.bindings)
                 if merged is None:
                     continue
-                out.append(MatchResult(d, merged))
-        return out
+                results.append(MatchResult(d, merged))
+        return results
 
+    # The suspended steps wait on a list, each under the (t, p, mask) it
+    # runs on, so the depth of a query costs heap, not Python stack.
+    waiting: list[tuple] = []
+    t, p, m = term, pattern, start
+    step, sent = ev(t, p, m, None), None
     try:
-        results = ev(term, pattern, start, None)
+        while True:
+            try:
+                t2, p2, m2, f2, edge = step.send(sent)
+            except StopIteration as done:
+                if not waiting:
+                    results = done.value
+                    break
+                step, t, p, m = waiting.pop()
+                sent = done.value
+                continue
+            if edge and debug and not mask_order_decreases(index, t2, p2, m2, t, p, m):
+                raise MeasureViolationError(
+                    "recursive matching call does not decrease the tuple order"
+                )
+            waiting.append((step, t, p, m))
+            t, p, m = t2, p2, m2
+            step, sent = ev(t, p, m, f2), None
     finally:
-        # ev closes over the memos and itself; clearing now frees the
-        # memoized results without waiting for the cycle collector.
+        # an exception's traceback holds this frame; clearing now frees
+        # the memoized results and the suspended steps
+        waiting.clear()
         memo.clear()
         queries.clear()
     if debug:

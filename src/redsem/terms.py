@@ -36,10 +36,18 @@ class Literal:
         return f"Literal({self.value!r})"
 
 
+def _by_fields(node):
+    """Pickle and copy a slotted node by its fields: a frozen dataclass
+    refuses the assignments that would restore its slots."""
+    return type(node), tuple(getattr(node, f) for f in node.__dataclass_fields__)
+
+
 @dataclass(frozen=True)
 class ListTerm:
     """A list of zero or more terms."""
 
+    __slots__ = ("items", "_size")
+    __reduce__ = _by_fields
     items: tuple["Term", ...]
 
 
@@ -47,6 +55,8 @@ class ListTerm:
 class CtxTerm:
     """A context embedded in term position."""
 
+    __slots__ = ("context", "_size")
+    __reduce__ = _by_fields
     context: "Context"
 
 
@@ -59,6 +69,8 @@ class Hole:
 class HeadCtx:
     """List context whose hole lies inside the head element."""
 
+    __slots__ = ("hole_side", "tail", "_size")
+    __reduce__ = _by_fields
     hole_side: "Context"
     tail: tuple["Term", ...]
 
@@ -67,6 +79,8 @@ class HeadCtx:
 class TailCtx:
     """List context whose hole lies somewhere in the tail."""
 
+    __slots__ = ("head", "rest", "_size")
+    __reduce__ = _by_fields
     head: "Term"
     rest: "ListContext"
 
@@ -129,12 +143,12 @@ HOLE_PAT = HolePat()
 def term_size(t: Term) -> int:
     """Number of nodes of t, cached on each list and context node.
 
-    The cache is an instance attribute outside the dataclass fields, so it
-    takes no part in equality, hashing or repr.
+    The cache is a slot outside the dataclass fields, so it takes no part
+    in equality, hashing or repr.
     """
     if isinstance(t, Literal):
         return 1
-    size = t.__dict__.get("_size")
+    size = getattr(t, "_size", None)
     if size is None:
         if isinstance(t, ListTerm):
             size = 1
@@ -150,7 +164,7 @@ def context_size(c: Context) -> int:
     """Number of nodes of c, cached like term_size."""
     if isinstance(c, Hole):
         return 1
-    size = c.__dict__.get("_size")
+    size = getattr(c, "_size", None)
     if size is None:
         if isinstance(c, HeadCtx):
             size = 1 + context_size(c.hole_side)

@@ -3,6 +3,9 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+import redsem
 from conftest import CORPUS_FILE, LAMBDA_FILE, LEFTREC_FILE
 from redsem.cli import run_cli
 from redsem.sexpr import Atom, SList, parse_sexprs, print_sexpr
@@ -166,6 +169,71 @@ class TestModuleEntryPoint:
             timeout=60,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "(a b)\n", "")
+
+
+REDEX = "(in-hole (name E (nt E)) ((name f (nt v)) (name a (nt v))))"
+
+
+def right_chain(n: int) -> tuple[str, dict[str, list[str]]]:
+    """Right chain n's source, and its answers derived by hand: the beta
+    redex is the innermost application, and (nt E) puts the hole on each
+    level's whole application or on that application's head λ."""
+    lams = ["(λ x x)"]
+    for k in range(1, n + 1):
+        lams.append("(λ {0} {0})".format("xyzwfg"[k % 6]))
+    chains = [lams[0]]
+    for k in range(1, n + 1):
+        chains.append(f"({lams[k]} {chains[k - 1]})")
+    splits = []
+    for k in range(n, -1, -1):  # the level the hole is at
+        prefix = "".join(f"({lams[i]} " for i in range(n, k, -1))
+        close = ")" * (n - k)
+        splits.append((prefix + "hole" + close, chains[k]))
+        if k:
+            splits.append((prefix + f"(hole {chains[k - 1]})" + close, lams[k]))
+    redex = "".join(f"({lams[i]} " for i in range(n, 1, -1)) + "hole" + ")" * (n - 1)
+    return chains[n], {
+        "(nt e)": ["(bindings)"],
+        "(nt E)": sorted(
+            f"(decomposition (context {c}) (subterm {s}) (bindings))" for c, s in splits
+        ),
+        REDEX: [f"(bindings (E {redex}) (a {lams[0]}) (f {lams[1]}))"],
+    }
+
+
+class TestDeepInput:
+    @pytest.mark.parametrize("pattern", ["(nt e)", "(nt E)", REDEX])
+    def test_right_chain_100_hand_derived(self, capsys, pattern):
+        command = "decompose" if pattern == "(nt E)" else "match"
+        source, answers = right_chain(100)
+        code, out, err = run(
+            capsys, command, "-g", LAMBDA_FILE, "-p", pattern, "-t", source
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == answers[pattern]
+
+    @pytest.mark.parametrize("pattern", ["(nt e)", "(nt E)", REDEX])
+    def test_right_chain_400_answers_or_exits_2(self, pattern):
+        # the term layer still recurses on the Python stack: a request
+        # past its depth exits 2 with one line, never with a traceback
+        command = "decompose" if pattern == "(nt E)" else "match"
+        source, answers = right_chain(400)
+        src = os.path.dirname(os.path.dirname(redsem.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "redsem.cli", command, "-g", LAMBDA_FILE]
+            + ["-p", pattern, "-t", source],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        if proc.returncode == 0:
+            assert (proc.stdout.splitlines(), proc.stderr) == (answers[pattern], "")
+        else:
+            assert proc.returncode == 2
+            assert "Traceback" not in proc.stderr
+            assert len(proc.stderr.splitlines()) == 1
+            assert proc.stderr.startswith("error: ")
 
 
 class TestCheckGrammar:

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -54,7 +57,13 @@ from redsem.matching import (
     mask_order_decreases,
     select,
 )
-from redsem.terms import compose, is_proper_subterm, proper_subterms, subpatterns
+from redsem.terms import (
+    compose,
+    is_proper_subterm,
+    proper_subterms,
+    subpatterns,
+    term_size,
+)
 
 A, B = Literal("a"), Literal("b")
 AB = ListTerm((A, B))
@@ -588,6 +597,105 @@ class TestInductiveDebugChecks:
 def test_deep_right_chain_within_default_recursion_limit(lam):
     # about ten Python frames per chain level: the memo must add none
     assert len(decompose(lam.grammar, right_chain(80), NtPat("E"))) == 161
+
+
+# Builds chains without the parser and runs the matcher on them at the
+# default recursion limit.  The results are not hashed, compared or
+# printed: the term layer still recurses on the Python stack.
+UNPARSED_CHAIN_SCRIPT = """\
+import sys
+from redsem import ListTerm, Literal, load_language, match_decompose, parse_pattern
+g = load_language(sys.argv[1]).grammar
+n = int(sys.argv[2])
+def lam(i):
+    v = Literal("xyzwfg"[i % 6])
+    return ListTerm((Literal("λ"), v, v))
+for pattern in sys.argv[3:]:
+    for right in (True, False):
+        t = ListTerm((Literal("λ"), Literal("x"), Literal("x")))
+        for i in range(1, n + 1):
+            t = ListTerm((lam(i), t) if right else (t, lam(i)))
+        print(len(match_decompose(g, t, parse_pattern(pattern), debug=False)))
+"""
+
+
+def same_without_recursion(a, b) -> bool:
+    """a == b for results, terms and contexts, compared on an explicit
+    stack: the generated __eq__ recurses a few frames per level."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if x is y:
+            continue
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, (list, tuple)):
+            if len(x) != len(y):
+                return False
+            todo.extend(zip(x, y))
+        elif dataclasses.is_dataclass(x) and not isinstance(x, Literal):
+            for f in dataclasses.fields(x):
+                todo.append((getattr(x, f.name), getattr(y, f.name)))
+        elif x != y:
+            return False
+    return True
+
+
+class TestDepth:
+    def test_matcher_needs_no_python_stack_per_level(self):
+        # matching on the Python stack took about ten frames per chain
+        # level, so 2,000 levels need the work stack
+        src = os.path.dirname(os.path.dirname(redsem.__file__))
+        patterns = [CHAIN_PATTERNS["e"], CHAIN_PATTERNS["redex"]]
+        proc = subprocess.run(
+            [sys.executable, "-c", UNPARSED_CHAIN_SCRIPT, LAMBDA_FILE, "2000"]
+            + patterns,
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "1\n" * 4
+
+    # right chain n under (nt E) has 2n+1 splits and left chain n has n+2
+    @pytest.mark.parametrize("shape, splits", [("right", 401), ("left", 202)])
+    def test_chain_200_splits_checked_and_unchecked(self, lam, shape, splits):
+        t = (right_chain if shape == "right" else left_chain)(200)
+        checked = match_decompose(lam.grammar, t, NtPat("E"), debug=True)
+        unchecked = match_decompose(lam.grammar, t, NtPat("E"), debug=False)
+        kinds = {type(r.decomposition) for r in checked}
+        assert (len(checked), kinds) == (splits, {ContextDecomposition})
+        assert same_without_recursion(checked, unchecked)
+
+    def test_slotted_classes_have_no_dict_and_round_trip(self):
+        ctx = HeadCtx(HOLE, (A,))
+        items, tail = ListTerm((A,)), TailCtx(A, ctx)
+        term = CtxTerm(tail)
+        # fill the _size slots
+        term_size(items)
+        term_size(term)
+        for obj in (
+            items,
+            term,
+            ctx,
+            tail,
+            Bindings((("x", A),)),
+            ContextDecomposition(ctx, B),
+            MatchResult(ContextDecomposition(ctx, B), EMPTY_BINDINGS),
+        ):
+            assert not hasattr(obj, "__dict__"), type(obj).__name__
+            # frozen slots are restored without assignment
+            assert pickle.loads(pickle.dumps(obj)) == obj
+            assert copy.deepcopy(obj) == obj
+
+    def test_no_source_file_sets_the_recursion_limit(self):
+        src = os.path.dirname(os.path.dirname(redsem.__file__))
+        for root, _, files in os.walk(src):
+            for name in files:
+                if name.endswith(".py"):
+                    with open(os.path.join(root, name), encoding="utf-8") as f:
+                        assert "setrecursionlimit" not in f.read(), name
 
 
 # n -> (in-hole (nt n) (nt n)) | hole | a | (in-hole (nt m) (nt n))
