@@ -5,15 +5,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import itemgetter
 
 from .errors import EngineError
 from .grammar import find_left_recursion
 from .language import (
+    _bindings_text,
     check_pattern_nonterminals,
     load_language,
     parse_pattern,
     parse_term,
-    print_bindings,
     print_context,
     print_pattern,
     print_term,
@@ -72,28 +73,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _bindings_json(b: Bindings) -> dict:
-    return {var: print_term(value) for var, value in b.entries}
-
-
-def _decomposition_line(r) -> str:
-    c, sub, b = r
-    return (
-        f"(decomposition (context {print_context(c)}) "
-        f"(subterm {print_term(sub)}) {print_bindings(b)})"
-    )
-
-
-def _match_json(b: Bindings) -> dict:
-    return {"bindings": _bindings_json(b), "decomposition": None}
-
-
-def _decomposition_json(r) -> dict:
-    c, s, b = r
-    return {
-        "bindings": _bindings_json(b),
-        "decomposition": {"context": print_context(c), "subterm": print_term(s)},
-    }
+def _printed(r) -> tuple[str, dict]:
+    """A result's line and JSON object, built from one printing of each of
+    its terms and contexts.  A match result is a Bindings, a decomposition
+    result a (context, sub-term, bindings) triple."""
+    if isinstance(r, Bindings):
+        b, split = r, None
+    else:
+        c, sub, b = r
+        split = {"context": print_context(c), "subterm": print_term(sub)}
+    texts = {var: print_term(value) for var, value in b.entries}
+    line = _bindings_text(texts)
+    if split is not None:
+        line = (
+            f"(decomposition (context {split['context']}) "
+            f"(subterm {split['subterm']}) {line})"
+        )
+    return line, {"bindings": texts, "decomposition": split}
 
 
 def _cmd_query(args) -> int:
@@ -103,10 +99,8 @@ def _cmd_query(args) -> int:
     # wrapper per command would add a frame under every engine call
     if args.command == "match":
         engine_fn, oracle_fn = matches, oracle_match
-        line, result_json = print_bindings, _match_json
     else:
         engine_fn, oracle_fn = decompose, oracle_decompose
-        line, result_json = _decomposition_line, _decomposition_json
     lang = load_language(args.grammar)
     pattern = parse_pattern(args.pattern)
     check_pattern_nonterminals(lang.grammar, pattern)
@@ -116,19 +110,19 @@ def _cmd_query(args) -> int:
     if args.oracle:
         oracle = oracle_fn(lang.grammar, term, pattern)
         if engine != oracle:
-            for text in sorted(map(line, engine - oracle)):
-                print(f"only-engine: {text}", file=sys.stderr)
-            for text in sorted(map(line, oracle - engine)):
-                print(f"only-oracle: {text}", file=sys.stderr)
+            sides = (("engine", engine - oracle), ("oracle", oracle - engine))
+            for side, only in sides:
+                for text in sorted(_printed(r)[0] for r in only):
+                    print(f"only-{side}: {text}", file=sys.stderr)
             return EXIT_ORACLE_DISAGREEMENT
 
+    printed = sorted(map(_printed, engine), key=itemgetter(0))
     if args.format == "json":
-        results = [result_json(r) for r in sorted(engine, key=line)]
+        results = [obj for _, obj in printed]
         print(json.dumps({"results": results}, sort_keys=True, ensure_ascii=False))
     else:
-        # the printed lines are their own sort keys
-        for text in sorted(map(line, engine)):
-            print(text)
+        for line, _ in printed:
+            print(line)
     return EXIT_OK if engine else EXIT_NO_MATCH
 
 

@@ -252,11 +252,13 @@ def parse_template(src: str) -> Template:
 
 
 def print_bindings(b: Bindings) -> str:
-    return (
-        "(bindings"
-        + "".join(f" ({var} {print_term(value)})" for var, value in b.entries)
-        + ")"
-    )
+    return _bindings_text({var: print_term(value) for var, value in b.entries})
+
+
+def _bindings_text(printed: dict[str, str]) -> str:
+    """`print_bindings` from each variable's already printed term."""
+    pairs = "".join(f" ({var} {text})" for var, text in printed.items())
+    return f"(bindings{pairs})"
 
 
 @dataclass(frozen=True)

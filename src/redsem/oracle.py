@@ -2,9 +2,10 @@
 
 Transcribes the two mutually inductive judgment systems directly: every
 candidate split of the input term is enumerated exhaustively and checked
-rule by rule, with none of the engine's select/combine machinery.  This
-keeps the oracle independent of the matcher so that agreement between the
-two is a meaningful check.  Exponential; intended for desk-scale inputs.
+rule by rule, with none of the engine's select/combine machinery; each
+rule is written once, in `_Search`.  This keeps the oracle independent of
+the matcher so that agreement between the two is a meaningful check.
+Exponential; intended for desk-scale inputs.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ class OracleFuelError(EngineError):
     """The oracle's non-consumption budget ran out (suspected left recursion)."""
 
 
+_OUT_OF_BUDGET = (
+    "oracle ran out of non-consumption budget; the grammar is probably left recursive"
+)
+
+
 def _union(b1: Bindings, b2: Bindings) -> Bindings | None:
     """Disjoint union: defined iff shared variables agree on their terms."""
     if not b1.entries:
@@ -51,6 +57,11 @@ def _union(b1: Bindings, b2: Bindings) -> Bindings | None:
         if merged.setdefault(var, value) != value:
             return None
     return Bindings(tuple(sorted(merged.items())))
+
+
+def _cross(xs, ys) -> set[Bindings]:
+    """Every defined union of a binding in xs with a binding in ys."""
+    return {m for x in xs for y in ys if (m := _union(x, y)) is not None}
 
 
 def enumerate_decompositions(t: Term) -> list[tuple[Context, Term]]:
@@ -96,255 +107,177 @@ def _context_cuts(lc: ListContext) -> list[tuple[ListContext, Context]]:
     return [(TailCtx(lc.head, outer), inner) for outer, inner in _context_cuts(lc.rest)]
 
 
+def _list_parts(t: Term):
+    """The list rule's cases: (head, tail term, tail items, head rule applies,
+    tail rule applies), or None when t has no head.  A context term splits
+    only along its own hole path, a plain list at both of its rules."""
+    if isinstance(t, ListTerm) and t.items:
+        tail_items = t.items[1:]
+        return t.items[0], ListTerm(tail_items), tail_items, True, True
+    if isinstance(t, CtxTerm) and isinstance(t.context, HeadCtx):
+        ctx = t.context
+        return CtxTerm(ctx.hole_side), ListTerm(ctx.tail), ctx.tail, True, False
+    if isinstance(t, CtxTerm) and isinstance(t.context, TailCtx):
+        return t.context.head, CtxTerm(t.context.rest), (), False, True
+    return None
+
+
 def _grammar_weight(g: Grammar) -> int:
     return sum(1 + pattern_size(p.pattern) for p in g.productions)
-
-
-# The budget is what stops the ungeneralized search on a left-recursive
-# grammar.  The generalized search removes a production on every step that
-# consumes no input, so it never runs out.
-def _phase_budget(p: Pattern, g: Grammar) -> int:
-    return pattern_size(p) + _grammar_weight(g) + 1
 
 
 class _Search:
     """Rule-by-rule derivability search for both judgment forms.
 
+    `match` states the matching rules; `decomp` the decomposition rules,
+    with its list and in-hole rules in `_decomp_list` and `_decomp_inhole`.
+    `_alternatives` is the non-terminal rule of both.  A step that consumes
+    input restarts from the original grammar and the full budget.
+
     With `removal` off, a non-terminal keeps the grammar it was read
     against: the ungeneralized judgment, which loops on a left-recursive
-    grammar until the budget runs out.
+    grammar until the budget runs out.  The budget, fixed per search, is
+    the query's size plus the weight of the original grammar and of the
+    current one if it is another.  A chain of steps that consume no input
+    fits in it if it reads no pattern node twice, as on a grammar that is
+    not left recursive, or if it removes a production at every
+    non-terminal, as the generalized search does.
     """
 
-    def __init__(self, original: Grammar, removal: bool = True):
+    def __init__(
+        self, original: Grammar, current: Grammar, p: Pattern, removal: bool = True
+    ):
         self.original = original
         self.removal = removal
-        self.reset_weight = _grammar_weight(original)
+        weight = _grammar_weight(original)
+        if current is not original:
+            weight += _grammar_weight(current)
+        self.budget = pattern_size(p) + weight + 1
 
-    def _reset(self, p: Pattern) -> int:
-        return pattern_size(p) + self.reset_weight + 1
+    def _alternatives(self, name: str, g_cur: Grammar):
+        """The non-terminal rule: each rhs of `name`, with the grammar it reads."""
+        for rhs in productions_of(g_cur, name):
+            if self.removal:
+                yield rhs, remove_prod(g_cur, Production(name, rhs))
+            else:
+                yield rhs, g_cur
 
     def match(self, t: Term, p: Pattern, g_cur: Grammar, fuel: int) -> set[Bindings]:
         if fuel < 0:
-            raise OracleFuelError(
-                "oracle ran out of non-consumption budget; "
-                "the grammar is probably left recursive"
-            )
-        g1 = self.original
+            raise OracleFuelError(_OUT_OF_BUDGET)
 
         if isinstance(p, LitPat):
-            if isinstance(t, Literal) and t == p.lit:
-                return {EMPTY_BINDINGS}
-            return set()
-
+            return {EMPTY_BINDINGS} if isinstance(t, Literal) and t == p.lit else set()
         if isinstance(p, HolePat):
-            if t == HOLE_TERM:
-                return {EMPTY_BINDINGS}
-            return set()
+            return {EMPTY_BINDINGS} if t == HOLE_TERM else set()
 
         if isinstance(p, NamePat):
-            out = set()
-            for b in self.match(t, p.pattern, g_cur, fuel - 1):
-                merged = _union(b, Bindings(((p.var, t),)))
-                if merged is not None:
-                    out.add(merged)
-            return out
+            bound = (Bindings(((p.var, t),)),)
+            return _cross(self.match(t, p.pattern, g_cur, fuel - 1), bound)
 
         if isinstance(p, NtPat):
-            for rhs in productions_of(g_cur, p.name):
-                shrunk = g_cur
-                if self.removal:
-                    shrunk = remove_prod(g_cur, Production(p.name, rhs))
-                if self.match(t, rhs, shrunk, fuel - 1):
+            for rhs, g_rhs in self._alternatives(p.name, g_cur):
+                if self.match(t, rhs, g_rhs, fuel - 1):
                     return {EMPTY_BINDINGS}
             return set()
 
         if isinstance(p, ListPat):
-            return self._match_list(t, p, fuel)
+            parts = _list_parts(t) if p.items else None
+            if parts is None:
+                return {EMPTY_BINDINGS} if not p.items and t == ListTerm(()) else set()
+            g1, budget = self.original, self.budget
+            heads = self.match(parts[0], p.items[0], g1, budget)
+            if not heads:
+                return set()
+            return _cross(heads, self.match(parts[1], ListPat(p.items[1:]), g1, budget))
 
         if isinstance(p, InHolePat):
             out = set()
             for c_ctx, t_ctx in enumerate_decompositions(t):
+                bcs = self.decomp(t, c_ctx, t_ctx, p.context_pat, g_cur, fuel - 1)
+                if not bcs:
+                    continue
+                # a bare-hole context consumed no input: the focused match
+                # keeps the current grammar and the budget left
                 if isinstance(c_ctx, Hole):
-                    # the context pattern matched a bare hole: no input was
-                    # consumed, so the focused match keeps the current grammar
-                    bcs = self.decomp(t, HOLE, t, p.context_pat, g_cur, fuel - 1)
-                    if not bcs:
-                        continue
-                    bhs = self.match(t, p.hole_pat, g_cur, fuel - 1)
+                    bhs = self.match(t_ctx, p.hole_pat, g_cur, fuel - 1)
                 else:
-                    bcs = self.decomp(t, c_ctx, t_ctx, p.context_pat, g_cur, fuel - 1)
-                    if not bcs:
-                        continue
-                    bhs = self.match(t_ctx, p.hole_pat, g1, self._reset(p.hole_pat))
-                for bc in bcs:
-                    for bh in bhs:
-                        merged = _union(bc, bh)
-                        if merged is not None:
-                            out.add(merged)
+                    bhs = self.match(t_ctx, p.hole_pat, self.original, self.budget)
+                out |= _cross(bcs, bhs)
             return out
 
         return set()
 
-    def _match_list(self, t: Term, p: ListPat, fuel: int) -> set[Bindings]:
-        g1 = self.original
-        if isinstance(t, ListTerm):
-            if not t.items and not p.items:
-                return {EMPTY_BINDINGS}
-            if not t.items or not p.items:
-                return set()
-            head, tail_term = t.items[0], ListTerm(t.items[1:])
-        elif isinstance(t, CtxTerm) and isinstance(t.context, HeadCtx):
-            if not p.items:
-                return set()
-            head, tail_term = CtxTerm(t.context.hole_side), ListTerm(t.context.tail)
-        elif isinstance(t, CtxTerm) and isinstance(t.context, TailCtx):
-            if not p.items:
-                return set()
-            head, tail_term = t.context.head, CtxTerm(t.context.rest)
-        else:
-            return set()
-        p_head, p_tail = p.items[0], ListPat(p.items[1:])
-        heads = self.match(head, p_head, g1, self._reset(p_head))
-        if not heads:
-            return set()
-        tails = self.match(tail_term, p_tail, g1, self._reset(p_tail))
-        out = set()
-        for bh in heads:
-            for bt in tails:
-                merged = _union(bh, bt)
-                if merged is not None:
-                    out.add(merged)
-        return out
-
     def decomp(
-        self,
-        t: Term,
-        c: Context,
-        sub: Term,
-        p: Pattern,
-        g_cur: Grammar,
-        fuel: int,
+        self, t: Term, c: Context, sub: Term, p: Pattern, g_cur: Grammar, fuel: int
     ) -> set[Bindings]:
         """Bindings for which t = c[sub] is derivable against p."""
         if fuel < 0:
-            raise OracleFuelError(
-                "oracle ran out of non-consumption budget; "
-                "the grammar is probably left recursive"
-            )
-        g1 = self.original
+            raise OracleFuelError(_OUT_OF_BUDGET)
 
         if isinstance(p, HolePat):
-            if isinstance(c, Hole) and sub == t:
-                return {EMPTY_BINDINGS}
-            return set()
-
-        if isinstance(p, LitPat):
-            return set()
+            return {EMPTY_BINDINGS} if isinstance(c, Hole) and sub == t else set()
 
         if isinstance(p, NamePat):
-            out = set()
-            for b in self.decomp(t, c, sub, p.pattern, g_cur, fuel - 1):
-                merged = _union(b, Bindings(((p.var, CtxTerm(c)),)))
-                if merged is not None:
-                    out.add(merged)
-            return out
+            bound = (Bindings(((p.var, CtxTerm(c)),)),)
+            return _cross(self.decomp(t, c, sub, p.pattern, g_cur, fuel - 1), bound)
 
         if isinstance(p, NtPat):
-            for rhs in productions_of(g_cur, p.name):
-                shrunk = g_cur
-                if self.removal:
-                    shrunk = remove_prod(g_cur, Production(p.name, rhs))
-                if self.decomp(t, c, sub, rhs, shrunk, fuel - 1):
+            for rhs, g_rhs in self._alternatives(p.name, g_cur):
+                if self.decomp(t, c, sub, rhs, g_rhs, fuel - 1):
                     return {EMPTY_BINDINGS}
             return set()
 
         if isinstance(p, ListPat):
             return self._decomp_list(t, c, sub, p)
-
         if isinstance(p, InHolePat):
             return self._decomp_inhole(t, c, sub, p, g_cur, fuel)
 
-        return set()
+        return set()  # a literal has no decomposition rule
 
     def _decomp_list(self, t: Term, c: Context, sub: Term, p: ListPat) -> set[Bindings]:
-        g1 = self.original
-        if not p.items:
+        parts = _list_parts(t) if p.items else None
+        if parts is None:
             return set()
+        head, tail_term, tail_items, head_rule, tail_rule = parts
         p_head, p_tail = p.items[0], ListPat(p.items[1:])
-
-        # A context term splits only along its own hole path: the head rule
-        # applies to head-tagged contexts, the tail rule to tail-tagged ones.
-        if isinstance(t, ListTerm) and t.items:
-            head, tail_items = t.items[0], t.items[1:]
-            tail_term: Term = ListTerm(tail_items)
-            head_rule = tail_rule = True
-        elif isinstance(t, CtxTerm) and isinstance(t.context, HeadCtx):
-            head, tail_items = CtxTerm(t.context.hole_side), t.context.tail
-            tail_term = ListTerm(tail_items)
-            head_rule, tail_rule = True, False
-        elif isinstance(t, CtxTerm) and isinstance(t.context, TailCtx):
-            head, tail_items = t.context.head, ()
-            tail_term = CtxTerm(t.context.rest)
-            head_rule, tail_rule = False, True
-        else:
-            return set()
-
+        g1, budget = self.original, self.budget
         out: set[Bindings] = set()
         if head_rule and isinstance(c, HeadCtx) and c.tail == tail_items:
-            inner = self.decomp(head, c.hole_side, sub, p_head, g1, self._reset(p_head))
+            inner = self.decomp(head, c.hole_side, sub, p_head, g1, budget)
             if inner:
-                tails = self.match(tail_term, p_tail, g1, self._reset(p_tail))
-                for bh in inner:
-                    for bt in tails:
-                        merged = _union(bh, bt)
-                        if merged is not None:
-                            out.add(merged)
+                out = _cross(inner, self.match(tail_term, p_tail, g1, budget))
         if tail_rule and isinstance(c, TailCtx) and c.head == head:
-            heads = self.match(head, p_head, g1, self._reset(p_head))
+            heads = self.match(head, p_head, g1, budget)
             if heads:
-                inner = self.decomp(
-                    tail_term, c.rest, sub, p_tail, g1, self._reset(p_tail)
-                )
-                for bh in heads:
-                    for bt in inner:
-                        merged = _union(bh, bt)
-                        if merged is not None:
-                            out.add(merged)
+                inner = self.decomp(tail_term, c.rest, sub, p_tail, g1, budget)
+                out |= _cross(heads, inner)
         return out
 
     def _decomp_inhole(
         self, t: Term, c: Context, sub: Term, p: InHolePat, g_cur: Grammar, fuel: int
     ) -> set[Bindings]:
-        g1 = self.original
         out: set[Bindings] = set()
         for c_outer, t_mid in enumerate_decompositions(t):
+            bcs = self.decomp(t, c_outer, t_mid, p.context_pat, g_cur, fuel - 1)
+            if not bcs:
+                continue
+            # a bare-hole context consumed no input: the nested split is the
+            # whole split, under the current grammar and the budget left
             if isinstance(c_outer, Hole):
-                # the context pattern matched a bare hole: the nested split
-                # works on the whole term under the current grammar
-                bcs = self.decomp(t, HOLE, t, p.context_pat, g_cur, fuel - 1)
-                if not bcs:
-                    continue
-                bhs = self.decomp(t, c, sub, p.hole_pat, g_cur, fuel - 1)
+                splits = ((c, sub),)
+                g_hole, f_hole = g_cur, fuel - 1
             else:
-                bcs = self.decomp(t, c_outer, t_mid, p.context_pat, g_cur, fuel - 1)
-                if not bcs:
-                    continue
-                bhs: set[Bindings] = set()
-                for c_inner, t_inner in enumerate_decompositions(t_mid):
-                    if compose(c_outer, c_inner) == c and t_inner == sub:
-                        bhs |= self.decomp(
-                            t_mid,
-                            c_inner,
-                            t_inner,
-                            p.hole_pat,
-                            g1,
-                            self._reset(p.hole_pat),
-                        )
-            for bc in bcs:
-                for bh in bhs:
-                    merged = _union(bc, bh)
-                    if merged is not None:
-                        out.add(merged)
+                splits = (
+                    (c_inner, t_inner)
+                    for c_inner, t_inner in enumerate_decompositions(t_mid)
+                    if compose(c_outer, c_inner) == c and t_inner == sub
+                )
+                g_hole, f_hole = self.original, self.budget
+            bhs: set[Bindings] = set()
+            for c_inner, t_inner in splits:
+                bhs |= self.decomp(t_mid, c_inner, t_inner, p.hole_pat, g_hole, f_hole)
+            out |= _cross(bcs, bhs)
         return out
 
 
@@ -352,23 +285,20 @@ def oracle_match(
     grammar: Grammar, term: Term, pattern: Pattern, current: Grammar | None = None
 ) -> set[Bindings]:
     """Bindings derivable for the matching judgment, by exhaustive search."""
-    if current is None:
-        current = grammar
-    search = _Search(grammar)
-    return search.match(term, pattern, current, _phase_budget(pattern, current))
+    current = grammar if current is None else current
+    search = _Search(grammar, current, pattern)
+    return search.match(term, pattern, current, search.budget)
 
 
 def oracle_decompose(
     grammar: Grammar, term: Term, pattern: Pattern, current: Grammar | None = None
 ) -> set[tuple[Context, Term, Bindings]]:
     """Derivable (context, sub-term, bindings) triples, by exhaustive search."""
-    if current is None:
-        current = grammar
-    search = _Search(grammar)
-    budget = _phase_budget(pattern, current)
+    current = grammar if current is None else current
+    search = _Search(grammar, current, pattern)
     out: set[tuple[Context, Term, Bindings]] = set()
     for c, sub in enumerate_decompositions(term):
-        for b in search.decomp(term, c, sub, pattern, current, budget):
+        for b in search.decomp(term, c, sub, pattern, current, search.budget):
             out.add((c, sub, b))
     return out
 
@@ -384,5 +314,5 @@ def oracle_match_original(
     search can loop without consuming input, and then raises
     OracleFuelError.
     """
-    search = _Search(grammar, removal=False)
-    return search.match(term, pattern, grammar, _phase_budget(pattern, grammar))
+    search = _Search(grammar, grammar, pattern, removal=False)
+    return search.match(term, pattern, grammar, search.budget)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import EngineError
@@ -30,59 +31,28 @@ class SList:
 
 SExpr = Atom | SList
 
-_DELIMS = "()"
-_WHITESPACE = " \t\r\n"
-
-
-class _Tokenizer:
-    def __init__(self, src: str):
-        self.src = src
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def _advance(self) -> str:
-        ch = self.src[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def tokens(self):
-        while self.pos < len(self.src):
-            line, col = self.line, self.col
-            ch = self.src[self.pos]
-            if ch in _WHITESPACE:
-                self._advance()
-                continue
-            if ch == ";":
-                while self.pos < len(self.src) and self.src[self.pos] != "\n":
-                    self._advance()
-                continue
-            if ch in _DELIMS:
-                self._advance()
-                yield ch, ch, line, col
-                continue
-            chars: list[str] = []
-            while self.pos < len(self.src) and self.src[self.pos] not in (
-                _WHITESPACE + _DELIMS + ";"
-            ):
-                chars.append(self._advance())
-            yield "atom", "".join(chars), line, col
+# Every character starts exactly one token: whitespace or a comment, which
+# are skipped, a delimiter, or an atom.  Atoms end only at the characters
+# listed here; `\s` would also end them at \x0b, \x0c or a no-break space.
+_TOKENS = re.compile(r"(?P<skip>[ \t\r\n]+|;[^\n]*)|[()]|[^ \t\r\n();]+")
 
 
 def parse_sexprs(src: str) -> list[SExpr]:
     """Parse all top-level s-expressions in src."""
-    tok = _Tokenizer(src)
     stack: list[tuple[list[SExpr], int, int]] = []
     top: list[SExpr] = []
-    for kind, text, line, col in tok.tokens():
-        if kind == "(":
+    line, line_start = 1, 0
+    for m in _TOKENS.finditer(src):
+        text = m.group()
+        if m.lastgroup == "skip":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = m.start() + text.rindex("\n") + 1
+            continue
+        col = m.start() - line_start + 1
+        if text == "(":
             stack.append(([], line, col))
-        elif kind == ")":
+        elif text == ")":
             if not stack:
                 raise ParseError("unbalanced ')'", line, col)
             items, l0, c0 = stack.pop()

@@ -174,6 +174,35 @@ class TestModuleEntryPoint:
 REDEX = "(in-hole (name E (nt E)) ((name f (nt v)) (name a (nt v))))"
 
 
+class TestHashSeedIndependence:
+    # results are sets; the output order rests on sorting alone
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "-p", "(nt E)"],
+            ["decompose", "-p", "(nt E)", "--format", "json"],
+            ["match", "-p", "(in-hole (name E (nt E)) (name x (nt v)))"],
+        ],
+        ids=["decompose-sexpr", "decompose-json", "match-bindings"],
+    )
+    def test_stdout_is_the_same_under_two_hash_seeds(self, argv):
+        src = os.path.dirname(os.path.dirname(redsem.__file__))
+        term = "(((λ x x) (λ y y)) ((λ z z) (λ w w)))"
+        outs = [
+            subprocess.run(
+                [sys.executable, "-m", "redsem.cli", *argv, "-g", LAMBDA_FILE]
+                + ["-t", term],
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                timeout=60,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert outs[0] == outs[1]
+        assert outs[0].count("bindings") > 1
+
+
 def right_chain(n: int) -> tuple[str, dict[str, list[str]]]:
     """Right chain n's source, and its answers derived by hand: the beta
     redex is the innermost application, and (nt E) puts the hole on each

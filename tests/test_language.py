@@ -29,6 +29,7 @@ from redsem import (
 )
 from redsem.language import parse_language, parse_template, print_pattern, to_context
 from redsem.reduction import InHoleTemplate, RefTemplate
+from redsem.sexpr import Atom, parse_sexprs
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -65,6 +66,22 @@ class TestParseTerm:
 
     def test_comments_ignored(self):
         assert parse_term("; note\n(a b) ; trailing") == parse_term("(a b)")
+
+
+class TestReader:
+    def test_atoms_end_only_at_listed_delimiters(self):
+        assert parse_sexprs("a\x0cb") == [Atom("a\x0cb")]
+
+    def test_position_after_crlf_and_comment(self):
+        (form,) = parse_sexprs("(a\r\n ;c\n  b)")
+        b = form.items[1]
+        assert (b.text, b.line, b.col) == ("b", 3, 3)
+
+    def test_unbalanced_close_reports_its_own_position(self):
+        with pytest.raises(ParseError) as e:
+            parse_sexprs("(a)\n\n  )")
+        assert (e.value.line, e.value.col) == (3, 3)
+        assert str(e.value) == "3:3: unbalanced ')'"
 
 
 class TestPrintTerm:

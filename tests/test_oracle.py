@@ -214,6 +214,18 @@ class TestOriginalSystem:
         with pytest.raises(OracleFuelError):
             oracle_match_original(g, t, NtPat("n"))
 
+    def test_budget_covers_a_long_chain_that_consumes_no_input(self):
+        # n0 -> (nt n1), ..., n119 -> (nt n120), n120 -> (in-hole hole
+        # (name x a)): not left recursive, yet over 120 steps in a row consume
+        # no input, through both judgments, before the literal is read
+        productions = [(f"n{i}", NtPat(f"n{i + 1}")) for i in range(120)]
+        productions.append(("n120", InHolePat(HOLE_PAT, NamePat("x", LitPat(A)))))
+        g, p = new_grammar(productions), NtPat("n0")
+        assert oracle_match_original(g, A, p) == oracle_match(g, A, p)
+        assert oracle_match(g, A, p) == {EMPTY_BINDINGS}
+        one = ListTerm((A,))
+        assert oracle_match_original(g, one, p) == oracle_match(g, one, p) == set()
+
     @given(seeds)
     @settings(max_examples=60, deadline=None)
     def test_equals_generalized_at_original_grammar(self, seed):
