@@ -1,0 +1,172 @@
+"""Record classes: values with named fields, built without generated code.
+
+`record` gives a class whose annotations name its fields the methods of
+a frozen dataclass:
+
+- ``__init__`` takes the fields in order, by position or by keyword; the
+  class attributes of the last fields are their defaults, and a
+  ``__post_init__`` of the class runs last;
+- ``__eq__`` compares the tuples of the compared fields (every field,
+  unless `compare` names some) of two instances of the same class, and
+  returns NotImplemented for any other operand; ``__hash__`` hashes that
+  tuple;
+- ``__repr__`` is ``Name(field=value, ...)`` over every field;
+- ``__setattr__`` and ``__delattr__`` raise AttributeError, and pickle
+  and copy rebuild an instance from its fields.  With ``frozen=False``
+  instances are mutable and unhashable instead.
+
+A method the class body defines is kept, and ``__match_args__`` is the
+field list.  Each method is a template below, for its number of fields,
+with the placeholder names ``_0``, ``_1`` and ``_2`` renamed to the
+field names in a copy of its code object: it reads the fields as
+attributes, as generated code would, takes them as keywords, and making
+the class compiles nothing.
+"""
+
+from types import FunctionType
+
+_set = object.__setattr__
+
+
+def _inits(k0=None, k1=None, k2=None):
+    def init1(self, _0):
+        _set(self, k0, _0)
+
+    def init2(self, _0, _1):
+        _set(self, k0, _0)
+        _set(self, k1, _1)
+
+    def init3(self, _0, _1, _2):
+        _set(self, k0, _0)
+        _set(self, k1, _1)
+        _set(self, k2, _2)
+
+    return None, init1, init2, init3
+
+
+def _eq0(self, other):
+    if other.__class__ is self.__class__:
+        return True
+    return NotImplemented
+
+
+def _eq1(self, other):
+    if other.__class__ is self.__class__:
+        return (self._0,) == (other._0,)
+    return NotImplemented
+
+
+def _eq2(self, other):
+    if other.__class__ is self.__class__:
+        return (self._0, self._1) == (other._0, other._1)
+    return NotImplemented
+
+
+def _eq3(self, other):
+    if other.__class__ is self.__class__:
+        return (self._0, self._1, self._2) == (other._0, other._1, other._2)
+    return NotImplemented
+
+
+def _hash0(self):
+    return hash(())
+
+
+def _hash1(self):
+    return hash((self._0,))
+
+
+def _hash2(self):
+    return hash((self._0, self._1))
+
+
+def _hash3(self):
+    return hash((self._0, self._1, self._2))
+
+
+_EQS = _eq0, _eq1, _eq2, _eq3
+_HASHES = _hash0, _hash1, _hash2, _hash3
+
+
+def _reprs(l0, l1=None, l2=None):
+    def repr0(self):
+        return f"{l0})"
+
+    def repr1(self):
+        return f"{l0}{self._0!r})"
+
+    def repr2(self):
+        return f"{l0}{self._0!r}{l1}{self._1!r})"
+
+    def repr3(self):
+        return f"{l0}{self._0!r}{l1}{self._1!r}{l2}{self._2!r})"
+
+    return repr0, repr1, repr2, repr3
+
+
+def _then_post_init(init):
+    def __init__(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.__post_init__()
+
+    return __init__
+
+
+def _refuse_set(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _refuse_del(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _by_fields(self):
+    return self.__class__, tuple([getattr(self, k) for k in self.__match_args__])
+
+
+def _renamed(template, fields, defaults=None):
+    names = {f"_{i}": k for i, k in enumerate(fields)}
+    code = template.__code__
+    code = code.replace(
+        co_names=tuple([names.get(n, n) for n in code.co_names]),
+        co_varnames=tuple([names.get(n, n) for n in code.co_varnames]),
+    )
+    closure = template.__closure__
+    return FunctionType(code, template.__globals__, None, defaults or None, closure)
+
+
+def record(cls=None, /, *, compare=None, frozen=True):
+    """Give cls the methods the module docstring lists."""
+    if cls is None:
+        return lambda cls: record(cls, compare=compare, frozen=frozen)
+    fields = tuple(cls.__annotations__)
+    compared = fields if compare is None else compare
+    # a slot's member descriptor is not a default
+    slots = cls.__dict__.get("__slots__", ())
+    defaults = tuple(
+        [cls.__dict__[k] for k in fields if k in cls.__dict__ and k not in slots]
+    )
+    # the text before each field's value: "Name(" and "field=", or ", field="
+    labels = [f"{', ' if i else ''}{k}=" for i, k in enumerate(fields)] or [""]
+    labels[0] = f"{cls.__qualname__}({labels[0]}"
+    made = {
+        "__eq__": _renamed(_EQS[len(compared)], compared),
+        "__hash__": _renamed(_HASHES[len(compared)], compared) if frozen else None,
+        "__repr__": _renamed(_reprs(*labels)[len(fields)], fields),
+    }
+    if fields:
+        made["__init__"] = _renamed(_inits(*fields)[len(fields)], fields, defaults)
+    if "__post_init__" in cls.__dict__:
+        made["__init__"] = _then_post_init(made["__init__"])
+    for name, method in made.items():
+        if cls.__dict__.get(name) is None:
+            if method is not None:  # named for tracebacks and profiles
+                method.__code__ = method.__code__.replace(co_name=name)
+                method.__name__ = name
+                method.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, method)
+    if frozen:
+        cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_del
+        cls.__reduce__ = _by_fields
+    cls.__match_args__ = fields
+    return cls

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
+from ._record import record
 from .errors import EngineError
 from .terms import HolePat, InHolePat, NamePat, NtPat, Pattern, subpatterns
 
@@ -13,13 +13,13 @@ class ProductionNotFoundError(EngineError):
     """Raised when removing a production that is not in the grammar."""
 
 
-@dataclass(frozen=True)
+@record
 class Production:
     nonterminal: str
     pattern: Pattern
 
 
-@dataclass(frozen=True)
+@record
 class Grammar:
     productions: tuple[Production, ...]
 

@@ -10,8 +10,8 @@ number of `(rule <name> <lhs> <rhs>)` forms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import EngineError
 from .grammar import Grammar, Production, new_grammar
 from .matching import Bindings
@@ -261,7 +261,7 @@ def _bindings_text(printed: dict[str, str]) -> str:
     return f"(bindings{pairs})"
 
 
-@dataclass(frozen=True)
+@record
 class LanguageDef:
     name: str
     grammar: Grammar

@@ -11,9 +11,9 @@ terminates on every grammar, left-recursive ones included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Generator, Union
+from collections.abc import Generator
 
+from ._record import record
 from .errors import EngineError
 from .grammar import Grammar, Production
 from .terms import (
@@ -48,10 +48,11 @@ class SoundnessCheckError(EngineError):
     """A produced decomposition failed its plug/subterm invariant."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Bindings:
     """Finite map from pattern variables to terms, sorted by variable."""
 
+    __slots__ = ("entries",)
     entries: tuple[tuple[str, Term], ...]
 
     def get(self, var: str) -> Term | None:
@@ -83,31 +84,33 @@ def bindings_union(b1: Bindings, b2: Bindings) -> Bindings | None:
     return Bindings(tuple(sorted(merged.items())))
 
 
-@dataclass(frozen=True)
+@record
 class EmptyDecomposition:
     """The pattern matched the whole term; nothing was split off."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ContextDecomposition:
     """The term was split into a context and the sub-term in its hole."""
 
+    __slots__ = ("context", "subterm")
     context: Context
     subterm: Term
 
 
-Decomposition = Union[EmptyDecomposition, ContextDecomposition]
+Decomposition = EmptyDecomposition | ContextDecomposition
 
 EMPTY_DECOMPOSITION = EmptyDecomposition()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MatchResult:
+    __slots__ = ("decomposition", "bindings")
     decomposition: Decomposition
     bindings: Bindings
 
 
-Shape = Union[Literal, int, None]
+Shape = Literal | int | None
 Entry = tuple[int, Pattern, int, Shape]
 
 
@@ -248,6 +251,34 @@ def grammar_index(g: Grammar) -> GrammarIndex:
     return index
 
 
+def _from_immediate_part(sub: Term, t: Term) -> bool:
+    """True when sub is, or was built from, one of t's immediate sub-term
+    positions (`terms.immediate_subterms`), compared by identity: a
+    list's head, or its tail items one by one; a context term's hole side
+    or tail, or its head or rest."""
+    if isinstance(t, ListTerm):
+        items = t.items
+        if not items:
+            return False
+        if sub is items[0]:
+            return True
+        return (
+            isinstance(sub, ListTerm)
+            and len(sub.items) == len(items) - 1
+            and all(a is b for a, b in zip(sub.items, items[1:]))
+        )
+    if not isinstance(t, CtxTerm):
+        return False
+    c = t.context
+    if isinstance(c, HeadCtx):
+        if isinstance(sub, CtxTerm):
+            return sub.context is c.hole_side
+        return isinstance(sub, ListTerm) and sub.items is c.tail
+    if isinstance(c, TailCtx):
+        return sub is c.head or (isinstance(sub, CtxTerm) and sub.context is c.rest)
+    return False
+
+
 def mask_order_decreases(
     index: GrammarIndex,
     t_next: Term,
@@ -263,10 +294,12 @@ def mask_order_decreases(
     Either the term shrank to a proper subterm, or the term is unchanged
     and the (pattern, grammar) pair took one of the four non-consuming
     steps: into an in-hole component, into a name body, or into one
-    production of a non-terminal with that production removed.
+    production of a non-terminal with that production removed.  A term
+    built from one of t_prev's immediate parts is a proper subterm found
+    without the `is_proper_subterm` scan.
     """
     if t_next is not t_prev:
-        if is_proper_subterm(t_next, t_prev):
+        if _from_immediate_part(t_next, t_prev) or is_proper_subterm(t_next, t_prev):
             return True
         if t_next != t_prev:
             return False

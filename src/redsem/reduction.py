@@ -8,9 +8,7 @@ inside evaluation contexts without a substitution function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
-
+from ._record import record
 from .errors import EngineError
 from .grammar import Grammar
 from .matching import Bindings, matches
@@ -35,29 +33,29 @@ class TemplateContextError(EngineError):
     """The context slot of an in-hole template produced a non-context."""
 
 
-@dataclass(frozen=True)
+@record
 class LitTemplate:
     lit: Literal
 
 
-@dataclass(frozen=True)
+@record
 class HoleTemplate:
     """Instantiates to a bare hole context term."""
 
 
-@dataclass(frozen=True)
+@record
 class ListTemplate:
     items: tuple["Template", ...]
 
 
-@dataclass(frozen=True)
+@record
 class RefTemplate:
     """Instantiates to the term bound to the variable."""
 
     var: str
 
 
-@dataclass(frozen=True)
+@record
 class InHoleTemplate:
     """Plugs the instantiated body into the instantiated context."""
 
@@ -65,7 +63,7 @@ class InHoleTemplate:
     body: "Template"
 
 
-Template = Union[LitTemplate, HoleTemplate, ListTemplate, RefTemplate, InHoleTemplate]
+Template = LitTemplate | HoleTemplate | ListTemplate | RefTemplate | InHoleTemplate
 
 
 def template_vars(tpl: Template) -> set[str]:
@@ -85,7 +83,7 @@ def pattern_binding_vars(p: Pattern) -> set[str]:
     return {q.var for q in subpatterns(p) if isinstance(q, NamePat)}
 
 
-@dataclass(frozen=True)
+@record
 class Rule:
     name: str
     lhs: Pattern
@@ -149,7 +147,7 @@ CYCLE = "cycle"
 REDUCED = "reduced"
 
 
-@dataclass
+@record(frozen=False)
 class Trace:
     """Breadth-first reduction graph up to a depth bound.
 
@@ -158,9 +156,14 @@ class Trace:
     (source, rule name, target) triples.
     """
 
-    nodes: list[Term] = field(default_factory=list)
-    statuses: list[str] = field(default_factory=list)
-    edges: list[tuple[int, str, int]] = field(default_factory=list)
+    nodes: list[Term]
+    statuses: list[str]
+    edges: list[tuple[int, str, int]]
+
+    def __init__(self, nodes=None, statuses=None, edges=None):
+        self.nodes = [] if nodes is None else nodes
+        self.statuses = [] if statuses is None else statuses
+        self.edges = [] if edges is None else edges
 
 
 def trace(grammar: Grammar, rules: list[Rule], term: Term, max_steps: int) -> Trace:

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
+from ._record import record
 from .errors import EngineError
 
 
@@ -15,18 +15,19 @@ class ParseError(EngineError):
         self.col = col
 
 
-@dataclass(frozen=True)
+# line and col locate a node in its source: they take no part in equality
+@record(compare=("text",))
 class Atom:
     text: str
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+    line: int = 0
+    col: int = 0
 
 
-@dataclass(frozen=True)
+@record(compare=("items",))
 class SList:
     items: tuple["SExpr", ...]
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+    line: int = 0
+    col: int = 0
 
 
 SExpr = Atom | SList

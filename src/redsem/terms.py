@@ -8,11 +8,12 @@ follow a path instead of searching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Union
+from collections.abc import Iterator
+
+from ._record import record
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class Literal:
     """Atomic term: a symbol (str), an integer, or a boolean.
 
@@ -36,83 +37,73 @@ class Literal:
         return f"Literal({self.value!r})"
 
 
-def _by_fields(node):
-    """Pickle and copy a slotted node by its fields: a frozen dataclass
-    refuses the assignments that would restore its slots."""
-    return type(node), tuple(getattr(node, f) for f in node.__dataclass_fields__)
-
-
-@dataclass(frozen=True)
+@record
 class ListTerm:
     """A list of zero or more terms."""
 
     __slots__ = ("items", "_size")
-    __reduce__ = _by_fields
     items: tuple["Term", ...]
 
 
-@dataclass(frozen=True)
+@record
 class CtxTerm:
     """A context embedded in term position."""
 
     __slots__ = ("context", "_size")
-    __reduce__ = _by_fields
     context: "Context"
 
 
-@dataclass(frozen=True)
+@record
 class Hole:
     """The marked position of a context."""
 
 
-@dataclass(frozen=True)
+@record
 class HeadCtx:
     """List context whose hole lies inside the head element."""
 
     __slots__ = ("hole_side", "tail", "_size")
-    __reduce__ = _by_fields
     hole_side: "Context"
     tail: tuple["Term", ...]
 
 
-@dataclass(frozen=True)
+@record
 class TailCtx:
     """List context whose hole lies somewhere in the tail."""
 
     __slots__ = ("head", "rest", "_size")
-    __reduce__ = _by_fields
     head: "Term"
     rest: "ListContext"
 
 
-Term = Union[Literal, ListTerm, CtxTerm]
-Context = Union[Hole, HeadCtx, TailCtx]
-ListContext = Union[HeadCtx, TailCtx]
+Term = Literal | ListTerm | CtxTerm
+Context = Hole | HeadCtx | TailCtx
+ListContext = HeadCtx | TailCtx
 
 HOLE = Hole()
 HOLE_TERM = CtxTerm(HOLE)
 
 
-@dataclass(frozen=True)
+@record
 class LitPat:
     """Matches exactly one literal."""
 
     lit: Literal
 
 
-@dataclass(frozen=True)
+@record
 class HolePat:
     """Matches the hole context; decomposes any term trivially."""
 
 
-@dataclass(frozen=True)
+@record
 class ListPat:
     """Matches a list of terms element-wise."""
 
     items: tuple["Pattern", ...]
 
 
-@dataclass(frozen=True)
+@record
 class NamePat:
     """Matches the sub-pattern and binds the matched value to a variable."""
 
@@ -120,14 +111,14 @@ class NamePat:
     pattern: "Pattern"
 
 
-@dataclass(frozen=True)
+@record
 class NtPat:
     """Matches any term produced by a grammar non-terminal."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class InHolePat:
     """Matches terms decomposable into a context and a focused sub-term."""
 
@@ -135,45 +126,50 @@ class InHolePat:
     hole_pat: "Pattern"
 
 
-Pattern = Union[LitPat, HolePat, ListPat, NamePat, NtPat, InHolePat]
+Pattern = LitPat | HolePat | ListPat | NamePat | NtPat | InHolePat
 
 HOLE_PAT = HolePat()
 
 
-def term_size(t: Term) -> int:
-    """Number of nodes of t, cached on each list and context node.
+def term_size(t: Term | Context) -> int:
+    """Number of nodes of a term or a context, cached on each list and
+    context node.
 
-    The cache is a slot outside the dataclass fields, so it takes no part
-    in equality, hashing or repr.
+    The cache is a slot outside the fields, so it takes no part in
+    equality, hashing or repr.  Nodes not sized yet are sized bottom-up on
+    an explicit stack, so depth costs no Python stack.
     """
-    if isinstance(t, Literal):
+    if isinstance(t, (Literal, Hole)):
         return 1
     size = getattr(t, "_size", None)
-    if size is None:
-        if isinstance(t, ListTerm):
-            size = 1
-            for item in t.items:
-                size += term_size(item)
+    if size is not None:
+        return size
+    todo = [t]
+    while todo:
+        node = todo[-1]
+        if isinstance(node, ListTerm):
+            parts = node.items
+        elif isinstance(node, CtxTerm):
+            parts = (node.context,)
+        elif isinstance(node, HeadCtx):
+            parts = (node.hole_side, *node.tail)
         else:
-            size = 1 + context_size(t.context)
-        object.__setattr__(t, "_size", size)
-    return size
-
-
-def context_size(c: Context) -> int:
-    """Number of nodes of c, cached like term_size."""
-    if isinstance(c, Hole):
-        return 1
-    size = getattr(c, "_size", None)
-    if size is None:
-        if isinstance(c, HeadCtx):
-            size = 1 + context_size(c.hole_side)
-            for item in c.tail:
-                size += term_size(item)
-        else:
-            size = 1 + term_size(c.head) + context_size(c.rest)
-        object.__setattr__(c, "_size", size)
-    return size
+            parts = (node.head, node.rest)
+        size, ready = 1, True
+        for part in parts:
+            if isinstance(part, (Literal, Hole)):
+                size += 1
+                continue
+            n = getattr(part, "_size", None)
+            if n is None:
+                todo.append(part)
+                ready = False
+            else:
+                size += n
+        if ready:
+            todo.pop()
+            object.__setattr__(node, "_size", size)
+    return t._size
 
 
 def pattern_size(p: Pattern) -> int:

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import os
 import pickle
 import random
@@ -12,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import redsem
 from conftest import LAMBDA_FILE
-from genterms import gen_case
+from genterms import gen_case, gen_term
 from redsem import (
     HOLE,
     HOLE_PAT,
@@ -49,6 +48,7 @@ from redsem import (
 from redsem.matching import (
     EMPTY_BINDINGS,
     EMPTY_DECOMPOSITION,
+    _from_immediate_part,
     _list_count,
     bind_name,
     bindings_union,
@@ -59,6 +59,7 @@ from redsem.matching import (
 )
 from redsem.terms import (
     compose,
+    immediate_subterms,
     is_proper_subterm,
     proper_subterms,
     subpatterns,
@@ -387,6 +388,32 @@ class TestTupleOrder:
         )
 
 
+class TestImmediatePart:
+    """The order check's identity path: a term built from one of the
+    parent term's immediate parts is accepted without a scan."""
+
+    @given(seeds)
+    @settings(max_examples=80, deadline=None)
+    def test_identity_path_is_sound_and_needs_the_same_objects(self, seed):
+        rng = random.Random(seed)
+        t = gen_term(rng, 5)
+        terms = [t, *list(proper_subterms(t))[:30]]
+        index = grammar_index(EMPTY_G)
+        for prev in terms[:10]:
+            parts = list(immediate_subterms(prev))
+            assert all(_from_immediate_part(sub, prev) for sub in parts)
+            for sub in parts + [rng.choice(terms), gen_term(rng, 3)]:
+                if not _from_immediate_part(sub, prev):
+                    continue
+                assert is_proper_subterm(sub, prev)
+                # an equal copy is found by the scan; only the empty
+                # list's items, the shared (), are the same object
+                twin = copy.deepcopy(sub)
+                if twin != ListTerm(()):
+                    assert not _from_immediate_part(twin, prev)
+                assert mask_order_decreases(index, twin, HOLE_PAT, 0, prev, HOLE_PAT, 0)
+
+
 def right_chain(n):
     """((λ v v) (... ((λ x x) (λ x x)))) with n applications."""
     src = "(λ x x)"
@@ -600,28 +627,29 @@ def test_deep_right_chain_within_default_recursion_limit(lam):
 
 
 # Builds chains without the parser and runs the matcher on them at the
-# default recursion limit.  The results are not hashed, compared or
-# printed: the term layer still recurses on the Python stack.
+# default recursion limit, with the debug checks on when argv[3] is "1".
+# The results are not hashed, compared or printed: the term layer still
+# recurses on the Python stack.
 UNPARSED_CHAIN_SCRIPT = """\
 import sys
 from redsem import ListTerm, Literal, load_language, match_decompose, parse_pattern
 g = load_language(sys.argv[1]).grammar
-n = int(sys.argv[2])
+n, debug = int(sys.argv[2]), sys.argv[3] == "1"
 def lam(i):
     v = Literal("xyzwfg"[i % 6])
     return ListTerm((Literal("λ"), v, v))
-for pattern in sys.argv[3:]:
+for pattern in sys.argv[4:]:
     for right in (True, False):
         t = ListTerm((Literal("λ"), Literal("x"), Literal("x")))
         for i in range(1, n + 1):
             t = ListTerm((lam(i), t) if right else (t, lam(i)))
-        print(len(match_decompose(g, t, parse_pattern(pattern), debug=False)))
+        print(len(match_decompose(g, t, parse_pattern(pattern), debug=debug)))
 """
 
 
 def same_without_recursion(a, b) -> bool:
     """a == b for results, terms and contexts, compared on an explicit
-    stack: the generated __eq__ recurses a few frames per level."""
+    stack, field by field: `__eq__` recurses a frame or two per level."""
     todo = [(a, b)]
     while todo:
         x, y = todo.pop()
@@ -633,28 +661,39 @@ def same_without_recursion(a, b) -> bool:
             if len(x) != len(y):
                 return False
             todo.extend(zip(x, y))
-        elif dataclasses.is_dataclass(x) and not isinstance(x, Literal):
-            for f in dataclasses.fields(x):
-                todo.append((getattr(x, f.name), getattr(y, f.name)))
+        elif hasattr(x, "__match_args__") and not isinstance(x, Literal):
+            for name in x.__match_args__:
+                todo.append((getattr(x, name), getattr(y, name)))
         elif x != y:
             return False
     return True
+
+
+def run_unparsed_chains(debug):
+    src = os.path.dirname(os.path.dirname(redsem.__file__))
+    patterns = [CHAIN_PATTERNS["e"], CHAIN_PATTERNS["redex"]]
+    argv = [LAMBDA_FILE, "2000", "1" if debug else "0", *patterns]
+    return subprocess.run(
+        [sys.executable, "-c", UNPARSED_CHAIN_SCRIPT, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
 
 
 class TestDepth:
     def test_matcher_needs_no_python_stack_per_level(self):
         # matching on the Python stack took about ten frames per chain
         # level, so 2,000 levels need the work stack
-        src = os.path.dirname(os.path.dirname(redsem.__file__))
-        patterns = [CHAIN_PATTERNS["e"], CHAIN_PATTERNS["redex"]]
-        proc = subprocess.run(
-            [sys.executable, "-c", UNPARSED_CHAIN_SCRIPT, LAMBDA_FILE, "2000"]
-            + patterns,
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=src),
-            timeout=120,
-        )
+        proc = run_unparsed_chains(debug=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "1\n" * 4
+
+    def test_checked_matcher_needs_no_python_stack_per_level(self):
+        # each edge's order check finds the new term among the parts of
+        # the old one, and term_size runs on its own stack
+        proc = run_unparsed_chains(debug=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "1\n" * 4
 
@@ -842,6 +881,17 @@ class TestExactPruning:
         got = match_decompose(lam.grammar, t, p, debug=True)
         assert len(got) == CHAIN_RESULT_COUNTS[("right", 16, name)][0]
         assert calls[0] == self.PRUNED_EDGES[name]
+
+    # is_proper_subterm scans in the same queries; before the order check
+    # accepted the parts of the parent term by identity, 252, 290 and 166
+    SUBTERM_SCANS = {"redex": 1, "E": 0, "e": 0}
+
+    @pytest.mark.parametrize("name", sorted(SUBTERM_SCANS))
+    def test_subterm_scans_pinned(self, lam, monkeypatch, name):
+        calls = inject(monkeypatch, "is_proper_subterm")
+        t, p = right_chain(16), parse_pattern(CHAIN_PATTERNS[name])
+        match_decompose(lam.grammar, t, p, debug=True)
+        assert calls[0] == self.SUBTERM_SCANS[name]
 
 
 DEPTH_SCRIPT = """\

@@ -1,0 +1,241 @@
+"""The engine's value classes: constructors, equality, hashing, repr,
+immutability, pickling, and what importing the engine loads."""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+
+import pytest
+
+import redsem
+from redsem import (
+    HOLE,
+    HOLE_PAT,
+    Bindings,
+    ContextDecomposition,
+    CtxTerm,
+    Grammar,
+    HeadCtx,
+    Hole,
+    HolePat,
+    InHolePat,
+    ListPat,
+    ListTerm,
+    Literal,
+    LitPat,
+    MatchResult,
+    NamePat,
+    NtPat,
+    Production,
+    TailCtx,
+    Trace,
+    UnboundTemplateVariableError,
+    new_grammar,
+)
+from redsem.language import LanguageDef
+from redsem.matching import EMPTY_BINDINGS, EMPTY_DECOMPOSITION, EmptyDecomposition
+from redsem.reduction import (
+    HoleTemplate,
+    InHoleTemplate,
+    ListTemplate,
+    LitTemplate,
+    RefTemplate,
+    Rule,
+)
+from redsem.sexpr import Atom, SList
+
+SRC = os.path.dirname(os.path.dirname(redsem.__file__))
+A, B = Literal("a"), Literal("b")
+CTX = TailCtx(A, HeadCtx(HOLE, (B,)))
+RULE = Rule("r", NamePat("x", HOLE_PAT), RefTemplate("x"))
+GRAMMAR = new_grammar([("e", HOLE_PAT), ("e", LitPat(A))])
+
+# one instance of every value class of the engine
+FROZEN = [
+    A,
+    ListTerm((A, B)),
+    CtxTerm(CTX),
+    HOLE,
+    HeadCtx(HOLE, (A,)),
+    CTX,
+    LitPat(A),
+    HOLE_PAT,
+    ListPat((HOLE_PAT, LitPat(B))),
+    NamePat("x", HOLE_PAT),
+    NtPat("e"),
+    InHolePat(NtPat("e"), HOLE_PAT),
+    LitTemplate(A),
+    HoleTemplate(),
+    ListTemplate((HoleTemplate(), LitTemplate(B))),
+    RefTemplate("x"),
+    InHoleTemplate(RefTemplate("x"), HoleTemplate()),
+    RULE,
+    Bindings((("x", A),)),
+    EMPTY_DECOMPOSITION,
+    ContextDecomposition(CTX, A),
+    MatchResult(ContextDecomposition(CTX, A), EMPTY_BINDINGS),
+    Production("e", HOLE_PAT),
+    GRAMMAR,
+    Atom("a", 2, 3),
+    SList((Atom("a"),), 1, 1),
+    LanguageDef("L", GRAMMAR, (RULE,)),
+]
+TRACE = Trace([A, B], ["reduced", "normal-form"], [(0, "r", 1)])
+
+
+def test_every_class_is_covered():
+    modules = [redsem.terms, redsem.grammar, redsem.matching, redsem.reduction]
+    modules += [redsem.sexpr, redsem.language]
+    classes = {
+        value
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, type) and "__match_args__" in vars(value)
+    }
+    assert classes == {type(x) for x in FROZEN + [TRACE]}
+    assert len(classes) == 28
+
+
+@pytest.mark.parametrize("x", FROZEN, ids=lambda x: type(x).__name__)
+def test_fields_can_be_neither_assigned_nor_deleted(x):
+    for name in x.__match_args__ + ("other",):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+
+
+@pytest.mark.parametrize("x", FROZEN + [TRACE], ids=lambda x: type(x).__name__)
+def test_pickle_and_deepcopy_give_an_equal_object(x):
+    for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+        assert y == x and type(y) is type(x) and y is not x
+        assert repr(y) == repr(x)
+
+
+@pytest.mark.parametrize("x", FROZEN, ids=lambda x: type(x).__name__)
+def test_equality_and_hash_are_those_of_the_field_tuple(x):
+    if isinstance(x, (Literal, Atom, SList)):
+        return  # their own rules, tested elsewhere
+    fields = tuple(getattr(x, name) for name in x.__match_args__)
+    twin = type(x)(*fields)
+    assert twin == x and hash(twin) == hash(x) == hash(fields)
+    assert type(x)(**dict(zip(x.__match_args__, fields))) == x
+    assert x.__eq__(fields) is NotImplemented
+    assert x != fields
+
+
+def test_atom_and_slist_compare_without_their_position():
+    assert Atom("a", 1, 2) == Atom("a") and hash(Atom("a", 1, 2)) == hash(("a",))
+    assert Atom("a") != Atom("b")
+    items = (Atom("a"),)
+    assert SList(items, 3, 4) == SList(items) and hash(SList(items, 3, 4)) == hash(
+        (items,)
+    )
+    assert repr(Atom("a", 1, 2)) == "Atom(text='a', line=1, col=2)"
+    assert repr(SList(items, col=4)) == (
+        "SList(items=(Atom(text='a', line=0, col=0),), line=0, col=4)"
+    )
+
+
+def test_pinned_reprs():
+    assert repr(CtxTerm(CTX)) == (
+        "CtxTerm(context=TailCtx(head=Literal('a'), "
+        "rest=HeadCtx(hole_side=Hole(), tail=(Literal('b'),))))"
+    )
+    assert repr(HeadCtx(HOLE, ())) == "HeadCtx(hole_side=Hole(), tail=())"
+    assert repr(InHolePat(NtPat("E"), ListPat((HOLE_PAT,)))) == (
+        "InHolePat(context_pat=NtPat(name='E'), hole_pat=ListPat(items=(HolePat(),)))"
+    )
+    assert repr(GRAMMAR) == (
+        "Grammar(productions=(Production(nonterminal='e', pattern=HolePat()), "
+        "Production(nonterminal='e', pattern=LitPat(lit=Literal('a')))))"
+    )
+    assert repr(RULE) == (
+        "Rule(name='r', lhs=NamePat(var='x', pattern=HolePat()), "
+        "rhs=RefTemplate(var='x'))"
+    )
+    assert repr(MatchResult(ContextDecomposition(HOLE, A), Bindings((("x", A),)))) == (
+        "MatchResult(decomposition=ContextDecomposition(context=Hole(), "
+        "subterm=Literal('a')), bindings=Bindings(entries=(('x', Literal('a')),)))"
+    )
+    assert repr(TRACE) == (
+        "Trace(nodes=[Literal('a'), Literal('b')], "
+        "statuses=['reduced', 'normal-form'], edges=[(0, 'r', 1)])"
+    )
+
+
+def test_classes_without_fields_are_all_equal():
+    assert Hole() == HOLE and HolePat() == HOLE_PAT
+    assert EmptyDecomposition() == EMPTY_DECOMPOSITION
+    assert hash(Hole()) == hash(()) and Hole() != HolePat()
+
+
+def test_trace_is_mutable_and_unhashable():
+    tr = Trace()
+    assert (tr.nodes, tr.statuses, tr.edges) == ([], [], [])
+    assert Trace().nodes is not tr.nodes
+    tr.nodes = [A]
+    assert tr == Trace(nodes=[A]) and tr != Trace()
+    with pytest.raises(TypeError):
+        hash(tr)
+
+
+def test_rule_checks_its_template_by_position_and_by_keyword():
+    with pytest.raises(UnboundTemplateVariableError, match="variable.*: y"):
+        Rule("r", NamePat("x", HOLE_PAT), RefTemplate("y"))
+    with pytest.raises(UnboundTemplateVariableError, match="variable.*: y"):
+        Rule(rhs=RefTemplate("y"), lhs=NamePat("x", HOLE_PAT), name="r")
+
+
+def test_constructors_take_the_fields_in_order():
+    assert ListTerm(items=(A,)) == ListTerm((A,))
+    assert TailCtx(rest=HeadCtx(HOLE, ()), head=A) == TailCtx(A, HeadCtx(HOLE, ()))
+    assert Atom("a").line == Atom("a").col == 0
+    with pytest.raises(TypeError, match="ListTerm.__init__"):
+        ListTerm()
+    with pytest.raises(TypeError):
+        HeadCtx(HOLE)
+    with pytest.raises(TypeError):
+        Production("e", HOLE_PAT, HOLE_PAT)
+    with pytest.raises(TypeError):
+        NtPat(nonterminal="e")
+    with pytest.raises(TypeError):
+        Hole(1)
+
+
+def test_the_caches_outside_the_fields_still_work():
+    t = ListTerm((A, B))
+    object.__setattr__(t, "_size", 3)
+    assert t._size == 3 and t == ListTerm((A, B))
+    g = Grammar((Production("e", HOLE_PAT),))
+    object.__setattr__(g, "_index", "cached")
+    assert g.__dict__["_index"] == "cached" and g == Grammar(g.productions)
+
+
+def test_importing_the_engine_generates_and_loads_no_code_tools():
+    # `site` imports typing on some installs, so run without it
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-S",
+            "-c",
+            "import sys, redsem; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))",
+        ],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_no_engine_source_runs_generated_code():
+    for name in sorted(os.listdir(os.path.join(SRC, "redsem"))):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, "redsem", name), encoding="utf-8") as f:
+                text = f.read()
+            assert "exec(" not in text and "eval(" not in text, name

@@ -83,6 +83,14 @@ class TestTermSize:
         assert t == twin and hash(t) == hash(twin)
         assert term_size(twin) == term_size(t)
 
+    def test_sizes_terms_and_contexts_10_000_deep(self):
+        t, c = A, HOLE
+        for _ in range(10_000):
+            t, c = ListTerm((t, B)), TailCtx(B, HeadCtx(c, ()))
+        assert term_size(t) == 20_001
+        assert term_size(CtxTerm(c)) == 30_002
+        assert term_size(c) == 30_001 and term_size(c.rest) == 29_999
+
 
 class TestProperSubterm:
     def test_element_of_list(self):
