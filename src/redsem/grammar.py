@@ -60,6 +60,11 @@ def is_subgrammar(g1: Grammar, g2: Grammar) -> bool:
     return all(p in g2.productions for p in g1.productions)
 
 
+def _universe(g: Grammar) -> dict[Pattern, None]:
+    """Every sub-pattern of g's productions, once each, in first-seen order."""
+    return {sp: None for prod in g.productions for sp in subpatterns(prod.pattern)}
+
+
 def hole_matchable(g: Grammar) -> set[Pattern]:
     """Sub-patterns of the grammar's productions that can match a bare hole.
 
@@ -67,11 +72,7 @@ def hole_matchable(g: Grammar) -> set[Pattern]:
     its body can; a non-terminal can iff one of its productions can; an
     in-hole pattern can iff both components can.  Everything else cannot.
     """
-    universe: dict[Pattern, None] = {}
-    for prod in g.productions:
-        for sp in subpatterns(prod.pattern):
-            universe[sp] = None
-
+    universe = _universe(g)
     matchable: set[Pattern] = {p for p in universe if isinstance(p, HolePat)}
     changed = True
     while changed:
@@ -118,41 +119,32 @@ def find_left_recursion(g: Grammar) -> tuple[Pattern, ...] | None:
     pattern to its context component, and to its hole component when the
     context component can match a hole.  A cycle means matching could loop
     without consuming input.
+
+    One depth-first search (Tarjan 1972) from each sub-pattern not yet
+    done, on an explicit path: a successor on the path closes the witness
+    cycle, and a pattern is done once all its successors are.
     """
     matchable = hole_matchable(g)
-    universe: dict[Pattern, None] = {}
-    for prod in g.productions:
-        for sp in subpatterns(prod.pattern):
-            universe[sp] = None
-
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[Pattern, int] = {p: WHITE for p in universe}
-
-    def visit(start: Pattern) -> tuple[Pattern, ...] | None:
-        on_stack: list[Pattern] = []
-
-        def dfs(node: Pattern) -> tuple[Pattern, ...] | None:
-            color[node] = GRAY
-            on_stack.append(node)
-            for succ in _successors(g, node, matchable):
-                if color.get(succ, BLACK) == GRAY:
-                    i = on_stack.index(succ)
-                    return tuple(on_stack[i:])
-                if color.get(succ, BLACK) == WHITE:
-                    found = dfs(succ)
-                    if found is not None:
-                        return found
-            on_stack.pop()
-            color[node] = BLACK
-            return None
-
-        return dfs(start)
-
-    for p in universe:
-        if color[p] == WHITE:
-            cycle = visit(p)
-            if cycle is not None:
-                return cycle
+    done: set[Pattern] = set()
+    for root in _universe(g):
+        if root in done:
+            continue
+        # path[i] waits on its unexplored successors todo[i]; on_path maps
+        # each pattern of the path to its position
+        path, todo, on_path = [root], [iter(_successors(g, root, matchable))], {root: 0}
+        while path:
+            for succ in todo[-1]:
+                if succ in on_path:
+                    return tuple(path[on_path[succ] :])
+                if succ not in done:
+                    on_path[succ] = len(path)
+                    path.append(succ)
+                    todo.append(iter(_successors(g, succ, matchable)))
+                    break
+            else:
+                todo.pop()
+                del on_path[path[-1]]
+                done.add(path.pop())
     return None
 
 

@@ -153,6 +153,24 @@ def _build_context(t: Term) -> Context:
     raise NoHoleError("the term contains no hole")
 
 
+def _arguments(e: SList, form: str, symbol: str = "") -> tuple[SExpr, ...]:
+    """e's arguments, one for each parameter of `form`, as in "(nt n)";
+    the argument for the parameter named `symbol`, if any, is a symbol."""
+    params, args = form[1:-1].split()[1:], e.items[1:]
+    if len(args) != len(params):
+        noun = "argument" if len(params) == 1 else "arguments"
+        raise ParseError(
+            f"arity error: {form} takes {len(params)} {noun}, got {len(args)}",
+            e.line,
+            e.col,
+        )
+    if symbol:
+        arg = args[params.index(symbol)]
+        if not isinstance(arg, Atom) or not isinstance(_atom_literal(arg).value, str):
+            raise ParseError(f"{form} needs a symbol for {symbol}", e.line, e.col)
+    return args
+
+
 def _sexpr_pattern(e: SExpr) -> Pattern:
     if isinstance(e, Atom):
         if e.text == "hole":
@@ -165,38 +183,14 @@ def _sexpr_pattern(e: SExpr) -> Pattern:
     if e.items and isinstance(e.items[0], Atom):
         head = e.items[0].text
         if head == "name":
-            if len(e.items) != 3:
-                raise ParseError(
-                    f"arity error: (name x p) takes 2 arguments, got {len(e.items) - 1}",
-                    e.line,
-                    e.col,
-                )
-            var = e.items[1]
-            if not isinstance(var, Atom) or not isinstance(
-                _atom_literal(var).value, str
-            ):
-                raise ParseError("(name x p) needs a symbol for x", e.line, e.col)
-            return NamePat(var.text, _sexpr_pattern(e.items[2]))
+            var, body = _arguments(e, "(name x p)", symbol="x")
+            return NamePat(var.text, _sexpr_pattern(body))
         if head == "nt":
-            if len(e.items) != 2:
-                raise ParseError(
-                    f"arity error: (nt n) takes 1 argument, got {len(e.items) - 1}",
-                    e.line,
-                    e.col,
-                )
-            nt = e.items[1]
-            if not isinstance(nt, Atom) or not isinstance(_atom_literal(nt).value, str):
-                raise ParseError("(nt n) needs a symbol for n", e.line, e.col)
+            (nt,) = _arguments(e, "(nt n)", symbol="n")
             return NtPat(nt.text)
         if head == "in-hole":
-            if len(e.items) != 3:
-                raise ParseError(
-                    f"arity error: (in-hole pc ph) takes 2 arguments, "
-                    f"got {len(e.items) - 1}",
-                    e.line,
-                    e.col,
-                )
-            return InHolePat(_sexpr_pattern(e.items[1]), _sexpr_pattern(e.items[2]))
+            pc, ph = _arguments(e, "(in-hole pc ph)")
+            return InHolePat(_sexpr_pattern(pc), _sexpr_pattern(ph))
     return ListPat(tuple(_sexpr_pattern(item) for item in e.items))
 
 
@@ -236,14 +230,8 @@ def _sexpr_template(e: SExpr) -> Template:
                 )
             return RefTemplate(e.items[1].text)
         if head == "in-hole":
-            if len(e.items) != 3:
-                raise ParseError(
-                    f"arity error: (in-hole c t) takes 2 arguments, "
-                    f"got {len(e.items) - 1}",
-                    e.line,
-                    e.col,
-                )
-            return InHoleTemplate(_sexpr_template(e.items[1]), _sexpr_template(e.items[2]))
+            c, t = _arguments(e, "(in-hole c t)")
+            return InHoleTemplate(_sexpr_template(c), _sexpr_template(t))
     return ListTemplate(tuple(_sexpr_template(item) for item in e.items))
 
 

@@ -224,23 +224,6 @@ class GrammarIndex(dict):
                         stack.extend(edges(p))
         return bits, hole
 
-    def mask(self, g: Grammar) -> int | None:
-        """The bits that spell g's productions in order, matched right to
-        left; None when g is not a sub-sequence of the productions.
-
-        Matching from the right maps ``remove_prod(h, q)`` to the bits of h
-        less the first occurrence of q, the bit the engine clears.
-        """
-        m, i = 0, len(self.productions) - 1
-        for prod in reversed(g.productions):
-            while i >= 0 and self.productions[i] != prod:
-                i -= 1
-            if i < 0:
-                return None
-            m |= 1 << i
-            i -= 1
-        return m
-
 
 def grammar_index(g: Grammar) -> GrammarIndex:
     """The index of g, built once and cached on the grammar object."""
@@ -553,10 +536,11 @@ def match_decompose(
     plug(hole, s) is s, and any other context holds s strictly inside
     plug(c, s).
     """
+    # a current grammar is the second half of an index of both grammars:
+    # its bits start live, and consuming input resets to the first half's
     index = grammar_index(grammar)
-    orig = index.full
-    start = orig if current is None else index.mask(current)
-    if start is None:  # current is not a sub-grammar: index both
+    orig = start = index.full
+    if current is not None:
         index = GrammarIndex(grammar.productions + current.productions)
         start = index.full ^ orig
     # (id(term), non-terminal, mask & reads, id(filter) or None) ->

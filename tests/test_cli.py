@@ -275,6 +275,26 @@ class TestCheckGrammar:
         code, out, err = run(capsys, "check-grammar", "-g", LAMBDA_FILE)
         assert (code, out, err) == (0, "not-left-recursive\n", "")
 
+    # the search keeps its path on the heap, so a grammar deeper than the
+    # interpreter's recursion limit is answered
+    def test_deep_cycle(self, capsys, tmp_path):
+        n = 3000
+        deep = tmp_path / "cycle.sexp"
+        rows = "".join(f" (n{i} (nt n{(i + 1) % n}))" for i in range(n))
+        deep.write_text(f"(define-language deep{rows})", encoding="utf-8")
+        code, out, err = run(capsys, "check-grammar", "-g", str(deep))
+        assert (code, err) == (0, "")
+        path = " -> ".join(f"(nt n{i % n})" for i in range(1, n + 2))
+        assert out == f"left-recursive\nwitness: {path}\n"
+
+    def test_deep_chain(self, capsys, tmp_path):
+        n = 3000
+        deep = tmp_path / "chain.sexp"
+        rows = "".join(f" (n{i} (nt n{i + 1}))" for i in range(n))
+        deep.write_text(f"(define-language deep{rows} (n{n} a))", encoding="utf-8")
+        code, out, err = run(capsys, "check-grammar", "-g", str(deep))
+        assert (code, out, err) == (0, "not-left-recursive\n", "")
+
     def test_file_not_utf8_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.sexp"
         bad.write_bytes(b"\xff\xfe(define-language")

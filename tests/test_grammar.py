@@ -3,13 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genterms import gen_grammar
+from genterms import NONTERMINALS, VARS, gen_grammar, gen_pattern
 from redsem import (
     HOLE_PAT,
     InHolePat,
     ListPat,
     Literal,
     LitPat,
+    NamePat,
     NtPat,
     Production,
     ProductionNotFoundError,
@@ -20,7 +21,8 @@ from redsem import (
     productions_of,
     remove_prod,
 )
-from redsem.grammar import is_subgrammar
+from redsem.grammar import _successors, is_subgrammar
+from redsem.terms import subpatterns
 
 A, B, C = LitPat(Literal("a")), LitPat(Literal("b")), LitPat(Literal("c"))
 
@@ -29,6 +31,65 @@ seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
 def rnd_grammar(seed):
     return gen_grammar(random.Random(seed))
+
+
+def maybe_left_recursive_grammar(rng):
+    """A random grammar of 1-3 non-terminals; unlike `gen_grammar`, it
+    keeps the left-recursive ones."""
+    nts = NONTERMINALS[: rng.randint(1, 3)]
+    prods = []
+    for nt in nts:
+        for _ in range(rng.randint(1, 3)):
+            roll = rng.random()
+            if roll < 0.1:
+                rhs = NtPat(rng.choice(nts))
+            elif roll < 0.15:
+                rhs = NamePat(rng.choice(VARS), NtPat(rng.choice(nts)))
+            elif roll < 0.25:
+                rhs = InHolePat(NtPat(rng.choice(nts)), NtPat(rng.choice(nts)))
+            else:
+                rhs = gen_pattern(rng, 2, nts)
+            prods.append((nt, rhs))
+    return new_grammar(prods)
+
+
+def reference_left_recursion(g):
+    """`find_left_recursion` as a recursive three-colour search: the
+    reference whose witnesses the explicit-path search must reproduce."""
+    matchable = hole_matchable(g)
+    universe = {}
+    for prod in g.productions:
+        for sp in subpatterns(prod.pattern):
+            universe[sp] = None
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {p: WHITE for p in universe}
+
+    def visit(start):
+        on_stack = []
+
+        def dfs(node):
+            color[node] = GRAY
+            on_stack.append(node)
+            for succ in _successors(g, node, matchable):
+                if color.get(succ, BLACK) == GRAY:
+                    i = on_stack.index(succ)
+                    return tuple(on_stack[i:])
+                if color.get(succ, BLACK) == WHITE:
+                    found = dfs(succ)
+                    if found is not None:
+                        return found
+            on_stack.pop()
+            color[node] = BLACK
+            return None
+
+        return dfs(start)
+
+    for p in universe:
+        if color[p] == WHITE:
+            cycle = visit(p)
+            if cycle is not None:
+                return cycle
+    return None
 
 
 class TestConstruction:
@@ -170,6 +231,16 @@ class TestLeftRecursion:
         cycle = find_left_recursion(g)
         assert cycle is not None
         assert set(cycle) == {NtPat("a"), NtPat("b")}
+
+    def test_same_witness_as_the_recursive_search(self):
+        rng = random.Random(20261018)
+        recursive = 0
+        for _ in range(2000):
+            g = maybe_left_recursive_grammar(rng)
+            witness = find_left_recursion(g)
+            assert witness == reference_left_recursion(g)
+            recursive += witness is not None
+        assert 500 < recursive < 1500  # both answers are exercised
 
     @given(seeds)
     def test_generated_corpus_grammars_are_filtered(self, seed):

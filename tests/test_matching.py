@@ -294,6 +294,24 @@ def reference_order(nxt, prev):
     return False
 
 
+def subsequence_mask(productions, g):
+    """The bits that spell g's productions in order among `productions`,
+    matched right to left; None when g is not a sub-sequence of them.
+
+    Matching from the right maps ``remove_prod(h, q)`` to the bits of h
+    less the first occurrence of q, the bit the engine clears.
+    """
+    m, i = 0, len(productions) - 1
+    for prod in reversed(g.productions):
+        while i >= 0 and productions[i] != prod:
+            i -= 1
+        if i < 0:
+            return None
+        m |= 1 << i
+        i -= 1
+    return m
+
+
 def order_decreases(g, nxt, prev):
     """The engine's order, `mask_order_decreases`, on Grammar values.
 
@@ -304,11 +322,11 @@ def order_decreases(g, nxt, prev):
     sub-sequence of prev's maps to -1, which no step reaches.
     """
     index = grammar_index(g)
-    m_prev = index.mask(prev.grammar)
+    m_prev = subsequence_mask(g.productions, prev.grammar)
     if m_prev is None:
         index = grammar_index(prev.grammar)
         m_prev = index.full
-    within = grammar_index(prev.grammar).mask(nxt.grammar)
+    within = subsequence_mask(prev.grammar.productions, nxt.grammar)
     m_next = -1
     if within is not None:
         bits = [i for i in range(m_prev.bit_length()) if m_prev >> i & 1]
@@ -414,13 +432,17 @@ class TestImmediatePart:
                 assert mask_order_decreases(index, twin, HOLE_PAT, 0, prev, HOLE_PAT, 0)
 
 
-def right_chain(n):
-    """((λ v v) (... ((λ x x) (λ x x)))) with n applications."""
+def right_chain_src(n):
+    """The source text of ((λ v v) (... ((λ x x) (λ x x)))), n applications."""
     src = "(λ x x)"
     for i in range(1, n + 1):
         v = "xyzwfg"[i % 6]
         src = f"((λ {v} {v}) {src})"
-    return parse_term(src)
+    return src
+
+
+def right_chain(n):
+    return parse_term(right_chain_src(n))
 
 
 def left_chain(n):
@@ -924,3 +946,20 @@ def test_recursion_cliff_does_not_move_down():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1\n195\n1\n"
+
+
+def test_cli_decomposes_right_chain_200():
+    # a fresh interpreter at its default recursion limit; the term layer,
+    # not the matcher, bounds the CLI's depth, and the argv text is built
+    # without print_term, which recurses
+    src = os.path.dirname(os.path.dirname(redsem.__file__))
+    argv = ["decompose", "-g", LAMBDA_FILE, "-p", "(nt E)", "-t", right_chain_src(200)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "redsem.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(proc.stdout.splitlines()) == 401  # 2n + 1 splits
