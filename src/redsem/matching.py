@@ -15,7 +15,7 @@ from collections.abc import Generator
 
 from ._record import record
 from .errors import EngineError
-from .grammar import Grammar, Production
+from .grammar import Grammar, GrammarIndex, grammar_index
 from .terms import (
     HOLE,
     HOLE_TERM,
@@ -110,30 +110,6 @@ class MatchResult:
     bindings: Bindings
 
 
-Shape = Literal | int | None
-Entry = tuple[int, Pattern, int, Shape]
-
-
-def _same_term(p: Pattern) -> tuple[Pattern, ...]:
-    """The sub-patterns that match p's own term: no input is consumed."""
-    if isinstance(p, NamePat):
-        return (p.pattern,)
-    if isinstance(p, InHolePat):
-        return (p.context_pat, p.hole_pat)
-    return ()
-
-
-def _same_filter(p: Pattern) -> tuple[Pattern, ...]:
-    """The sub-patterns that inherit p's filter (see `match_decompose`)."""
-    if isinstance(p, NamePat):
-        return (p.pattern,)
-    if isinstance(p, InHolePat):
-        return (p.hole_pat,)
-    if isinstance(p, ListPat):
-        return p.items
-    return ()
-
-
 def _list_count(t: Term) -> int | None:
     """The item count a list pattern needs to have a result on t, if any."""
     if isinstance(t, ListTerm):
@@ -146,92 +122,6 @@ def _list_count(t: Term) -> int | None:
     if isinstance(c, HeadCtx):
         return n + len(c.tail)
     return None  # a bare hole
-
-
-class GrammarIndex(dict):
-    """A grammar's productions, addressed by bit.
-
-    Production i is bit ``1 << i``.  A grammar reached from this one by
-    removing productions is the int mask of the bits still live, so
-    removing a production clears one bit and comparing two grammar states
-    compares two ints.  The index maps each non-terminal N, on first
-    lookup, to ``(entries, reads, filtered)``:
-
-    - ``entries`` are N's ``(bit, rhs, same, shape)`` in grammar order.
-      ``same`` holds the bits of every production equal to this one:
-      removal clears the lowest live bit of ``same``, which is the first
-      occurrence, as ``remove_prod`` removes it.  ``shape`` is the literal
-      of a literal rhs, the item count of a list rhs, else None.
-    - ``reads`` holds the bits of every production of every non-terminal
-      reachable from N without consuming input: through non-terminals,
-      name bodies and both sides of an in-hole.
-    - ``filtered`` tells whether a hole pattern is reachable from N
-      through the sub-patterns that inherit the filter: non-terminals,
-      name bodies, list items and the hole side of an in-hole.
-    """
-
-    __slots__ = ("productions", "full")
-
-    def __init__(self, productions: tuple[Production, ...]):
-        super().__init__()
-        self.productions = productions
-        self.full = (1 << len(productions)) - 1
-
-    def __missing__(self, nt: str) -> tuple[tuple[Entry, ...], int, bool]:
-        entries: list[Entry] = []
-        for i, prod in enumerate(self.productions):
-            if prod.nonterminal != nt:
-                continue
-            bit, rhs = 1 << i, prod.pattern
-            same = bit
-            for j, (b, r, s, f) in enumerate(entries):
-                if r == rhs:
-                    entries[j] = (b, r, s | bit, f)
-                    same |= b
-            if isinstance(rhs, LitPat):
-                shape: Shape = rhs.lit
-            elif isinstance(rhs, ListPat):
-                shape = len(rhs.items)
-            else:
-                shape = None
-            entries.append((bit, rhs, same, shape))
-        reads = self._reach(nt, _same_term)[0]
-        filtered = self._reach(nt, _same_filter)[1]
-        self[nt] = found = (tuple(entries), reads, filtered)
-        return found
-
-    def _reach(self, nt: str, edges) -> tuple[int, bool]:
-        """The bits of every production of every non-terminal reachable
-        from nt along `edges`, and whether a hole pattern is reached."""
-        bits, hole = 0, False
-        seen, todo = {nt}, [nt]
-        while todo:
-            name = todo.pop()
-            for i, prod in enumerate(self.productions):
-                if prod.nonterminal != name:
-                    continue
-                bits |= 1 << i
-                stack = [prod.pattern]
-                while stack:
-                    p = stack.pop()
-                    if isinstance(p, NtPat):
-                        if p.name not in seen:
-                            seen.add(p.name)
-                            todo.append(p.name)
-                    elif isinstance(p, HolePat):
-                        hole = True
-                    else:
-                        stack.extend(edges(p))
-        return bits, hole
-
-
-def grammar_index(g: Grammar) -> GrammarIndex:
-    """The index of g, built once and cached on the grammar object."""
-    index = g.__dict__.get("_index")
-    if index is None:
-        index = GrammarIndex(g.productions)
-        object.__setattr__(g, "_index", index)
-    return index
 
 
 def _from_immediate_part(sub: Term, t: Term) -> bool:

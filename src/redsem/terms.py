@@ -217,13 +217,6 @@ def immediate_subterms(t: Term) -> Iterator[Term]:
             yield CtxTerm(c.rest)
 
 
-def proper_subterms(t: Term) -> Iterator[Term]:
-    """All proper subterms of t (transitive closure of immediate_subterms)."""
-    for sub in immediate_subterms(t):
-        yield sub
-        yield from proper_subterms(sub)
-
-
 def is_proper_subterm(sub: Term, t: Term) -> bool:
     """True iff sub occurs strictly inside t.  Irreflexive and transitive.
 
@@ -280,15 +273,3 @@ def compose(outer: Context, inner: Context) -> Context:
         raise TypeError("composition erased the tail path of a context")
     return TailCtx(outer.head, rest)
 
-
-def context_hole_count(c: Context) -> int:
-    """Number of holes reachable along the context's own path structure.
-
-    Embedded context terms sitting in term slots are opaque values; their
-    holes belong to them, not to this context.
-    """
-    if isinstance(c, Hole):
-        return 1
-    if isinstance(c, HeadCtx):
-        return context_hole_count(c.hole_side)
-    return context_hole_count(c.rest)

@@ -287,13 +287,16 @@ class TestCheckGrammar:
         path = " -> ".join(f"(nt n{i % n})" for i in range(1, n + 2))
         assert out == f"left-recursive\nwitness: {path}\n"
 
+    # a chain ending in hole makes every non-terminal of it hole-matchable
     def test_deep_chain(self, capsys, tmp_path):
         n = 3000
         deep = tmp_path / "chain.sexp"
         rows = "".join(f" (n{i} (nt n{i + 1}))" for i in range(n))
-        deep.write_text(f"(define-language deep{rows} (n{n} a))", encoding="utf-8")
-        code, out, err = run(capsys, "check-grammar", "-g", str(deep))
-        assert (code, out, err) == (0, "not-left-recursive\n", "")
+        for last in ("a", "hole"):
+            text = f"(define-language deep{rows} (n{n} {last}))"
+            deep.write_text(text, encoding="utf-8")
+            code, out, err = run(capsys, "check-grammar", "-g", str(deep))
+            assert (code, out, err) == (0, "not-left-recursive\n", "")
 
     def test_file_not_utf8_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.sexp"

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,10 +7,13 @@ from hypothesis import given, settings, strategies as st
 from genterms import NONTERMINALS, VARS, gen_grammar, gen_pattern
 from redsem import (
     HOLE_PAT,
+    Bindings,
+    EmptyDecomposition,
     InHolePat,
     ListPat,
     Literal,
     LitPat,
+    MatchResult,
     NamePat,
     NtPat,
     Production,
@@ -17,12 +21,18 @@ from redsem import (
     find_left_recursion,
     hole_matchable,
     is_left_recursive,
+    match_decompose,
     new_grammar,
     productions_of,
     remove_prod,
 )
-from redsem.grammar import _successors, is_subgrammar
-from redsem.terms import subpatterns
+from redsem.grammar import GrammarIndex, grammar_index
+from references import (
+    is_subgrammar,
+    reference_hole_matchable,
+    reference_index_sets,
+    reference_left_recursion,
+)
 
 A, B, C = LitPat(Literal("a")), LitPat(Literal("b")), LitPat(Literal("c"))
 
@@ -51,45 +61,6 @@ def maybe_left_recursive_grammar(rng):
                 rhs = gen_pattern(rng, 2, nts)
             prods.append((nt, rhs))
     return new_grammar(prods)
-
-
-def reference_left_recursion(g):
-    """`find_left_recursion` as a recursive three-colour search: the
-    reference whose witnesses the explicit-path search must reproduce."""
-    matchable = hole_matchable(g)
-    universe = {}
-    for prod in g.productions:
-        for sp in subpatterns(prod.pattern):
-            universe[sp] = None
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {p: WHITE for p in universe}
-
-    def visit(start):
-        on_stack = []
-
-        def dfs(node):
-            color[node] = GRAY
-            on_stack.append(node)
-            for succ in _successors(g, node, matchable):
-                if color.get(succ, BLACK) == GRAY:
-                    i = on_stack.index(succ)
-                    return tuple(on_stack[i:])
-                if color.get(succ, BLACK) == WHITE:
-                    found = dfs(succ)
-                    if found is not None:
-                        return found
-            on_stack.pop()
-            color[node] = BLACK
-            return None
-
-        return dfs(start)
-
-    for p in universe:
-        if color[p] == WHITE:
-            cycle = visit(p)
-            if cycle is not None:
-                return cycle
-    return None
 
 
 class TestConstruction:
@@ -200,6 +171,11 @@ class TestHoleMatchable:
         assert is_subgrammar(smaller, g)
         assert hole_matchable(smaller) <= hole_matchable(g)
 
+    @given(seeds)
+    def test_same_set_as_the_full_passes(self, seed):
+        g = rnd_grammar(seed)
+        assert hole_matchable(g) == reference_hole_matchable(g)
+
 
 class TestLeftRecursion:
     def test_direct_cycle(self):
@@ -237,6 +213,7 @@ class TestLeftRecursion:
         recursive = 0
         for _ in range(2000):
             g = maybe_left_recursive_grammar(rng)
+            assert hole_matchable(g) == reference_hole_matchable(g)
             witness = find_left_recursion(g)
             assert witness == reference_left_recursion(g)
             recursive += witness is not None
@@ -245,3 +222,79 @@ class TestLeftRecursion:
     @given(seeds)
     def test_generated_corpus_grammars_are_filtered(self, seed):
         assert not is_left_recursive(rnd_grammar(seed))
+
+
+class TestGrammarIndex:
+    def test_in_hole_cycle_sets(self):
+        # 0: e -> (in-hole (nt E) (nt e)), 1: E -> hole,
+        # 2: E -> ((nt e) (nt E)), 3: v -> (name x (nt e))
+        g = new_grammar(
+            [
+                ("e", InHolePat(NtPat("E"), NtPat("e"))),
+                ("E", HOLE_PAT),
+                ("E", ListPat((NtPat("e"), NtPat("E")))),
+                ("v", NamePat("x", NtPat("e"))),
+            ]
+        )
+        index = grammar_index(g)
+        # e reads both sides of its in-hole; only its hole side, (nt e)
+        # again, inherits the filter, and that reaches no hole pattern
+        assert index["e"][1:] == (0b0111, False)
+        assert index["E"][1:] == (0b0110, True)
+        assert index["v"][1:] == (0b1111, False)
+        assert index["u"] == ((), 0, False)
+        for nt in ("e", "E", "v", "u"):
+            assert index[nt][1:] == reference_index_sets(g, nt)
+
+    def test_analyses_leave_the_engine_index_unbuilt(self, lam):
+        # the engine's cached index is built by the engine's first query,
+        # whatever grammar analyses ran on the grammar before
+        g = new_grammar(lam.grammar.productions)
+        hole_matchable(g)
+        find_left_recursion(g)
+        assert "_index" not in g.__dict__
+
+    def test_reads_and_filtered_are_exact(self):
+        # a superset of reads would still pass the read-set lemma test of
+        # test_matching but split the memo: only equality catches it
+        rng = random.Random(20261019)
+        for i in range(1000):
+            if i % 2:
+                g = maybe_left_recursive_grammar(rng)
+            else:
+                g = gen_grammar(rng)
+            both = new_grammar(g.productions + g.productions[1:])
+            for grammar, index in (
+                (g, grammar_index(g)),
+                (both, GrammarIndex(g.productions + g.productions[1:])),
+            ):
+                for nt in NONTERMINALS:
+                    assert index[nt][1:] == reference_index_sets(grammar, nt)
+
+
+class TestDeepChains:
+    # a chain n0 -> (nt n1) -> ... -> (nt n3000) is grouped once and closed
+    # in one search, with no rescan of the grammar per non-terminal; listed
+    # leaf first, it takes no longer
+    N = 3000
+
+    def chains(self, last):
+        rows = [(f"n{i}", NtPat(f"n{i + 1}")) for i in range(self.N)]
+        rows.append((f"n{self.N}", last))
+        return new_grammar(rows), new_grammar(rows[::-1])
+
+    def test_match_on_chain_ending_in_literal(self):
+        for g in self.chains(A):
+            start = time.perf_counter()
+            got = match_decompose(g, Literal("a"), NtPat("n0"))
+            assert time.perf_counter() - start < 10
+            assert got == [MatchResult(EmptyDecomposition(), Bindings(()))]
+
+    def test_hole_matchable_on_chain_ending_in_hole(self):
+        # (nt n0) is in no right-hand side; (nt n1) is 3,000 steps from hole
+        expected = {HOLE_PAT, *(NtPat(f"n{i}") for i in range(1, self.N + 1))}
+        for g in self.chains(HOLE_PAT):
+            start = time.perf_counter()
+            got = hole_matchable(g)
+            assert time.perf_counter() - start < 10
+            assert got == expected

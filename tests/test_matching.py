@@ -61,10 +61,10 @@ from redsem.terms import (
     compose,
     immediate_subterms,
     is_proper_subterm,
-    proper_subterms,
     subpatterns,
     term_size,
 )
+from references import proper_subterms
 
 A, B = Literal("a"), Literal("b")
 AB = ListTerm((A, B))

@@ -33,10 +33,10 @@ from redsem import (
     plug,
     remove_prod,
 )
-from redsem.grammar import is_subgrammar
 from redsem.matching import EMPTY_BINDINGS
 from redsem.oracle import _union
 from redsem.terms import is_proper_subterm
+from references import is_subgrammar
 
 A, B = Literal("a"), Literal("b")
 AB = ListTerm((A, B))
