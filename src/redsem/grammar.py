@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 from ._record import record
 from .errors import EngineError
@@ -55,7 +55,7 @@ def remove_prod(g: Grammar, production: Production | tuple[str, Pattern]) -> Gra
 
 
 Entry = tuple[int, Pattern, int, Literal | int | None]
-Groups = dict[str, list[Entry]]
+Groups = dict[str, list[tuple[int, Pattern]]]
 
 
 def _same_term(p: Pattern) -> tuple[Pattern, ...]:
@@ -67,104 +67,67 @@ def _same_term(p: Pattern) -> tuple[Pattern, ...]:
     return ()
 
 
-def _same_filter(p: Pattern) -> tuple[Pattern, ...]:
-    """The sub-patterns that inherit p's filter (see `match_decompose`)."""
-    if isinstance(p, NamePat):
-        return (p.pattern,)
-    if isinstance(p, InHolePat):
-        return (p.hole_pat,)
-    if isinstance(p, ListPat):
-        return p.items
-    return ()
-
-
 def _group(productions: tuple[Production, ...]) -> Groups:
-    """Each non-terminal's entries ``(bit, rhs, same, shape)`` in grammar
-    order (see `GrammarIndex`): the one grouping every analysis reads."""
+    """Each non-terminal's ``(bit, rhs)`` pairs in grammar order, production
+    i as bit ``1 << i``: the one grouping every analysis reads."""
     groups: Groups = {}
     for i, prod in enumerate(productions):
-        bit, rhs = 1 << i, prod.pattern
+        groups.setdefault(prod.nonterminal, []).append((1 << i, prod.pattern))
+    return groups
+
+
+def _entries(rows: list[tuple[int, Pattern]]) -> tuple[Entry, ...]:
+    """A non-terminal's ``(bit, rhs, same, shape)`` entries (see
+    `GrammarIndex`) from its ``(bit, rhs)`` pairs."""
+    entries: list[Entry] = []
+    for bit, rhs in rows:
         shape = len(rhs.items) if isinstance(rhs, ListPat) else None
         if isinstance(rhs, LitPat):
             shape = rhs.lit
-        entries, same = groups.setdefault(prod.nonterminal, []), bit
+        same = bit
         for j, (b, r, s, f) in enumerate(entries):
             if r == rhs:
                 entries[j] = (b, r, s | bit, f)
                 same |= b
         entries.append((bit, rhs, same, shape))
-    return groups
+    return tuple(entries)
 
 
-def _search(roots: Iterable, successors) -> Iterator[tuple[bool, list]]:
-    """Depth-first search from each root not yet reached, on explicit
-    stacks (Tarjan 1972, in Gabow's path-based form).
-
-    `open_` holds the nodes of the strongly connected components not yet
-    closed, `starts` the positions where they begin.  An edge into `open_`
-    yields ``(True, nodes)``, `open_` from the edge's target on: until the
-    first such edge `open_` is the search path, so it closes a cycle.  A
-    component yields ``(False, nodes)`` as it closes, after every
-    component it reaches."""
-    where: dict = {}  # position in open_, or -1 once closed
-    open_: list = []
-    starts: list[int] = []
-    work = [(None, iter(roots))]  # the roots follow a start node never open
-    while work:
-        node, todo = work[-1]
-        for succ in todo:
-            if succ not in where:
-                where[succ] = len(open_)
-                starts.append(len(open_))
-                open_.append(succ)
-                work.append((succ, iter(successors(succ))))
-                break
-            if where[succ] >= 0:
-                yield True, open_[where[succ] :]
-                while starts[-1] > where[succ]:
-                    starts.pop()
-        else:
-            work.pop()
-            if starts and starts[-1] == where.get(node):
-                i = starts.pop()
-                where.update(dict.fromkeys(open_[i:], -1))
-                yield False, open_[i:]
-                del open_[i:]
-
-
-def _closure(groups: Groups, edges, hole: int) -> dict[str, int]:
-    """For each non-terminal N, the bits of every production of every
-    non-terminal reachable from N along `edges`, with `hole`, a bit above
-    every production's, set if a hole pattern is reached: each strongly
-    connected component of the non-terminal graph closes after the
-    components it reaches, and its members share the union of their bits
-    and of those components'."""
-    value: dict[str, int] = {}
-    succs: dict[str, list[str]] = {}
-    for nt, entries in groups.items():
-        bits, stack, succs[nt] = 0, [], []
-        for bit, rhs, _, _ in entries:
-            bits |= bit
-            stack.append(rhs)
-        while stack:
-            p = stack.pop()
-            if isinstance(p, NtPat) and p.name in groups:
-                succs[nt].append(p.name)
-            elif isinstance(p, HolePat):
-                bits |= hole
-            else:
-                stack.extend(edges(p))
-        value[nt] = bits
-    for cyclic, component in _search(groups, succs.__getitem__):
-        if not cyclic:
-            union = 0
-            for nt in component:
-                union |= value[nt]
-                for name in succs[nt]:
-                    union |= value[name]
-            for nt in component:
-                value[nt] = union
-    return value
+def _walk(
+    rows: list[tuple[int, Pattern]], names: Groups
+) -> tuple[int, list, list, int]:
+    """One walk over a non-terminal's right-hand sides, for both kinds of
+    edge at once: the bits of its productions, the non-terminals that its
+    same-term edges reach (`_same_term`) and that its filter edges reach
+    (the sub-patterns that inherit a filter: name bodies, list items and
+    an in-hole's hole side), and 1 if a filter edge reaches a hole
+    pattern."""
+    bits, same, filt, hole = 0, [], [], 0
+    stack = []  # (pattern, kinds): bit 1 same-term, bit 2 filter
+    for bit, rhs in rows:
+        bits |= bit
+        stack.append((rhs, 3))
+    while stack:
+        p, kinds = stack.pop()
+        cls = p.__class__
+        if cls is NtPat:
+            if p.name in names:
+                if kinds & 1:
+                    same.append(p.name)
+                if kinds & 2:
+                    filt.append(p.name)
+        elif cls is ListPat:
+            if kinds & 2:
+                stack += [(q, 2) for q in p.items]
+        elif cls is InHolePat:
+            if kinds & 1:
+                stack.append((p.context_pat, 1))
+            stack.append((p.hole_pat, kinds))
+        elif cls is NamePat:
+            stack.append((p.pattern, kinds))
+        elif cls is HolePat:
+            hole |= kinds >> 1
+    return bits, same, filt, hole
 
 
 class GrammarIndex(dict):
@@ -174,8 +137,7 @@ class GrammarIndex(dict):
     removing productions is the int mask of the bits still live, so
     removing a production clears one bit and comparing two grammar states
     compares two ints.  The index maps each non-terminal N to
-    ``(entries, reads, filtered)``, every non-terminal filled at once on
-    the first lookup from one grouping of the productions:
+    ``(entries, reads, filtered)``, filled on N's first lookup:
 
     - ``entries`` are N's ``(bit, rhs, same, shape)`` in grammar order.
       ``same`` holds the bits of every production equal to this one:
@@ -188,23 +150,101 @@ class GrammarIndex(dict):
     - ``filtered`` tells whether a hole pattern is reachable from N
       through the sub-patterns that inherit the filter: non-terminals,
       name bodies, list items and the hole side of an in-hole.
+
+    The first lookup groups the productions by non-terminal.  A lookup
+    walks the right-hand sides of only the non-terminals that N reaches,
+    each once for both kinds of edge (`_walk`), and closes ``reads`` and
+    ``filtered`` in one search per kind from N: each strongly connected
+    component of the non-terminal graph closes after every component it
+    reaches, and its members share the union of their values and of those
+    components'.  The values of every component a search closes are kept,
+    so no non-terminal is walked or closed twice.
     """
 
-    __slots__ = ("productions", "full")
+    __slots__ = ("productions", "full", "_groups", "_walks", "_closed")
 
     def __init__(self, productions: tuple[Production, ...]):
-        super().__init__()
         self.productions = productions
         self.full = (1 << len(productions)) - 1
+        self._groups: Groups | None = None
+        self._walks: dict[str, tuple[int, list, list, int]] = {}
+        # by kind, the closed value of every non-terminal a search closed
+        self._closed: tuple[None, dict[str, int], dict[str, int]] = (None, {}, {})
 
     def __missing__(self, nt: str) -> tuple[tuple[Entry, ...], int, bool]:
-        if not self:
-            groups, full = _group(self.productions), self.full
-            reads = _closure(groups, _same_term, full + 1)
-            filtered = _closure(groups, _same_filter, full + 1)
-            for name, entries in groups.items():
-                self[name] = (tuple(entries), reads[name] & full, filtered[name] > full)
-        return self.setdefault(nt, ((), 0, False))
+        if self._groups is None:
+            self._groups = _group(self.productions)
+        rows = self._groups.get(nt)
+        if rows is None:
+            return self.setdefault(nt, ((), 0, False))
+        reads, filtered = self._close(nt, 1), self._close(nt, 2)
+        return self.setdefault(nt, (_entries(rows), reads, bool(filtered)))
+
+    def _walked(self, nt: str) -> tuple[int, list, list, int]:
+        w = self._walks.get(nt)
+        if w is None:
+            w = self._walks[nt] = _walk(self._groups[nt], self._groups)
+        return w
+
+    def _close(self, root: str, kind: int) -> int:
+        """root's value closed over the edges of kind: kind 1 closes the
+        production bits over same-term edges, kind 2 the hole flag over
+        filter edges (the positions of `_walk`'s result).
+
+        A depth-first search from root on explicit stacks (Tarjan 1972, in
+        Gabow's path-based form) that enters no non-terminal an earlier
+        search closed.  `open_` holds the non-terminals of the strongly
+        connected components not yet closed, `starts` the positions where
+        they begin; an edge back into `open_` merges every component from
+        its target's on.  A component closes after every component it
+        reaches, with the union of its members' values and of theirs.  A
+        root whose every edge leads to itself or to a closed non-terminal,
+        the common case in a small grammar, closes with no search.
+        """
+        value = self._closed[kind]
+        if root in value:
+            return value[root]
+        own, walk = (0 if kind == 1 else 3), self._walked
+        w = walk(root)
+        union = w[own]
+        for succ in w[kind]:
+            if succ != root:
+                if succ not in value:
+                    break
+                union |= value[succ]
+        else:  # every edge out of root is closed: no search is needed
+            value[root] = union
+            return union
+        where = {root: 0}  # position in open_
+        open_, starts = [root], [0]
+        work = [(root, iter(w[kind]))]
+        while work:
+            nt, todo = work[-1]
+            for succ in todo:
+                if succ in value:
+                    continue
+                i = where.get(succ)
+                if i is None:
+                    where[succ] = len(open_)
+                    starts.append(len(open_))
+                    open_.append(succ)
+                    work.append((succ, iter(walk(succ)[kind])))
+                    break
+                while starts[-1] > i:
+                    starts.pop()
+            else:
+                work.pop()
+                if starts[-1] == where[nt]:
+                    i = starts.pop()
+                    union = 0
+                    for member in open_[i:]:
+                        w = walk(member)
+                        union |= w[own]
+                        for succ in w[kind]:  # 0 for the component's own
+                            union |= value.get(succ, 0)
+                    value.update(dict.fromkeys(open_[i:], union))
+                    del open_[i:]
+        return value[root]
 
 
 def grammar_index(g: Grammar) -> GrammarIndex:
@@ -258,8 +298,9 @@ def find_left_recursion(g: Grammar) -> tuple[Pattern, ...] | None:
     right-hand sides, from a name pattern to its body, from an in-hole
     pattern to its context component, and to its hole component when the
     context component can match a hole.  A cycle means matching could loop
-    without consuming input.  The witness is the first cycle that one
-    search from each sub-pattern not yet reached closes.
+    without consuming input.  The witness is the first cycle that a
+    depth-first search from each sub-pattern not yet reached closes: the
+    search path from the target of the first edge back into it.
     """
     groups, matchable = _group(g.productions), hole_matchable(g)
 
@@ -270,9 +311,25 @@ def find_left_recursion(g: Grammar) -> tuple[Pattern, ...] | None:
             return (p.context_pat,)
         return _same_term(p)
 
-    for cyclic, nodes in _search(_universe(g), successors):
-        if cyclic:
-            return tuple(nodes)
+    # the position of each pattern on the search path, -1 once left
+    where: dict[Pattern, int] = {}
+    for root in _universe(g):
+        if root in where:
+            continue
+        where[root], path, work = 0, [root], [iter(successors(root))]
+        while work:
+            for succ in work[-1]:
+                i = where.get(succ)
+                if i is None:
+                    where[succ] = len(path)
+                    path.append(succ)
+                    work.append(iter(successors(succ)))
+                    break
+                if i >= 0:
+                    return tuple(path[i:])
+            else:
+                work.pop()
+                where[path.pop()] = -1
     return None
 
 

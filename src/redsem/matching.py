@@ -11,6 +11,7 @@ terminates on every grammar, left-recursive ones included.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Generator
 
 from ._record import record
@@ -326,6 +327,52 @@ def bind_name(
     return bindings_union(bindings, Bindings(((var, value),)))
 
 
+class _Session:
+    """The memo of non-terminal subproblems and the table of filter queries
+    that `match_decompose` calls on one grammar object share.
+
+    A call answers from the session open for its grammar object when it
+    has no ``current`` grammar and its ``debug`` is the session's, which
+    the first call to join fixes; any other call starts with its own
+    empty memo and table.  ``with _Session(grammar):`` opens a session
+    until the block exits, unless one is already open, which the block
+    then leaves as it is: a `step` inside a `trace` uses the trace's.  An
+    open session is kept per thread: a block runs synchronously, so the
+    calls that see it are the block's own.  The memo and the table hold
+    every object whose ``id`` is in one of their keys, and are emptied
+    when the block that opened them exits, by return or by raise.
+    """
+
+    __slots__ = ("grammar", "debug", "memo", "queries")
+
+    def __init__(self, grammar: Grammar):
+        self.grammar = grammar
+        self.debug: bool | None = None
+        # (id(term), non-terminal, mask & reads, id(filter) or None) ->
+        # (term, filter, results)
+        self.memo: dict[tuple, tuple[Term, Pattern | None, list[MatchResult]]] = {}
+        # (id(term), id(filter)) -> (term, filter, keep); keep is True while
+        # the query is being answered
+        self.queries: dict[tuple[int, int], tuple[Term, Pattern, bool]] = {}
+
+    def __enter__(self) -> None:
+        if _open.session is None:
+            _open.session = self
+
+    def __exit__(self, *exc) -> None:
+        if _open.session is self:
+            _open.session = None
+        self.memo.clear()
+        self.queries.clear()
+
+
+class _Open(threading.local):
+    session: _Session | None = None  # the session open in this thread
+
+
+_open = _Open()
+
+
 def match_decompose(
     grammar: Grammar,
     term: Term,
@@ -347,9 +394,12 @@ def match_decompose(
     depth of the recursion is bounded by memory alone.
 
     Each distinct non-terminal subproblem is solved, and checked, once per
-    call: its results are memoized until the call returns, under a key
-    that holds only what the subproblem reads.  Two lemmas make that key,
-    and the pruning of the production loop, exact:
+    session: its results are memoized under a key that holds only what the
+    subproblem reads.  A session lives for one call, or, inside
+    `reduction.trace` and `reduction.step`, for every call on the same
+    grammar object with no `current` grammar and the same `debug`
+    (`_Session`; see *Sharing* below).  Two lemmas make that key, and the
+    pruning of the production loop, exact:
 
     - *Read set.*  ev(t, (nt N), m, f) reads the grammar mask m only at
       the bits in ``reads(N)``, the productions of the non-terminals
@@ -385,13 +435,32 @@ def match_decompose(
     matching is monotone in the grammar: no rule is negative, so the
     results under a sub-grammar are among the results under the grammar.
     Hence the raw result list, order and duplicates included, is the one
-    the unfiltered judgment gives.  Each query is answered once per call
-    and memoized under (term object, filter object).  A query re-entered
-    while it is still being answered answers "keep", which is always
-    sound; so each query is entered at most once per call, the tuple
-    order bounds the recursion between queries, and matching terminates
-    on every grammar.  Queries are fresh roots, not steps of the
-    judgment: the debug checks apply to every step inside them.
+    the unfiltered judgment gives.  Each query is answered once per
+    session and memoized under (term object, filter object).  A query
+    re-entered while it is still being answered answers "keep", which is
+    always sound; so each query is entered at most once per session, the
+    tuple order bounds the recursion between queries, and matching
+    terminates on every grammar.  Queries are fresh roots, not steps of
+    the judgment: the debug checks apply to every step inside them.
+
+    *Sharing.*  A later call may answer from the memo and the queries an
+    earlier call of its session left, and its raw list is still the one a
+    fresh call derives:
+
+    - An (nt N) subproblem's raw list is a function of its key under one
+      index.  Every call of a session reads the same index, the grammar's
+      own, and the session holds each term and filter object whose id is
+      in a key, so no id is reused while the session lives.
+    - A filter answer only drops splits that the in-hole rule would drop
+      anyway.  An entry derived while a query was still answering "keep"
+      may hold splits that a later derivation drops, but each of them
+      carries a sub-term on which the in-hole pattern that set the filter
+      has no result, so that rule drops it, in the call that hits the
+      entry as in the call that made it.
+    - So a hit from an earlier call gives the call the raw list a fresh
+      derivation gives.  Every edge of a new derivation is still checked,
+      each subproblem is checked once per session, and each call's
+      returned list is plugged back in full.
 
     *Inductive checks.*  Every split (c, s) that ev yields on a term t is
     sound: plug(c, s) = t, and s is t under a bare hole or a proper
@@ -433,16 +502,17 @@ def match_decompose(
     if current is not None:
         index = GrammarIndex(grammar.productions + current.productions)
         start = index.full ^ orig
-    # (id(term), non-terminal, mask & reads, id(filter) or None) ->
-    # (term, results); holding the term keeps its id from being reused
-    # while the call runs, and every filter is a sub-pattern of `pattern`
-    # or of a production.
-    memo: dict[
-        tuple[int, str, int, int | None], tuple[Term, list[MatchResult]]
-    ] = {}
-    # (id(term), id(filter)) -> (term, filter, keep); keep is True while
-    # the query is being answered
-    queries: dict[tuple[int, int], tuple[Term, Pattern, bool]] = {}
+    session = _open.session
+    if (
+        session is None
+        or current is not None
+        or session.grammar is not grammar
+        or session.debug not in (None, debug)
+    ):
+        memo, queries = {}, {}  # see `_Session` for their keys
+    else:
+        session.debug = debug
+        memo, queries = session.memo, session.queries
     full = index.full
 
     def ev(
@@ -495,7 +565,7 @@ def match_decompose(
             key = (id(t), p.name, mask & reads, id(filt) if filtered else None)
             hit = memo.get(key)
             if hit is not None:
-                return hit[1]
+                return hit[2]
             results = []
             shape = t if isinstance(t, Literal) else _list_count(t)
             for bit, rhs, same, fit in entries:
@@ -503,7 +573,7 @@ def match_decompose(
                     live = mask & same
                     for r in (yield t, rhs, mask ^ (live & -live), filt, True):
                         results.append(MatchResult(r.decomposition, EMPTY_BINDINGS))
-            memo[key] = (t, results)
+            memo[key] = (t, filt, results)
             return results
 
         if isinstance(p, InHolePat):
@@ -586,15 +656,17 @@ def match_decompose(
             waiting.append((step, t, p, m))
             t, p, m = t2, p2, m2
             step, sent = ev(t, p, m, f2), None
-    finally:
-        # an exception's traceback holds this frame; clearing now frees
-        # the memoized results and the suspended steps
+    except BaseException:
+        # an exception's traceback holds this frame, and a query it left
+        # unanswered would keep every split: clearing now frees the
+        # memoized results and the suspended steps
         waiting.clear()
         memo.clear()
         queries.clear()
+        raise
     if debug:
         check_results(term, results)
-    return results
+    return list(results)  # a memoized list stays the session's own
 
 
 def matches(

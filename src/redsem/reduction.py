@@ -11,7 +11,7 @@ from __future__ import annotations
 from ._record import record
 from .errors import EngineError
 from .grammar import Grammar
-from .matching import Bindings, matches
+from .matching import Bindings, _Session, matches
 from .terms import (
     HOLE,
     CtxTerm,
@@ -134,10 +134,14 @@ def apply_rule(grammar: Grammar, rule: Rule, term: Term) -> list[Term]:
 
 
 def step(grammar: Grammar, rules: list[Rule], term: Term) -> list[tuple[str, Term]]:
-    """One-step reducts under all rules, tagged with the rule name."""
+    """One-step reducts under all rules, tagged with the rule name.
+
+    The rules' matching calls share one session (`matching._Session`), or
+    the one a `trace` has open."""
     out: list[tuple[str, Term]] = []
-    for rule in rules:
-        out.extend((rule.name, t2) for t2 in apply_rule(grammar, rule, term))
+    with _Session(grammar):
+        for rule in rules:
+            out.extend((rule.name, t2) for t2 in apply_rule(grammar, rule, term))
     return out
 
 
@@ -172,32 +176,38 @@ def trace(grammar: Grammar, rules: list[Rule], term: Term, max_steps: int) -> Tr
     A successor term equal to an already-discovered one becomes a 'cycle'
     leaf and is not expanded again.  Unexpanded terms at the depth bound
     are marked 'cutoff' unless they are normal forms.
+
+    Every matching call of every step shares one session
+    (`matching._Session`): a step rebuilds only the spine from the root to
+    its redex, so the terms of one trace share most of their sub-terms by
+    identity, and each non-terminal subproblem on them is solved once.
     """
-    tr = Trace(nodes=[term], statuses=["pending"], edges=[])
-    seen: set[Term] = {term}
-    frontier = [0]
-    for _ in range(max_steps):
-        if not frontier:
-            break
-        next_frontier: list[int] = []
+    with _Session(grammar):
+        tr = Trace(nodes=[term], statuses=["pending"], edges=[])
+        seen: set[Term] = {term}
+        frontier = [0]
+        for _ in range(max_steps):
+            if not frontier:
+                break
+            next_frontier: list[int] = []
+            for i in frontier:
+                successors = step(grammar, rules, tr.nodes[i])
+                if not successors:
+                    tr.statuses[i] = NORMAL_FORM
+                    continue
+                tr.statuses[i] = REDUCED
+                for rule_name, t2 in successors:
+                    j = len(tr.nodes)
+                    tr.nodes.append(t2)
+                    tr.edges.append((i, rule_name, j))
+                    if t2 in seen:
+                        tr.statuses.append(CYCLE)
+                    else:
+                        seen.add(t2)
+                        tr.statuses.append("pending")
+                        next_frontier.append(j)
+            frontier = next_frontier
         for i in frontier:
             successors = step(grammar, rules, tr.nodes[i])
-            if not successors:
-                tr.statuses[i] = NORMAL_FORM
-                continue
-            tr.statuses[i] = REDUCED
-            for rule_name, t2 in successors:
-                j = len(tr.nodes)
-                tr.nodes.append(t2)
-                tr.edges.append((i, rule_name, j))
-                if t2 in seen:
-                    tr.statuses.append(CYCLE)
-                else:
-                    seen.add(t2)
-                    tr.statuses.append("pending")
-                    next_frontier.append(j)
-        frontier = next_frontier
-    for i in frontier:
-        successors = step(grammar, rules, tr.nodes[i])
-        tr.statuses[i] = NORMAL_FORM if not successors else CUTOFF
+            tr.statuses[i] = NORMAL_FORM if not successors else CUTOFF
     return tr

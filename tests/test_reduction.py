@@ -1,15 +1,25 @@
+import gc
+import random
+import weakref
+
 import pytest
 
+import redsem.matching as matching
+from genterms import gen_case
 from redsem import (
     HOLE,
+    ContextDecomposition,
     CtxTerm,
     HeadCtx,
     ListTerm,
     Literal,
     LitPat,
     NamePat,
+    NtPat,
+    SoundnessCheckError,
     TemplateContextError,
     UnboundTemplateVariableError,
+    match_decompose,
     new_grammar,
     parse_pattern,
     parse_term,
@@ -17,7 +27,15 @@ from redsem import (
     step,
     trace,
 )
-from redsem.matching import Bindings
+from redsem.language import print_pattern
+from redsem.matching import Bindings, _Session
+from test_matching import (
+    REENTRY_PRODUCTIONS,
+    inject,
+    right_chain,
+    right_chain_src,
+    select_one_item_too_many,
+)
 from redsem.reduction import (
     CUTOFF,
     CYCLE,
@@ -170,3 +188,206 @@ class TestTrace:
             for i, status in enumerate(shallow.statuses):
                 if status != CUTOFF:
                     assert deep.statuses[i] == status
+
+
+def balanced_tree_src(depth):
+    """A complete application tree of 2**depth identity functions."""
+    leaves = [f"(λ {v} {v})" for v in ("xyzwfg"[i % 6] for i in range(2**depth))]
+    while len(leaves) > 1:
+        leaves = [f"({a} {b})" for a, b in zip(leaves[::2], leaves[1::2])]
+    return leaves[0]
+
+
+def checks(monkeypatch, on):
+    """Make the matching calls that give no `debug` run with the checks on
+    or off, under `python -O` too."""
+    monkeypatch.setitem(matching.match_decompose.__kwdefaults__, "debug", on)
+
+
+def record(monkeypatch):
+    """Record each match_decompose call: its arguments, the session open
+    while it ran, and the repr of its result."""
+    real, calls = matching.match_decompose, []
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        session = matching._open.session
+        calls.append((args, kwargs, session, repr(result)))
+        return result
+
+    monkeypatch.setattr(matching, "match_decompose", recording)
+    return real, calls
+
+
+def combine_split_for_a_match(context, d_hole):
+    # a split where the hole pattern matched its term: the in-hole rule
+    # gives a match, and the split has no hole result to hold
+    return ContextDecomposition(context, Literal("a"))
+
+
+class TestSession:
+    # a trace's matching calls share one session, so a call can answer
+    # from subproblems that an earlier step solved; each such call must
+    # give the raw list that a call on a fresh session gives
+
+    def traces(self, lam, lam_nd):
+        jobs = [(lam_nd, balanced_tree_src(d), 10) for d in (1, 2, 3)]
+        jobs += [(lam, right_chain_src(n), n + 1) for n in range(1, 13)]
+        return [(lang.grammar, list(lang.rules), parse_term(src), k) for lang, src, k in jobs]
+
+    @pytest.mark.parametrize("on", [True, False])
+    def test_each_call_in_a_trace_equals_a_fresh_call(self, lam, lam_nd, monkeypatch, on):
+        checks(monkeypatch, on)
+        real, calls = record(monkeypatch)
+        for grammar, rules, term, k in self.traces(lam, lam_nd):
+            del calls[:]
+            trace(grammar, rules, term, k)
+            sessions = [session for _, _, session, _ in calls]
+            assert len(calls) > 1 and sessions[0] is not None
+            assert all(session is sessions[0] for session in sessions)
+            for args, kwargs, _, got in calls:
+                assert repr(real(*args, **kwargs)) == got
+
+    def test_a_step_shares_one_session_across_its_rules(self, lam_nd, monkeypatch):
+        _, calls = record(monkeypatch)
+        rules = list(lam_nd.rules) * 2
+        step(lam_nd.grammar, rules, parse_term(balanced_tree_src(2)))
+        sessions = [session for _, _, session, _ in calls]
+        assert len(sessions) == 2 and sessions[0] is not None
+        assert sessions[0] is sessions[1] and matching._open.session is None
+
+    def test_a_trace_checks_each_shared_subproblem_once(self, lam, monkeypatch):
+        # order checks made by the 9 calls of a right-chain trace, and by
+        # the same calls made afresh, one session each
+        checks(monkeypatch, True)
+        edges = inject(monkeypatch, "mask_order_decreases")
+        real, calls = record(monkeypatch)
+        trace(lam.grammar, list(lam.rules), right_chain(8), 9)
+        in_session = edges[0]
+        for args, kwargs, _, _ in calls:
+            real(*args, **kwargs)
+        assert (len(calls), in_session, edges[0] - in_session) == (9, 668, 1161)
+
+    def test_generated_cases_share_a_session(self):
+        # four patterns on one term object per case, in both orders; each
+        # pattern is parsed afresh for its call, so a filter the session
+        # did not hold could lend its id to the next call's
+        rng = random.Random(20261018)
+        calls = 0
+        for _ in range(3000):
+            g, t, p = gen_case(rng)
+            n, src = g.productions[0].nonterminal, print_pattern(p)
+            sources = [src, f"(nt {n})", f"(in-hole (nt {n}) {src})", f"(in-hole {src} (nt {n}))"]
+            fresh = [repr(match_decompose(g, t, parse_pattern(s))) for s in sources]
+            for order in (range(4), range(3, -1, -1)):
+                with _Session(g):
+                    for i in order:
+                        assert repr(match_decompose(g, t, parse_pattern(sources[i]))) == fresh[i]
+                        calls += 1
+        assert calls == 24000
+
+    def test_calls_that_do_not_join_run_afresh(self, lam):
+        # another grammar object, a current grammar, or other checks than
+        # the session's first call: such a call neither reads nor fills
+        # the session's memo
+        g, t = lam.grammar, right_chain(4)
+        other = new_grammar(g.productions[::-1])
+        current = new_grammar(g.productions[1:])
+        p = parse_pattern("(in-hole (nt E) (nt e))")
+        fresh = [
+            match_decompose(other, t, p, debug=True),
+            match_decompose(g, t, p, current, debug=True),
+            match_decompose(g, t, p, debug=False),
+        ]
+        with _Session(g):
+            assert match_decompose(g, t, NtPat("v"), debug=True) == []
+            session = matching._open.session
+            memo = dict(session.memo)
+            assert memo and session.debug is True
+            assert [
+                match_decompose(other, t, p, debug=True),
+                match_decompose(g, t, p, current, debug=True),
+                match_decompose(g, t, p, debug=False),
+            ] == fresh
+            assert session.memo == memo and session.debug is True
+            with _Session(g):
+                assert matching._open.session is session
+            assert session.memo == memo
+        assert matching._open.session is None
+
+    def test_a_returned_list_is_the_callers_own(self, lam):
+        # (nt E) returns its memoized list; emptying the caller's copy
+        # must not empty what the next call of the session reads
+        g, t, p = lam.grammar, right_chain(3), NtPat("E")
+        fresh = match_decompose(g, t, p)
+        with _Session(g):
+            match_decompose(g, t, p).clear()
+            assert match_decompose(g, t, p) == fresh
+
+    @pytest.mark.parametrize("on", [True, False])
+    def test_reentered_queries_share_a_session(self, on):
+        g = new_grammar([(nt, parse_pattern(rhs)) for nt, rhs in REENTRY_PRODUCTIONS])
+        terms = [parse_term(src) for src in ("a", "(a a)", "(a)", "()", "hole")]
+        sources = [
+            "(nt n)",
+            "(nt m)",
+            "(in-hole (nt m) (nt n))",
+            "hole",
+            "(in-hole (nt n) a)",
+            "((nt n) (nt m))",
+        ]
+        pairs = [(t, parse_pattern(s)) for t in terms for s in sources]
+        fresh = [repr(match_decompose(g, t, p, debug=on)) for t, p in pairs]
+        for order in (pairs, pairs[::-1]):
+            with _Session(g):
+                got = [repr(match_decompose(g, t, p, debug=on)) for t, p in order]
+            assert got == (fresh if order is pairs else fresh[::-1])
+
+    @pytest.mark.parametrize(
+        "name, wrong",
+        [("select", select_one_item_too_many), ("combine", combine_split_for_a_match)],
+    )
+    def test_wrong_split_in_a_trace_is_caught(self, lam_nd, monkeypatch, name, wrong):
+        def run():
+            trace(lam_nd.grammar, list(lam_nd.rules), parse_term(balanced_tree_src(2)), 10)
+
+        checks(monkeypatch, True)
+        calls = inject(monkeypatch, name)
+        run()
+        total = calls[0]
+        assert total > 2
+        for k in (1, total // 2, total):
+            monkeypatch.undo()
+            checks(monkeypatch, True)
+            inject(monkeypatch, name, k, wrong)
+            with pytest.raises(SoundnessCheckError):
+                run()
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_a_term_only_the_session_holds_is_freed(self, lam, monkeypatch, fail):
+        # (λ x x) applied to (λ y y), with a literal x of its own; the
+        # trace's result is dropped, so only the session could keep it
+        checks(monkeypatch, True)
+        x = Literal("x")
+        term = ListTerm((ListTerm((Literal("λ"), x, x)), parse_term("(λ y y)")))
+        held = []
+
+        def holding(*args, **kwargs):
+            result = real(*args, **kwargs)
+            memo = matching._open.session.memo
+            held.append(any(entry[0] is x for entry in memo.values()))
+            return result
+
+        real = matching.match_decompose
+        monkeypatch.setattr(matching, "match_decompose", holding)
+        if fail:
+            inject(monkeypatch, "select", 1, select_one_item_too_many)
+            with pytest.raises(SoundnessCheckError):
+                trace(lam.grammar, list(lam.rules), term, 3)
+        else:
+            trace(lam.grammar, list(lam.rules), term, 3)
+            assert held and all(held)
+        weak = weakref.ref(x)
+        del term, x
+        gc.collect()
+        assert weak() is None
