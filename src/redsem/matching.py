@@ -4,9 +4,10 @@ The engine answers, for a term, a pattern, and a grammar: which bindings
 make the pattern match the term, and which (context, sub-term) splits of
 the term the pattern describes.  Recursion is justified by a lexicographic
 order (consume input first; otherwise consume pattern structure or grammar
-productions) and, when debug checks are on, every recursive call is
-verified against that order.  The order is well founded, so matching
-terminates on every grammar, left-recursive ones included.
+productions) and, when debug checks are on, every recursive edge is
+checked against the one-level fact of the rule that made it, which puts
+the edge below its parent in that order.  The order is well founded, so
+matching terminates on every grammar, left-recursive ones included.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .terms import (
     TailCtx,
     Term,
     compose,
-    is_proper_subterm,
     plug,
 )
 
@@ -125,36 +125,29 @@ def _list_count(t: Term) -> int | None:
     return None  # a bare hole
 
 
-def _from_immediate_part(sub: Term, t: Term) -> bool:
-    """True when sub is, or was built from, one of t's immediate sub-term
-    positions (`terms.immediate_subterms`), compared by identity: a
-    list's head, or its tail items one by one; a context term's hole side
-    or tail, or its head or rest."""
+def _is_item(sub: Term, t: Term, i: int) -> bool:
+    """True iff sub is item i of t as the list rule flattens t, by
+    identity (the hole side is a fresh term over the context's own hole
+    side).  The walk is bounded by i, a position of the list pattern."""
     if isinstance(t, ListTerm):
-        items = t.items
-        if not items:
-            return False
-        if sub is items[0]:
-            return True
-        return (
-            isinstance(sub, ListTerm)
-            and len(sub.items) == len(items) - 1
-            and all(a is b for a, b in zip(sub.items, items[1:]))
-        )
-    if not isinstance(t, CtxTerm):
-        return False
+        return t.items[i] is sub
     c = t.context
-    if isinstance(c, HeadCtx):
-        if isinstance(sub, CtxTerm):
-            return sub.context is c.hole_side
-        return isinstance(sub, ListTerm) and sub.items is c.tail
+    while i and isinstance(c, TailCtx):
+        c, i = c.rest, i - 1
     if isinstance(c, TailCtx):
-        return sub is c.head or (isinstance(sub, CtxTerm) and sub.context is c.rest)
-    return False
+        return c.head is sub
+    if i == 0:
+        return isinstance(sub, CtxTerm) and sub.context is c.hole_side
+    return c.tail[i - 1] is sub
+
+
+# the fact of a name body's edge and of an in-hole context side's edge
+SAME_TERM = "same term"
 
 
 def mask_order_decreases(
     index: GrammarIndex,
+    fact: object,
     t_next: Term,
     p_next: Pattern,
     m_next: int,
@@ -162,33 +155,43 @@ def mask_order_decreases(
     p_prev: Pattern,
     m_prev: int,
 ) -> bool:
-    """True iff (t_next, p_next, m_next) is strictly below (t_prev, p_prev,
-    m_prev) in the matching tuple order, grammars given as masks of index.
+    """True iff the edge from (t_prev, p_prev, m_prev) to (t_next, p_next,
+    m_next) is the one named by fact, the one-level fact of the rule that
+    made it, which puts it strictly below in the matching tuple order,
+    grammars given as masks of index.  Objects are compared by identity,
+    in O(1) in the size of the terms:
 
-    Either the term shrank to a proper subterm, or the term is unchanged
-    and the (pattern, grammar) pair took one of the four non-consuming
-    steps: into an in-hole component, into a name body, or into one
-    production of a non-terminal with that production removed.  A term
-    built from one of t_prev's immediate parts is a proper subterm found
-    without the `is_proper_subterm` scan.
+    - *List item* (fact: position i): t_next is item i of t_prev's
+      flattening (`_is_item`), a proper sub-term, under item i of p_prev.
+    - *In-hole hole side* (fact: the context side's split): t_next is the
+      split's sub-term under the hole pattern; unless the split's context
+      is a bare hole, that is a proper sub-term, as the split is checked
+      where it is built, else the term and mask are unchanged.
+    - *Production* (fact: entry j): t_next is t_prev under the j-th
+      right-hand side of the non-terminal, and m_next is m_prev with the
+      lowest live bit of that entry's ``same`` cleared.
+    - *Name body, in-hole context side* (fact: `SAME_TERM`): the term and
+      mask are unchanged under the name body or the context pattern.
     """
-    if t_next is not t_prev:
-        if _from_immediate_part(t_next, t_prev) or is_proper_subterm(t_next, t_prev):
-            return True
-        if t_next != t_prev:
-            return False
-    if isinstance(p_prev, InHolePat):
-        return m_next == m_prev and (
-            p_next == p_prev.context_pat or p_next == p_prev.hole_pat
-        )
-    if isinstance(p_prev, NamePat):
-        return m_next == m_prev and p_next == p_prev.pattern
+    if isinstance(p_prev, ListPat):
+        return p_next is p_prev.items[fact] and _is_item(t_next, t_prev, fact)
     if isinstance(p_prev, NtPat):
-        for _, rhs, same, _ in index[p_prev.name][0]:
-            if rhs is p_next or rhs == p_next:
-                live = m_prev & same
-                return live != 0 and m_next == m_prev ^ (live & -live)
-    return False
+        _, component, same, _ = index[p_prev.name][0][fact]
+        live = m_prev & same
+        if not live:
+            return False
+        m_prev ^= live & -live
+    elif isinstance(p_prev, NamePat):
+        component = p_prev.pattern
+    elif not isinstance(p_prev, InHolePat):
+        return False
+    elif fact is SAME_TERM:
+        component = p_prev.context_pat
+    else:
+        component = p_prev.hole_pat
+        if p_next is component and not isinstance(fact.context, Hole):
+            return t_next is fact.subterm
+    return p_next is component and t_next is t_prev and m_next == m_prev
 
 
 def select(
@@ -386,12 +389,13 @@ def match_decompose(
     Non-terminals are interpreted against `current` until input is
     consumed, then against the original grammar.  The result list is
     deterministic and may contain duplicates.  With debug checks on,
-    every recursive call is verified to decrease the tuple order, each
-    split is checked where it is built against the one-level equation of
-    the rule that built it, and each split of the returned list is
-    plugged back in full (see *Inductive checks* below).  The steps of
-    the judgment run on a work stack, not on the Python stack, so the
-    depth of the recursion is bounded by memory alone.
+    every recursive edge is checked against the fact of the rule that
+    made it, which puts it below its parent in the tuple order (see *Edge
+    checks* below), each split is checked where it is built against the
+    one-level equation of the rule that built it, and each split of the
+    returned list is plugged back in full (see *Inductive checks*).  The
+    steps of the judgment run on a work stack, not on the Python stack,
+    so the depth of the recursion is bounded by memory alone.
 
     Each distinct non-terminal subproblem is solved, and checked, once per
     session: its results are memoized under a key that holds only what the
@@ -413,7 +417,9 @@ def match_decompose(
       literal, and a list pattern of k items none on a term that is not a
       list, or a list context, of k items; a bare hole has no item
       count.  So a production of that shape is skipped on a term that
-      cannot have it: it would give no result.
+      cannot have it: it would give no result.  For the same reason the
+      list rule answers no result on such a term before it tries any
+      item.
 
     Neither lemma changes a result, so the raw list, order and duplicates
     included, is the one the plain judgment gives.  Every edge still made
@@ -473,10 +479,13 @@ def match_decompose(
       nothing to check.
     - *Name, non-terminal.*  The results are the child's splits of the
       same term, unchanged: there is nothing to check.
-    - *List* (`check_select`).  A head split (HeadCtx(c, tail), s) holds
-      the head result's c and s under whole's tail.  For a plain list,
-      plug gives the list (plug(c, s), *tail) = whole when s is not a
-      context term, and a context term when it is, so that split is
+    - *List* (`check_select`).  A list pattern flattens t into its items
+      and folds their results from the right as the binary head/tail rule
+      would, whole at level i being the list of items i onwards; every
+      split of every level is checked.  A head split (HeadCtx(c, tail),
+      s) holds the head result's c and s under whole's tail.  For a plain
+      list, plug gives the list (plug(c, s), *tail) = whole when s is not
+      a context term, and a context term when it is, so that split is
       refused.  A head-tagged context term whole has a context term for
       its head, so s is a context term too, and plug gives
       CtxTerm(HeadCtx(compose(c, s.context), tail)) = whole.  A tail split
@@ -494,6 +503,12 @@ def match_decompose(
     needs no check of its own: it follows from the plug-back, since
     plug(hole, s) is s, and any other context holds s strictly inside
     plug(c, s).
+
+    *Edge checks.*  Each edge carries the one-level fact of the rule that
+    made it, and `mask_order_decreases`, looked up once per checked edge,
+    compares the edge with that fact by identity: no scan of t and no
+    structural comparison.  Each fact puts the edge below its parent in
+    the tuple order, the in-hole hole side's through its checked split.
     """
     # a current grammar is the second half of an index of both grammars:
     # its bits start live, and consuming input resets to the first half's
@@ -521,9 +536,10 @@ def match_decompose(
         """One step of the judgment on (t, p, mask) under filter filt.
 
         A generator: it yields each recursion edge as the sub-query
-        ``(t2, p2, m2, f2, edge)``, is sent that query's results, and
-        returns its own.  edge is False only for a filter query, a fresh
-        root that the tuple order does not bound.
+        ``(t2, p2, m2, f2, fact)``, is sent that query's results, and
+        returns its own.  fact is the one-level fact of the rule that made
+        the edge (see `mask_order_decreases`), or None for a filter query,
+        a fresh root that the tuple order does not bound.
         """
         if isinstance(p, HolePat):
             keep = True
@@ -532,7 +548,7 @@ def match_decompose(
                 if key not in queries:
                     # a re-entered query finds this entry and keeps the split
                     queries[key] = (t, filt, True)
-                    found = yield t, filt, full, None, False
+                    found = yield t, filt, full, None, None
                     queries[key] = (t, filt, bool(found))
                 keep = queries[key][2]
             results = []
@@ -552,7 +568,7 @@ def match_decompose(
         # same term unchanged, so they have no equation of their own
         if isinstance(p, NamePat):
             results = []
-            for r in (yield t, p.pattern, mask, filt, True):
+            for r in (yield t, p.pattern, mask, filt, SAME_TERM):
                 extended = bind_name(p.var, t, r.decomposition, r.bindings)
                 if extended is not None:
                     results.append(MatchResult(r.decomposition, extended))
@@ -568,23 +584,25 @@ def match_decompose(
                 return hit[2]
             results = []
             shape = t if isinstance(t, Literal) else _list_count(t)
-            for bit, rhs, same, fit in entries:
+            for j, (bit, rhs, same, fit) in enumerate(entries):
                 if mask & bit and (fit is None or fit == shape):
                     live = mask & same
-                    for r in (yield t, rhs, mask ^ (live & -live), filt, True):
-                        results.append(MatchResult(r.decomposition, EMPTY_BINDINGS))
+                    for r in (yield t, rhs, mask ^ (live & -live), filt, j):
+                        if r.bindings.entries:
+                            r = MatchResult(r.decomposition, EMPTY_BINDINGS)
+                        results.append(r)
             memo[key] = (t, filt, results)
             return results
 
         if isinstance(p, InHolePat):
             results = []
-            for rc in (yield t, p.context_pat, mask, p.hole_pat, True):
+            for rc in (yield t, p.context_pat, mask, p.hole_pat, SAME_TERM):
                 dc = rc.decomposition
                 if not isinstance(dc, ContextDecomposition):
                     continue
                 # a bare-hole context consumed no input
                 m_hole = mask if isinstance(dc.context, Hole) else orig
-                for rh in (yield dc.subterm, p.hole_pat, m_hole, filt, True):
+                for rh in (yield dc.subterm, p.hole_pat, m_hole, filt, dc):
                     merged = bindings_union(rc.bindings, rh.bindings)
                     if merged is None:
                         continue
@@ -594,43 +612,56 @@ def match_decompose(
                     results.append(MatchResult(d, merged))
             return results
 
-        if not isinstance(p, ListPat):
+        if not isinstance(p, ListPat) or _list_count(t) != len(p.items):
             return []
-        # a list pattern splits t into its head and its tail, the tail's
-        # items given when t is a plain list or a head-tagged context
+        # one step per list pattern: t flattened into its items once, a
+        # context term's heads down its tail-tagged path, then the hole
+        # side and the tail of its head-tagged node
+        nodes, items = [], []
         if isinstance(t, ListTerm):
-            if not t.items and not p.items:
-                return [MatchResult(EMPTY_DECOMPOSITION, EMPTY_BINDINGS)]
-            if not t.items or not p.items:
-                return []
-            head, tail_items = t.items[0], t.items[1:]
-            tail = ListTerm(tail_items)
-        elif isinstance(t, CtxTerm) and p.items:
-            c = t.context
-            if isinstance(c, HeadCtx):
-                head, tail, tail_items = CtxTerm(c.hole_side), ListTerm(c.tail), c.tail
-            elif isinstance(c, TailCtx):
-                head, tail, tail_items = c.head, CtxTerm(c.rest), ()
-            else:
-                return []
+            tail = t.items
         else:
-            return []
-        head_results = yield head, p.items[0], orig, filt, True
-        if not head_results:
-            return []
-        tail_results = yield tail, ListPat(p.items[1:]), orig, filt, True
-        results = []
-        for rh in head_results:
-            for rt in tail_results:
-                d = select(head, rh.decomposition, tail_items, rt.decomposition, t)
-                if d is None:
-                    continue
-                if debug:
-                    check_select(d, rh.decomposition, rt.decomposition, t)
-                merged = bindings_union(rh.bindings, rt.bindings)
-                if merged is None:
-                    continue
-                results.append(MatchResult(d, merged))
+            c = t.context
+            while isinstance(c, TailCtx):
+                nodes.append(c)
+                items.append(c.head)
+                c = c.rest
+            nodes.append(c)
+            items.append(CtxTerm(c.hole_side))
+            tail = c.tail
+        items += tail
+        found = []
+        for i, q in enumerate(p.items):
+            r = yield items[i], q, orig, filt, i
+            if not r:
+                return []
+            found.append(r)
+        # folded from the right: level i is items[i] over the list of the
+        # items after it, and whole is the list of items i onwards
+        results = [MatchResult(EMPTY_DECOMPOSITION, EMPTY_BINDINGS)]
+        off = len(nodes)
+        for i in range(len(items) - 1, -1, -1):
+            if i < off:
+                node = nodes[i]
+                t_tail = node.tail if isinstance(node, HeadCtx) else ()
+                whole = CtxTerm(node) if i else t
+            else:
+                t_tail = tail[i - off + 1 :]
+                whole = ListTerm(tail[i - off :]) if i else t
+            head, level = items[i], []
+            for rh in found[i]:
+                for rt in results:
+                    d = select(head, rh.decomposition, t_tail, rt.decomposition, whole)
+                    if d is None:
+                        continue
+                    if debug:
+                        check_select(d, rh.decomposition, rt.decomposition, whole)
+                    merged = bindings_union(rh.bindings, rt.bindings)
+                    if merged is not None:
+                        level.append(MatchResult(d, merged))
+            if not level:
+                return []
+            results = level
         return results
 
     # The suspended steps wait on a list, each under the (t, p, mask) it
@@ -641,7 +672,7 @@ def match_decompose(
     try:
         while True:
             try:
-                t2, p2, m2, f2, edge = step.send(sent)
+                t2, p2, m2, f2, fact = step.send(sent)
             except StopIteration as done:
                 if not waiting:
                     results = done.value
@@ -649,7 +680,11 @@ def match_decompose(
                 step, t, p, m = waiting.pop()
                 sent = done.value
                 continue
-            if edge and debug and not mask_order_decreases(index, t2, p2, m2, t, p, m):
+            if (
+                debug
+                and fact is not None
+                and not mask_order_decreases(index, fact, t2, p2, m2, t, p, m)
+            ):
                 raise MeasureViolationError(
                     "recursive matching call does not decrease the tuple order"
                 )

@@ -195,48 +195,6 @@ def subpatterns(p: Pattern) -> Iterator[Pattern]:
         yield from subpatterns(p.hole_pat)
 
 
-def immediate_subterms(t: Term) -> Iterator[Term]:
-    """One-step subterm positions used by matching recursion.
-
-    List nodes expose their head and their tail-as-list; context nodes
-    expose the components the matcher recurses into (the hole-side context
-    as a term, tail elements as a list, the head term, the rest context as
-    a term).
-    """
-    if isinstance(t, ListTerm):
-        if t.items:
-            yield t.items[0]
-            yield ListTerm(t.items[1:])
-    elif isinstance(t, CtxTerm):
-        c = t.context
-        if isinstance(c, HeadCtx):
-            yield CtxTerm(c.hole_side)
-            yield ListTerm(c.tail)
-        elif isinstance(c, TailCtx):
-            yield c.head
-            yield CtxTerm(c.rest)
-
-
-def is_proper_subterm(sub: Term, t: Term) -> bool:
-    """True iff sub occurs strictly inside t.  Irreflexive and transitive.
-
-    Every immediate subterm is smaller than its parent, so subtrees smaller
-    than sub are skipped and subtrees of sub's size are compared, not
-    entered.  The immediate subterms of t are compared before anything
-    deeper.
-    """
-    size = term_size(sub)
-    todo = [t]
-    while todo:
-        for s in immediate_subterms(todo.pop()):
-            n = term_size(s)
-            if n > size:
-                todo.append(s)
-            elif n == size and s == sub:
-                return True
-    return False
-
-
 def plug(c: Context, t: Term) -> Term:
     """Replace the hole of c with t.
 

@@ -4,20 +4,72 @@ Each one follows its definition directly.  The grammar analyses here
 rescan the grammar's productions where the engine groups them once, and
 share no code with `redsem.grammar`'s index, so the tests compare the
 engine's one-pass analyses with an independent statement of the same
-thing.
+thing.  The sub-term relation and the tuple order are stated here too,
+on terms and on Grammar values: the engine checks each edge against the
+fact of the rule that made it, and the tests check those edges against
+the order itself.
 """
 
+from typing import NamedTuple
+
 from redsem import (
+    CtxTerm,
     Hole,
     HeadCtx,
     HolePat,
     InHolePat,
     ListPat,
+    ListTerm,
     NamePat,
     NtPat,
+    Production,
+    TailCtx,
     productions_of,
+    remove_prod,
 )
-from redsem.terms import immediate_subterms, subpatterns
+from redsem.terms import subpatterns, term_size
+
+
+def immediate_subterms(t):
+    """One-step subterm positions used by matching recursion.
+
+    List nodes expose their head and their tail-as-list; context nodes
+    expose the components the matcher recurses into (the hole-side context
+    as a term, tail elements as a list, the head term, the rest context as
+    a term).
+    """
+    if isinstance(t, ListTerm):
+        if t.items:
+            yield t.items[0]
+            yield ListTerm(t.items[1:])
+    elif isinstance(t, CtxTerm):
+        c = t.context
+        if isinstance(c, HeadCtx):
+            yield CtxTerm(c.hole_side)
+            yield ListTerm(c.tail)
+        elif isinstance(c, TailCtx):
+            yield c.head
+            yield CtxTerm(c.rest)
+
+
+def is_proper_subterm(sub, t):
+    """True iff sub occurs strictly inside t.  Irreflexive and transitive.
+
+    Every immediate subterm is smaller than its parent, so subtrees smaller
+    than sub are skipped and subtrees of sub's size are compared, not
+    entered.  The immediate subterms of t are compared before anything
+    deeper.
+    """
+    size = term_size(sub)
+    todo = [t]
+    while todo:
+        for s in immediate_subterms(todo.pop()):
+            n = term_size(s)
+            if n > size:
+                todo.append(s)
+            elif n == size and s == sub:
+                return True
+    return False
 
 
 def proper_subterms(t):
@@ -181,3 +233,90 @@ def reference_reach(g, nt, edges):
 def reference_index_sets(g, nt):
     """(reads, filtered) of nt, as `GrammarIndex` must hold them."""
     return reference_reach(g, nt, same_term)[0], reference_reach(g, nt, same_filter)[1]
+
+
+def from_immediate_part(sub, t):
+    """True when sub is, or was built from, one of t's immediate sub-term
+    positions (`immediate_subterms`), compared by identity: a list's head,
+    or its tail items one by one; a context term's hole side or tail, or
+    its head or rest."""
+    if isinstance(t, ListTerm):
+        items = t.items
+        if not items:
+            return False
+        if sub is items[0]:
+            return True
+        return (
+            isinstance(sub, ListTerm)
+            and len(sub.items) == len(items) - 1
+            and all(a is b for a, b in zip(sub.items, items[1:]))
+        )
+    if not isinstance(t, CtxTerm):
+        return False
+    c = t.context
+    if isinstance(c, HeadCtx):
+        if isinstance(sub, CtxTerm):
+            return sub.context is c.hole_side
+        return isinstance(sub, ListTerm) and sub.items is c.tail
+    if isinstance(c, TailCtx):
+        return sub is c.head or (isinstance(sub, CtxTerm) and sub.context is c.rest)
+    return False
+
+
+def general_order_decreases(index, t_next, p_next, m_next, t_prev, p_prev, m_prev):
+    """True iff (t_next, p_next, m_next) is strictly below (t_prev, p_prev,
+    m_prev) in the matching tuple order, grammars given as masks of index,
+    for any two problems, with no fact of the rule that made the edge.
+
+    Either the term shrank to a proper subterm, or the term is unchanged
+    and the (pattern, grammar) pair took one of the four non-consuming
+    steps: into an in-hole component, into a name body, or into one
+    production of a non-terminal with that production removed.  A term
+    built from one of t_prev's immediate parts is a proper subterm found
+    without the `is_proper_subterm` scan.
+    """
+    if t_next is not t_prev:
+        if from_immediate_part(t_next, t_prev) or is_proper_subterm(t_next, t_prev):
+            return True
+        if t_next != t_prev:
+            return False
+    if isinstance(p_prev, InHolePat):
+        return m_next == m_prev and (
+            p_next == p_prev.context_pat or p_next == p_prev.hole_pat
+        )
+    if isinstance(p_prev, NamePat):
+        return m_next == m_prev and p_next == p_prev.pattern
+    if isinstance(p_prev, NtPat):
+        for _, rhs, same, _ in index[p_prev.name][0]:
+            if rhs is p_next or rhs == p_next:
+                live = m_prev & same
+                return live != 0 and m_next == m_prev ^ (live & -live)
+    return False
+
+
+class Problem(NamedTuple):
+    """One matching problem: a term, a pattern, and the current grammar."""
+
+    term: object
+    pattern: object
+    grammar: object
+
+
+def reference_order(nxt, prev):
+    """The tuple order read on Grammar values."""
+    if is_proper_subterm(nxt.term, prev.term):
+        return True
+    if nxt.term != prev.term:
+        return False
+    p_prev, p_next = prev.pattern, nxt.pattern
+    same_grammar = nxt.grammar == prev.grammar
+    if isinstance(p_prev, InHolePat):
+        return same_grammar and p_next in (p_prev.context_pat, p_prev.hole_pat)
+    if isinstance(p_prev, NamePat):
+        return same_grammar and p_next == p_prev.pattern
+    if isinstance(p_prev, NtPat):
+        prod = Production(p_prev.name, p_next)
+        return prod in prev.grammar.productions and nxt.grammar == remove_prod(
+            prev.grammar, prod
+        )
+    return False

@@ -46,7 +46,8 @@ from redsem import (
     trace,
 )
 from redsem.cli import run_cli
-from redsem.terms import is_proper_subterm
+from references import Problem, is_proper_subterm, reference_order
+from test_matching import REENTRY_PRODUCTIONS, REENTRY_RAW_COUNTS
 
 A, B = Literal("a"), Literal("b")
 
@@ -217,8 +218,45 @@ class TestCriterion4OriginalSystemCorrespondence:
         assert disagreements == 0
 
 
+def record_edges(monkeypatch):
+    """Record every edge that the engine hands its order check, as the
+    (index, fact, t2, p2, m2, t, p, m) arguments of the check."""
+    import redsem.matching as matching
+
+    real, edges = matching.mask_order_decreases, []
+
+    def recorded(*args):
+        edges.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(matching, "mask_order_decreases", recorded)
+    return edges
+
+
+def edges_below(edges):
+    """The number of edges that decrease in the tuple order read on
+    Grammar values (`references.reference_order`), each mask read as the
+    grammar of the productions whose bits it holds."""
+    grammars = {}
+
+    def problem(index, t, p, m):
+        key = (id(index), m)  # the edges hold each index
+        if key not in grammars:
+            prods = index.productions
+            grammars[key] = new_grammar(q for i, q in enumerate(prods) if m >> i & 1)
+        return Problem(t, p, grammars[key])
+
+    return sum(
+        reference_order(problem(index, t2, p2, m2), problem(index, t, p, m))
+        for index, _, t2, p2, m2, t, p, m in edges
+    )
+
+
 class TestCriterion5TerminationMeasure:
-    def test_no_measure_violations(self, all_cases):
+    def test_no_measure_violations(self, all_cases, monkeypatch):
+        # the engine's own check compares each edge with the fact of its
+        # rule; the order itself is checked here on every edge it checked
+        edges = record_edges(monkeypatch)
         violations = 0
         for g, t, p in all_cases:
             assert not is_left_recursive(g)
@@ -226,8 +264,19 @@ class TestCriterion5TerminationMeasure:
                 match_decompose(g, t, p, debug=True)
             except (MeasureViolationError, SoundnessCheckError):
                 violations += 1
-        report(5, "termination measure", violations == 0)
+        violations += len(edges) - edges_below(edges)
+        report(5, "termination measure", violations == 0 and len(edges) > 0)
+        assert len(edges) > 0
         assert violations == 0
+
+    def test_every_edge_decreases_on_a_left_recursive_grammar(self, monkeypatch):
+        g = new_grammar([(nt, parse_pattern(rhs)) for nt, rhs in REENTRY_PRODUCTIONS])
+        assert is_left_recursive(g)
+        edges = record_edges(monkeypatch)
+        for term, pattern in REENTRY_RAW_COUNTS:
+            match_decompose(g, parse_term(term), parse_pattern(pattern), debug=True)
+        assert len(edges) > 0
+        assert edges_below(edges) == len(edges)
 
 
 class TestCriterion6LambdaIntegration:

@@ -1,10 +1,10 @@
 import copy
+import hashlib
 import os
 import pickle
 import random
 import subprocess
 import sys
-from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +29,6 @@ from redsem import (
     MeasureViolationError,
     NamePat,
     NtPat,
-    Production,
     SoundnessCheckError,
     TailCtx,
     decompose,
@@ -48,23 +47,23 @@ from redsem import (
 from redsem.matching import (
     EMPTY_BINDINGS,
     EMPTY_DECOMPOSITION,
-    _from_immediate_part,
     _list_count,
     bind_name,
     bindings_union,
     combine,
     grammar_index,
-    mask_order_decreases,
     select,
 )
-from redsem.terms import (
-    compose,
+from redsem.terms import compose, subpatterns, term_size
+from references import (
+    Problem,
+    from_immediate_part,
+    general_order_decreases,
     immediate_subterms,
     is_proper_subterm,
-    subpatterns,
-    term_size,
+    proper_subterms,
+    reference_order,
 )
-from references import proper_subterms
 
 A, B = Literal("a"), Literal("b")
 AB = ListTerm((A, B))
@@ -266,34 +265,6 @@ class TestDecompose:
         assert got == oracle_decompose(lam.grammar, t, p)
 
 
-class Problem(NamedTuple):
-    """One matching problem: a term, a pattern, and the current grammar."""
-
-    term: object
-    pattern: object
-    grammar: object
-
-
-def reference_order(nxt, prev):
-    """The tuple order read on Grammar values."""
-    if is_proper_subterm(nxt.term, prev.term):
-        return True
-    if nxt.term != prev.term:
-        return False
-    p_prev, p_next = prev.pattern, nxt.pattern
-    same_grammar = nxt.grammar == prev.grammar
-    if isinstance(p_prev, InHolePat):
-        return same_grammar and p_next in (p_prev.context_pat, p_prev.hole_pat)
-    if isinstance(p_prev, NamePat):
-        return same_grammar and p_next == p_prev.pattern
-    if isinstance(p_prev, NtPat):
-        prod = Production(p_prev.name, p_next)
-        return prod in prev.grammar.productions and nxt.grammar == remove_prod(
-            prev.grammar, prod
-        )
-    return False
-
-
 def subsequence_mask(productions, g):
     """The bits that spell g's productions in order among `productions`,
     matched right to left; None when g is not a sub-sequence of them.
@@ -313,7 +284,8 @@ def subsequence_mask(productions, g):
 
 
 def order_decreases(g, nxt, prev):
-    """The engine's order, `mask_order_decreases`, on Grammar values.
+    """The order on masks, `references.general_order_decreases`, on
+    Grammar values.
 
     prev's grammar maps to its mask of g's index, or is indexed on its own
     when it is not a sub-sequence of g.  nxt's grammar is spelled among
@@ -331,7 +303,7 @@ def order_decreases(g, nxt, prev):
     if within is not None:
         bits = [i for i in range(m_prev.bit_length()) if m_prev >> i & 1]
         m_next = sum(1 << b for j, b in enumerate(bits) if within >> j & 1)
-    return mask_order_decreases(
+    return general_order_decreases(
         index, nxt.term, nxt.pattern, m_next, prev.term, prev.pattern, m_prev
     )
 
@@ -407,7 +379,7 @@ class TestTupleOrder:
 
 
 class TestImmediatePart:
-    """The order check's identity path: a term built from one of the
+    """The general order's identity path: a term built from one of the
     parent term's immediate parts is accepted without a scan."""
 
     @given(seeds)
@@ -419,17 +391,19 @@ class TestImmediatePart:
         index = grammar_index(EMPTY_G)
         for prev in terms[:10]:
             parts = list(immediate_subterms(prev))
-            assert all(_from_immediate_part(sub, prev) for sub in parts)
+            assert all(from_immediate_part(sub, prev) for sub in parts)
             for sub in parts + [rng.choice(terms), gen_term(rng, 3)]:
-                if not _from_immediate_part(sub, prev):
+                if not from_immediate_part(sub, prev):
                     continue
                 assert is_proper_subterm(sub, prev)
                 # an equal copy is found by the scan; only the empty
                 # list's items, the shared (), are the same object
                 twin = copy.deepcopy(sub)
                 if twin != ListTerm(()):
-                    assert not _from_immediate_part(twin, prev)
-                assert mask_order_decreases(index, twin, HOLE_PAT, 0, prev, HOLE_PAT, 0)
+                    assert not from_immediate_part(twin, prev)
+                assert general_order_decreases(
+                    index, twin, HOLE_PAT, 0, prev, HOLE_PAT, 0
+                )
 
 
 def right_chain_src(n):
@@ -521,6 +495,37 @@ class TestRawResults:
             assert matches(g, t, NtPat("n"), current=other) == oracle_match(
                 g, t, NtPat("n"), other
             )
+
+
+# sha256 over the repr of every raw list of the query set below, in its
+# order, recorded before the list rule took one step per list pattern
+QUERY_SET_DIGEST = "d3db5e58a0cad36986d52fc226c9198fde2ac385f8da52639cc61031c95683b6"
+
+
+def query_set(lam):
+    """3,000 generated cases, the same cases under the grammar less its
+    first production as the current grammar, and right and left chains 0
+    to 24 under the chain patterns and the nested in-hole patterns."""
+    rng = random.Random(20261018)
+    cases = [gen_case(rng) for _ in range(3000)]
+    for g, t, p in cases:
+        yield g, t, p, None
+    for g, t, p in cases:
+        yield g, t, p, new_grammar(g.productions[1:])
+    sources = [CHAIN_PATTERNS[k] for k in ("redex", "E", "e")]
+    patterns = [parse_pattern(src) for src in sources + list(TestExactPruning.NESTED)]
+    for n in range(25):
+        for t in (right_chain(n), left_chain(n)):
+            for p in patterns:
+                yield lam.grammar, t, p, None
+
+
+@pytest.mark.parametrize("debug", [True, False])
+def test_raw_lists_of_the_query_set_are_pinned(lam, debug):
+    digest = hashlib.sha256()
+    for g, t, p, current in query_set(lam):
+        digest.update(repr(match_decompose(g, t, p, current, debug=debug)).encode())
+    assert digest.hexdigest() == QUERY_SET_DIGEST
 
 
 class TestDebugChecksUnderMemo:
@@ -641,6 +646,71 @@ class TestInductiveDebugChecks:
         splits = [r for r in got if isinstance(r.decomposition, ContextDecomposition)]
         assert len(splits) == 33
         assert calls[0] == len(splits)
+
+
+def parent_term(args):
+    index, fact, t2, p2, m2, t, p, m = args
+    return index, fact, t, p2, m2, t, p, m
+
+
+def copied_term(args):
+    index, fact, t2, p2, m2, t, p, m = args
+    return index, fact, copy.deepcopy(t2), p2, m2, t, p, m
+
+
+def copied_pattern(args):
+    index, fact, t2, p2, m2, t, p, m = args
+    return index, fact, t2, copy.deepcopy(p2), m2, t, p, m
+
+
+def uncleared_mask(args):
+    index, fact, t2, p2, m2, t, p, m = args
+    return index, fact, t2, p2, m, t, p, m
+
+
+class TestEdgeFacts:
+    """The order check compares each edge with the fact of the rule that
+    made it, by identity.  Handed an edge with one part changed at the
+    first, middle and last edge it applies to, the real check refuses it.
+    The parent term is a fault only on an edge that leaves it, and the
+    parent's mask only on a production edge, which must clear a bit."""
+
+    FAULTS = {
+        "parent term": (lambda a: a[2] is not a[5], parent_term),
+        "copy of the term": (lambda a: True, copied_term),
+        "copy of the pattern": (lambda a: True, copied_pattern),
+        "mask with no bit cleared": (lambda a: isinstance(a[6], NtPat), uncleared_mask),
+    }
+
+    def inject(self, monkeypatch, applies, change=None, at=None):
+        import redsem.matching as matching
+
+        real, seen = matching.mask_order_decreases, [0]
+
+        def wrapped(*args):
+            if applies(args):
+                seen[0] += 1
+                if seen[0] == at:
+                    args = change(args)
+            return real(*args)
+
+        monkeypatch.setattr(matching, "mask_order_decreases", wrapped)
+        return seen
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("name", ["E", "redex"])
+    def test_changed_edge_is_refused(self, lam, monkeypatch, name, fault):
+        g, t, p = lam.grammar, right_chain(16), parse_pattern(CHAIN_PATTERNS[name])
+        applies, change = self.FAULTS[fault]
+        seen = self.inject(monkeypatch, applies)
+        match_decompose(g, t, p, debug=True)
+        total = seen[0]
+        assert total > 2
+        for k in (1, (total + 1) // 2, total):
+            monkeypatch.undo()
+            self.inject(monkeypatch, applies, change, k)
+            with pytest.raises(MeasureViolationError):
+                match_decompose(g, t, p, debug=True)
 
 
 def test_deep_right_chain_within_default_recursion_limit(lam):
@@ -884,9 +954,13 @@ class TestExactPruning:
         assert matches(g, t, p) == oracle_match(g, t, p)
         assert decompose(g, t, p) == oracle_decompose(g, t, p)
 
-    # mask_order_decreases calls on right chain 16 with the checks on;
-    # before the pruning the same queries made 1,210, 1,591 and 971
-    PRUNED_EDGES = {"redex": 455, "E": 517, "e": 333}
+    # mask_order_decreases calls on right chain 16 with the checks on.
+    # Before the pruning the same queries made 1,210, 1,591 and 971, and
+    # 455, 517 and 333 while a list pattern split its list into a head and
+    # a tail: 101, 145 and 83 of those were tail edges, and under the
+    # redex pattern 34 more were items on lists whose length differs from
+    # the pattern's, and the steps below them
+    PRUNED_EDGES = {"redex": 320, "E": 372, "e": 250}
 
     @pytest.mark.parametrize("name", sorted(PRUNED_EDGES))
     def test_edge_counts_pinned(self, lam, monkeypatch, name):
@@ -904,16 +978,45 @@ class TestExactPruning:
         assert len(got) == CHAIN_RESULT_COUNTS[("right", 16, name)][0]
         assert calls[0] == self.PRUNED_EDGES[name]
 
-    # is_proper_subterm scans in the same queries; before the order check
-    # accepted the parts of the parent term by identity, 252, 290 and 166
-    SUBTERM_SCANS = {"redex": 1, "E": 0, "e": 0}
+    # structural comparisons of terms or patterns made inside the order
+    # check in the same queries: it compares objects by identity.  While
+    # it scanned for sub-terms, is_proper_subterm ran 1, 0 and 0 times
+    # here, and 252, 290 and 166 times before it accepted the parts of the
+    # parent term by identity
+    CHECK_COMPARISONS = {"redex": 0, "E": 0, "e": 0}
 
-    @pytest.mark.parametrize("name", sorted(SUBTERM_SCANS))
+    @pytest.mark.parametrize("name", sorted(CHECK_COMPARISONS))
     def test_subterm_scans_pinned(self, lam, monkeypatch, name):
-        calls = inject(monkeypatch, "is_proper_subterm")
+        import redsem.matching as matching
+
+        real, inside, compared = matching.mask_order_decreases, [False], [0, 0]
+
+        def checked(*args):
+            inside[0] = True
+            try:
+                return real(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(matching, "mask_order_decreases", checked)
+        for cls in (Literal, ListTerm, CtxTerm, HeadCtx, TailCtx, type(HOLE)):
+            self.count_eq(monkeypatch, cls, inside, compared)
+        for cls in (LitPat, type(HOLE_PAT), ListPat, NamePat, NtPat, InHolePat):
+            self.count_eq(monkeypatch, cls, inside, compared)
         t, p = right_chain(16), parse_pattern(CHAIN_PATTERNS[name])
         match_decompose(lam.grammar, t, p, debug=True)
-        assert calls[0] == self.SUBTERM_SCANS[name]
+        assert compared[0] == self.CHECK_COMPARISONS[name]
+        assert compared[1] > 0  # the hole rule compares t with the hole term
+
+    @staticmethod
+    def count_eq(monkeypatch, cls, inside, compared):
+        eq = cls.__eq__
+
+        def counted(self, other):
+            compared[0 if inside[0] else 1] += 1
+            return eq(self, other)
+
+        monkeypatch.setattr(cls, "__eq__", counted)
 
 
 DEPTH_SCRIPT = """\

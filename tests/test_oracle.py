@@ -35,8 +35,7 @@ from redsem import (
 )
 from redsem.matching import EMPTY_BINDINGS
 from redsem.oracle import _union
-from redsem.terms import is_proper_subterm
-from references import is_subgrammar
+from references import is_proper_subterm, is_subgrammar
 
 A, B = Literal("a"), Literal("b")
 AB = ListTerm((A, B))

@@ -258,7 +258,8 @@ class TestSession:
 
     def test_a_trace_checks_each_shared_subproblem_once(self, lam, monkeypatch):
         # order checks made by the 9 calls of a right-chain trace, and by
-        # the same calls made afresh, one session each
+        # the same calls made afresh, one session each; 668 and 1,161 while
+        # a list pattern split its list into a head and a tail
         checks(monkeypatch, True)
         edges = inject(monkeypatch, "mask_order_decreases")
         real, calls = record(monkeypatch)
@@ -266,7 +267,7 @@ class TestSession:
         in_session = edges[0]
         for args, kwargs, _, _ in calls:
             real(*args, **kwargs)
-        assert (len(calls), in_session, edges[0] - in_session) == (9, 668, 1161)
+        assert (len(calls), in_session, edges[0] - in_session) == (9, 499, 815)
 
     def test_generated_cases_share_a_session(self):
         # four patterns on one term object per case, in both orders; each
@@ -285,6 +286,30 @@ class TestSession:
                         assert repr(match_decompose(g, t, parse_pattern(sources[i]))) == fresh[i]
                         calls += 1
         assert calls == 24000
+
+    def test_a_memo_entry_holds_its_filter(self):
+        # n -> (in-hole (nt n) hole) | a: under (in-hole (nt n) F) the
+        # context side (nt n) is keyed by the filter F, as a hole is
+        # reachable from n through the in-hole's hole side.  That in-hole
+        # production has removed itself from the mask of its own context
+        # side, which finds no split, so no hole pattern is reached under
+        # F and no filter query holds it: only the memo entry does
+        rhs = [parse_pattern("(in-hole (nt n) hole)"), LitPat(A)]
+        g = new_grammar([("n", q) for q in rhs])
+        session = _Session(g)
+        with session:
+            p = parse_pattern("(in-hole (nt n) b)")
+            assert match_decompose(g, A, p) == []
+            filt, filt_id = weakref.ref(p.hole_pat), id(p.hole_pat)
+            assert all(f is not filt() for _, f, _ in session.queries.values())
+            del p
+            gc.collect()
+            assert filt() is not None  # its id cannot be reused
+            q = parse_pattern("(in-hole (nt n) (name x hole))")
+            assert id(q.hole_pat) != filt_id
+            shared = repr(match_decompose(g, A, q))
+        assert filt() is None  # dropped with the session
+        assert repr(match_decompose(g, A, q)) == shared
 
     def test_calls_that_do_not_join_run_afresh(self, lam):
         # another grammar object, a current grammar, or other checks than

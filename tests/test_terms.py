@@ -14,8 +14,8 @@ from redsem import (
     enumerate_decompositions,
     plug,
 )
-from redsem.terms import compose, is_proper_subterm, term_size
-from references import context_hole_count, proper_subterms
+from redsem.terms import compose, term_size
+from references import context_hole_count, is_proper_subterm, proper_subterms
 
 A, B, C = Literal("a"), Literal("b"), Literal("c")
 AB = ListTerm((A, B))
