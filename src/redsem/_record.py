@@ -15,6 +15,15 @@ a frozen dataclass:
   and copy rebuild an instance from its fields.  With ``frozen=False``
   instances are mutable and unhashable instead.
 
+A class with ``__slots__`` sets each field through its slot's own member
+descriptor (``Cls.field.__set__``), which skips the attribute lookup of
+``object.__setattr__``; a class without slots uses the latter.  A slot
+named ``_hash`` outside the fields caches the hash: ``__init__`` sets it
+to None and the first ``__hash__`` fills it with the hash of the fields
+tuple, the value an uncached hash returns.  It takes no part in
+equality or repr, and pickle and copy, which rebuild from the fields,
+drop it.
+
 A method the class body defines is kept, and ``__match_args__`` is the
 field list.  Each method is a template below, for its number of fields,
 with the placeholder names ``_0``, ``_1`` and ``_2`` renamed to the
@@ -40,6 +49,45 @@ def _inits(k0=None, k1=None, k2=None):
         _set(self, k0, _0)
         _set(self, k1, _1)
         _set(self, k2, _2)
+
+    return None, init1, init2, init3
+
+
+def _slot_inits(s0=None, s1=None, s2=None):
+    """Initializers that set each field through its slot's setter."""
+
+    def init1(self, _0):
+        s0(self, _0)
+
+    def init2(self, _0, _1):
+        s0(self, _0)
+        s1(self, _1)
+
+    def init3(self, _0, _1, _2):
+        s0(self, _0)
+        s1(self, _1)
+        s2(self, _2)
+
+    return None, init1, init2, init3
+
+
+def _cached_inits(clear, s0=None, s1=None, s2=None):
+    """`_slot_inits` that also empty the ``_hash`` slot with `clear`."""
+
+    def init1(self, _0):
+        s0(self, _0)
+        clear(self, None)
+
+    def init2(self, _0, _1):
+        s0(self, _0)
+        s1(self, _1)
+        clear(self, None)
+
+    def init3(self, _0, _1, _2):
+        s0(self, _0)
+        s1(self, _1)
+        s2(self, _2)
+        clear(self, None)
 
     return None, init1, init2, init3
 
@@ -86,6 +134,33 @@ def _hash3(self):
 
 _EQS = _eq0, _eq1, _eq2, _eq3
 _HASHES = _hash0, _hash1, _hash2, _hash3
+
+
+def _cached_hashes(keep):
+    """Hashes that fill the ``_hash`` slot with `keep` on first use."""
+
+    def hash1(self):
+        h = self._hash
+        if h is None:
+            h = hash((self._0,))
+            keep(self, h)
+        return h
+
+    def hash2(self):
+        h = self._hash
+        if h is None:
+            h = hash((self._0, self._1))
+            keep(self, h)
+        return h
+
+    def hash3(self):
+        h = self._hash
+        if h is None:
+            h = hash((self._0, self._1, self._2))
+            keep(self, h)
+        return h
+
+    return None, hash1, hash2, hash3
 
 
 def _reprs(l0, l1=None, l2=None):
@@ -149,13 +224,24 @@ def record(cls=None, /, *, compare=None, frozen=True):
     # the text before each field's value: "Name(" and "field=", or ", field="
     labels = [f"{', ' if i else ''}{k}=" for i, k in enumerate(fields)] or [""]
     labels[0] = f"{cls.__qualname__}({labels[0]}"
+    hashes = _HASHES
+    if not slots:
+        inits = _inits(*fields)
+    else:
+        setters = [cls.__dict__[k].__set__ for k in fields]
+        if "_hash" in slots:
+            keep = cls.__dict__["_hash"].__set__
+            inits = _cached_inits(keep, *setters)
+            hashes = _cached_hashes(keep)
+        else:
+            inits = _slot_inits(*setters)
     made = {
         "__eq__": _renamed(_EQS[len(compared)], compared),
-        "__hash__": _renamed(_HASHES[len(compared)], compared) if frozen else None,
+        "__hash__": _renamed(hashes[len(compared)], compared) if frozen else None,
         "__repr__": _renamed(_reprs(*labels)[len(fields)], fields),
     }
     if fields:
-        made["__init__"] = _renamed(_inits(*fields)[len(fields)], fields, defaults)
+        made["__init__"] = _renamed(inits[len(fields)], fields, defaults)
     if "__post_init__" in cls.__dict__:
         made["__init__"] = _then_post_init(made["__init__"])
     for name, method in made.items():

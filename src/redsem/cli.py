@@ -11,6 +11,7 @@ from .errors import EngineError
 from .grammar import find_left_recursion
 from .language import (
     _bindings_text,
+    _PrintScope,
     check_pattern_nonterminals,
     load_language,
     parse_pattern,
@@ -184,7 +185,9 @@ def run_cli(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return EXIT_INPUT_ERROR if e.code else EXIT_OK
     try:
-        return _COMMANDS[args.command](args)
+        # one printing scope per request: each shared node prints once
+        with _PrintScope():
+            return _COMMANDS[args.command](args)
     except (EngineError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR

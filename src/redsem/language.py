@@ -10,6 +10,7 @@ number of `(rule <name> <lhs> <rhs>)` forms.
 from __future__ import annotations
 
 import re
+import threading
 
 from ._record import record
 from .errors import EngineError
@@ -96,12 +97,57 @@ def parse_term(src: str) -> Term:
     return _sexpr_term(parse_sexpr(src))
 
 
+class _Printing(threading.local):
+    memo: dict[int, tuple[Term, str]] | None = None  # the open scope's
+
+
+_printing = _Printing()
+
+
+class _PrintScope:
+    """A memo of the text of every list term printed while the scope is
+    open.
+
+    ``with _PrintScope():`` opens a scope until the block exits, unless one
+    is already open in this thread, which the block then leaves as it is.
+    Inside it `print_term` prints each list term once, keyed by ``id``,
+    and reuses its text wherever the term is shared, in a term, in a
+    context's heads and tails, or across results.  The memo holds every
+    term it keys, so no id is reused while the scope is open, and it is
+    emptied when the block that opened it exits.
+
+    Context nodes are printed in full: the engine builds each split's
+    context path afresh, so their text would almost never be reused, and
+    keeping it would hold about n^2 characters per context of depth n.
+    """
+
+    __slots__ = ("memo",)
+
+    def __init__(self) -> None:
+        self.memo: dict[int, tuple[Term, str]] = {}  # id -> (term, text)
+
+    def __enter__(self) -> None:
+        if _printing.memo is None:
+            _printing.memo = self.memo
+
+    def __exit__(self, *exc) -> None:
+        if _printing.memo is self.memo:
+            _printing.memo = None
+        self.memo.clear()
+
+
 def print_term(t: Term) -> str:
     if isinstance(t, Literal):
         return print_literal(t)
-    if isinstance(t, ListTerm):
-        return "(" + " ".join(print_term(item) for item in t.items) + ")"
-    return print_context(t.context)
+    if isinstance(t, CtxTerm):
+        return print_context(t.context)
+    memo = _printing.memo
+    if memo is not None and (hit := memo.get(id(t))) is not None:
+        return hit[1]
+    text = "(" + " ".join(print_term(item) for item in t.items) + ")"
+    if memo is not None:
+        memo[id(t)] = t, text
+    return text
 
 
 def print_context(c: Context) -> str:

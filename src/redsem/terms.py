@@ -3,7 +3,9 @@
 Terms are literals, lists of terms, or embedded contexts.  A context is a
 term with exactly one hole; every list node of a context carries a tag
 (head/tail) pointing toward the hole, so plugging and decomposition can
-follow a path instead of searching.
+follow a path instead of searching.  List and context nodes cache their
+hash in a ``_hash`` slot outside their fields (see `redsem._record`): the
+engine shares sub-terms by identity, so a shared node is hashed once.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class Literal:
 class ListTerm:
     """A list of zero or more terms."""
 
-    __slots__ = ("items", "_size")
+    __slots__ = ("items", "_hash")
     items: tuple["Term", ...]
 
 
@@ -49,7 +51,7 @@ class ListTerm:
 class CtxTerm:
     """A context embedded in term position."""
 
-    __slots__ = ("context", "_size")
+    __slots__ = ("context", "_hash")
     context: "Context"
 
 
@@ -62,7 +64,7 @@ class Hole:
 class HeadCtx:
     """List context whose hole lies inside the head element."""
 
-    __slots__ = ("hole_side", "tail", "_size")
+    __slots__ = ("hole_side", "tail", "_hash")
     hole_side: "Context"
     tail: tuple["Term", ...]
 
@@ -71,7 +73,7 @@ class HeadCtx:
 class TailCtx:
     """List context whose hole lies somewhere in the tail."""
 
-    __slots__ = ("head", "rest", "_size")
+    __slots__ = ("head", "rest", "_hash")
     head: "Term"
     rest: "ListContext"
 
@@ -129,47 +131,6 @@ class InHolePat:
 Pattern = LitPat | HolePat | ListPat | NamePat | NtPat | InHolePat
 
 HOLE_PAT = HolePat()
-
-
-def term_size(t: Term | Context) -> int:
-    """Number of nodes of a term or a context, cached on each list and
-    context node.
-
-    The cache is a slot outside the fields, so it takes no part in
-    equality, hashing or repr.  Nodes not sized yet are sized bottom-up on
-    an explicit stack, so depth costs no Python stack.
-    """
-    if isinstance(t, (Literal, Hole)):
-        return 1
-    size = getattr(t, "_size", None)
-    if size is not None:
-        return size
-    todo = [t]
-    while todo:
-        node = todo[-1]
-        if isinstance(node, ListTerm):
-            parts = node.items
-        elif isinstance(node, CtxTerm):
-            parts = (node.context,)
-        elif isinstance(node, HeadCtx):
-            parts = (node.hole_side, *node.tail)
-        else:
-            parts = (node.head, node.rest)
-        size, ready = 1, True
-        for part in parts:
-            if isinstance(part, (Literal, Hole)):
-                size += 1
-                continue
-            n = getattr(part, "_size", None)
-            if n is None:
-                todo.append(part)
-                ready = False
-            else:
-                size += n
-        if ready:
-            todo.pop()
-            object.__setattr__(node, "_size", size)
-    return t._size
 
 
 def pattern_size(p: Pattern) -> int:

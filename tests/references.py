@@ -7,7 +7,9 @@ engine's one-pass analyses with an independent statement of the same
 thing.  The sub-term relation and the tuple order are stated here too,
 on terms and on Grammar values: the engine checks each edge against the
 fact of the rule that made it, and the tests check those edges against
-the order itself.
+the order itself.  The recursive printer that prints every node in full
+is the reference for the CLI's printer, which prints each shared node
+once per request.
 """
 
 from typing import NamedTuple
@@ -20,6 +22,7 @@ from redsem import (
     InHolePat,
     ListPat,
     ListTerm,
+    Literal,
     NamePat,
     NtPat,
     Production,
@@ -27,7 +30,8 @@ from redsem import (
     productions_of,
     remove_prod,
 )
-from redsem.terms import subpatterns, term_size
+from redsem.language import print_literal
+from redsem.terms import subpatterns
 
 
 def immediate_subterms(t):
@@ -52,6 +56,46 @@ def immediate_subterms(t):
             yield CtxTerm(c.rest)
 
 
+def term_size(t, sizes=None):
+    """Number of nodes of a term or a context.
+
+    Nodes are sized bottom-up on an explicit stack, so depth costs no
+    Python stack.  `sizes`, if given, maps the id of each node sized so
+    far to (node, size); it is read and filled, and holds each node it
+    keys, so one dict can serve many calls.
+    """
+    if isinstance(t, (Literal, Hole)):
+        return 1
+    sizes = {} if sizes is None else sizes
+    todo = [t]
+    while todo:
+        node = todo[-1]
+        if id(node) in sizes:
+            todo.pop()
+            continue
+        if isinstance(node, ListTerm):
+            parts = node.items
+        elif isinstance(node, CtxTerm):
+            parts = (node.context,)
+        elif isinstance(node, HeadCtx):
+            parts = (node.hole_side, *node.tail)
+        else:
+            parts = (node.head, node.rest)
+        size, ready = 1, True
+        for part in parts:
+            if isinstance(part, (Literal, Hole)):
+                size += 1
+            elif id(part) in sizes:
+                size += sizes[id(part)][1]
+            else:
+                todo.append(part)
+                ready = False
+        if ready:
+            todo.pop()
+            sizes[id(node)] = (node, size)
+    return sizes[id(t)][1]
+
+
 def is_proper_subterm(sub, t):
     """True iff sub occurs strictly inside t.  Irreflexive and transitive.
 
@@ -60,16 +104,39 @@ def is_proper_subterm(sub, t):
     entered.  The immediate subterms of t are compared before anything
     deeper.
     """
-    size = term_size(sub)
+    sizes = {}
+    size = term_size(sub, sizes)
     todo = [t]
     while todo:
         for s in immediate_subterms(todo.pop()):
-            n = term_size(s)
+            n = term_size(s, sizes)
             if n > size:
                 todo.append(s)
             elif n == size and s == sub:
                 return True
     return False
+
+
+def print_term(t):
+    """The s-expression text of a term, printed in full at every node."""
+    if isinstance(t, Literal):
+        return print_literal(t)
+    if isinstance(t, ListTerm):
+        return "(" + " ".join(print_term(item) for item in t.items) + ")"
+    return print_context(t.context)
+
+
+def print_context(c):
+    """The s-expression text of a context, printed in full at every node."""
+    if isinstance(c, Hole):
+        return "hole"
+    return "(" + " ".join(_context_elements(c)) + ")"
+
+
+def _context_elements(lc):
+    if isinstance(lc, HeadCtx):
+        return [print_context(lc.hole_side)] + [print_term(t) for t in lc.tail]
+    return [print_term(lc.head)] + _context_elements(lc.rest)
 
 
 def proper_subterms(t):

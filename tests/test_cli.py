@@ -2,11 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import redsem
-from conftest import CORPUS_FILE, LAMBDA_FILE, LEFTREC_FILE
+import references
+from conftest import CORPUS_FILE, LAMBDA_FILE, LAMBDA_ND_FILE, LEFTREC_FILE
+from redsem import ListTerm, Literal, cli, language, parse_term
 from redsem.cli import run_cli
 from redsem.sexpr import Atom, SList, parse_sexprs, print_sexpr
 
@@ -402,3 +405,116 @@ class TestUsageErrors:
 
     def test_missing_required_flag(self, capsys):
         assert run(capsys, "match", "-p", "(nt v)", "-t", "a")[0] == 2
+
+
+def chain_source(shape: str, n: int) -> str:
+    """Right or left chain n, its identities over x y z w f g in turn."""
+    lams = ["(λ {0} {0})".format("xyzwfg"[k % 6]) for k in range(n + 1)]
+    text = lams[0]
+    for lam in lams[1:]:
+        text = f"({lam} {text})" if shape == "right" else f"({text} {lam})"
+    return text
+
+
+def tree_source(depth: int) -> str:
+    """The balanced application tree with 2**depth identity leaves."""
+    items = ["(λ {0} {0})".format("xyzwfg"[k % 6]) for k in range(2**depth)]
+    while len(items) > 1:
+        items = [f"({a} {b})" for a, b in zip(items[::2], items[1::2])]
+    return items[0]
+
+
+class TestPrintOnce:
+    """Each request prints each shared node once; its bytes are those of
+    the reference printer, which prints every node in full."""
+
+    def both_printers(self, monkeypatch, capsys, engine, argv):
+        # the engine runs once; its answer is printed by the CLI's printer
+        # and then by the reference printer
+        real, answers = getattr(cli, engine), []
+
+        def once(*args, **kwargs):
+            if not answers:
+                answers.append(real(*args, **kwargs))
+            return answers[0]
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, engine, once)
+            got = run(capsys, *argv)
+            m.setattr(cli, "print_term", references.print_term)
+            m.setattr(cli, "print_context", references.print_context)
+            want = run(capsys, *argv)
+        assert got == want
+        assert got[0] == 0 and got[1]
+        return got
+
+    @pytest.mark.parametrize("shape", ["right", "left"])
+    def test_decompose_chains_0_to_64(self, monkeypatch, capsys, shape):
+        for n in range(65):
+            argv = ["decompose", "-g", LAMBDA_FILE, "-p", "(nt E)"]
+            argv += ["-t", chain_source(shape, n)]
+            _, out, _ = self.both_printers(monkeypatch, capsys, "decompose", argv)
+            splits = 2 * n + 1 if shape == "right" else n + 2 if n else 1
+            assert out.count("\n") == splits
+
+    def test_trace_right_chains_0_to_12(self, monkeypatch, capsys):
+        for n in range(13):
+            argv = ["trace", "-g", LAMBDA_FILE, "-t", chain_source("right", n)]
+            argv += ["--max-steps", str(n + 1)]
+            _, out, _ = self.both_printers(monkeypatch, capsys, "trace", argv)
+            assert out.count("(node ") == n + 1
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_trace_lambda_nd_trees(self, monkeypatch, capsys, depth):
+        argv = ["trace", "-g", LAMBDA_ND_FILE, "-t", tree_source(depth)]
+        _, out, _ = self.both_printers(monkeypatch, capsys, "trace", argv)
+        assert out.count("(node ") == {1: 2, 2: 6, 3: 52}[depth]
+
+    def test_a_shared_node_prints_once_per_scope(self, monkeypatch):
+        s = parse_term("((λ x x) (a b))")
+        t = ListTerm((s, s, ListTerm((s,))))
+        calls, real = Counter(), language.print_term
+
+        def counted(u):
+            calls[id(u)] += 1
+            return real(u)
+
+        monkeypatch.setattr(language, "print_term", counted)
+        with language._PrintScope():
+            assert language.print_term(t) == references.print_term(t)
+        assert (calls[id(s)], calls[id(s.items[0])]) == (3, 1)
+        calls.clear()
+        language.print_term(t)  # no scope: every node in full
+        assert (calls[id(s)], calls[id(s.items[0])]) == (3, 3)
+
+    def test_a_scope_inside_an_open_one_leaves_it_open(self):
+        with language._PrintScope():
+            memo = language._printing.memo
+            with language._PrintScope():
+                assert language._printing.memo is memo
+            assert language._printing.memo is memo
+        assert language._printing.memo is None
+
+    def test_requests_share_no_memo(self, capsys):
+        for argv in (
+            ["decompose", "-g", LAMBDA_FILE, "-p", "(nt E)", "-t", "((λ x x) a)"],
+            ["decompose", "-g", LAMBDA_FILE, "-p", "(nt Q)", "-t", "a"],
+            ["trace", "-g", LAMBDA_FILE, "-t", "((λ x x) (λ y y))"],
+        ):
+            run(capsys, *argv)
+            assert language._printing.memo is None
+
+    def test_a_node_freed_between_two_scopes_does_not_leak_its_text(self):
+        first = ListTerm((Literal("a"), Literal("b")))
+        with language._PrintScope():
+            assert language.print_term(first) == "(a b)"
+        freed, items = id(first), (Literal("c"),)
+        del first
+        kept = []
+        for _ in range(10_000):
+            kept.append(ListTerm(items))
+            if id(kept[-1]) == freed:
+                break
+        assert id(kept[-1]) == freed  # the next scope sees the same id
+        with language._PrintScope():
+            assert language.print_term(kept[-1]) == "(c)"

@@ -54,7 +54,7 @@ from redsem.matching import (
     grammar_index,
     select,
 )
-from redsem.terms import compose, subpatterns, term_size
+from redsem.terms import compose, subpatterns
 from references import (
     Problem,
     from_immediate_part,
@@ -784,7 +784,7 @@ class TestDepth:
 
     def test_checked_matcher_needs_no_python_stack_per_level(self):
         # each edge's order check finds the new term among the parts of
-        # the old one, and term_size runs on its own stack
+        # the old one by identity
         proc = run_unparsed_chains(debug=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "1\n" * 4
@@ -803,9 +803,9 @@ class TestDepth:
         ctx = HeadCtx(HOLE, (A,))
         items, tail = ListTerm((A,)), TailCtx(A, ctx)
         term = CtxTerm(tail)
-        # fill the _size slots
-        term_size(items)
-        term_size(term)
+        # fill the _hash slots
+        hash(items)
+        hash(term)
         for obj in (
             items,
             term,

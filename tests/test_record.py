@@ -207,8 +207,8 @@ def test_constructors_take_the_fields_in_order():
 
 def test_the_caches_outside_the_fields_still_work():
     t = ListTerm((A, B))
-    object.__setattr__(t, "_size", 3)
-    assert t._size == 3 and t == ListTerm((A, B))
+    object.__setattr__(t, "_hash", 3)
+    assert hash(t) == 3 and t._hash == 3 and t == ListTerm((A, B))
     g = Grammar((Production("e", HOLE_PAT),))
     object.__setattr__(g, "_index", "cached")
     assert g.__dict__["_index"] == "cached" and g == Grammar(g.productions)

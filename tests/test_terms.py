@@ -1,8 +1,15 @@
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from genterms import gen_context, gen_term
+import redsem
 from redsem import (
     HOLE,
     HOLE_TERM,
@@ -14,8 +21,13 @@ from redsem import (
     enumerate_decompositions,
     plug,
 )
-from redsem.terms import compose, term_size
-from references import context_hole_count, is_proper_subterm, proper_subterms
+from redsem.terms import compose
+from references import (
+    context_hole_count,
+    is_proper_subterm,
+    proper_subterms,
+    term_size,
+)
 
 A, B, C = Literal("a"), Literal("b"), Literal("c")
 AB = ListTerm((A, B))
@@ -71,9 +83,10 @@ class TestTermSize:
 
     @given(seeds)
     def test_cache_stays_out_of_eq_hash_repr(self, seed):
+        # the hash cache is the one slot outside the fields
         t, twin = rnd_term(seed), rnd_term(seed)
         before = repr(t)
-        term_size(t)
+        hash(t)
         assert repr(t) == before
         assert t == twin and hash(t) == hash(twin)
         assert term_size(twin) == term_size(t)
@@ -213,3 +226,121 @@ class TestHoleCount:
     def test_split_contexts_have_one_hole(self, seed):
         for c, _ in enumerate_decompositions(rnd_term(seed)):
             assert context_hole_count(c) == 1
+
+
+def hash_sample(kind, seed):
+    """A value of the class named kind, rebuilt afresh on each call, whose
+    parts hold list and context nodes of every class."""
+    t, c = rnd_term(seed), rnd_context(seed)
+    if kind == "ListTerm":
+        return ListTerm((t, CtxTerm(c), ListTerm((t,))))
+    if kind == "CtxTerm":
+        return CtxTerm(TailCtx(t, HeadCtx(c, (t,))))
+    if kind == "HeadCtx":
+        return HeadCtx(TailCtx(t, HeadCtx(c, ())), (t, CtxTerm(c)))
+    return TailCtx(ListTerm((t,)), HeadCtx(c, (CtxTerm(c),)))
+
+
+def cached_nodes(x):
+    """Every list and context node of x, x first, in one fixed order."""
+    out, todo = [], [x]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ListTerm):
+            todo.extend(node.items)
+        elif isinstance(node, CtxTerm):
+            todo.append(node.context)
+        elif isinstance(node, HeadCtx):
+            todo.extend((node.hole_side, *node.tail))
+        elif isinstance(node, TailCtx):
+            todo.extend((node.head, node.rest))
+        else:
+            continue
+        out.append(node)
+    return out
+
+
+HASH_SRC = """
+import pickle, sys
+from redsem import CtxTerm, parse_term
+from redsem.language import to_context
+values = [
+    parse_term("((λ x x) (a (b c)) 7 #t)"),
+    CtxTerm(to_context(parse_term("((λ x x) (a (hole c)))"))),
+    to_context(parse_term("((hole (b c)) d)")),
+    to_context(parse_term("(a (b (hole c)) d)")),
+]
+if sys.argv[1] == "dump":
+    [hash(v) for v in values]
+    sys.stdout.buffer.write(pickle.dumps(values))
+else:
+    loaded = pickle.loads(sys.stdin.buffer.read())
+    print([type(v).__name__ for v in loaded])
+    print([v._hash is None for v in loaded])
+    print([v in {w} for v, w in zip(loaded, values)])
+"""
+
+
+@pytest.mark.parametrize("kind", ["ListTerm", "CtxTerm", "HeadCtx", "TailCtx"])
+class TestHashCache:
+    @given(seeds, seeds)
+    def test_equal_values_hash_equal_whatever_was_hashed_first(self, kind, s, order):
+        x, twin = hash_sample(kind, s), hash_sample(kind, s)
+        assert type(x).__name__ == kind
+        nodes, twins = cached_nodes(x), cached_nodes(twin)
+        assert all(n._hash is None for n in nodes)
+        # x's parts in a random order, some of them never; twin's from its root
+        picked = random.Random(order).sample(nodes, len(nodes) // 2)
+        for node in picked:
+            hash(node)
+        assert hash(twin) == hash(x)
+        assert [hash(n) for n in nodes] == [hash(n) for n in twins]
+
+    @given(seeds)
+    def test_hash_is_the_hash_of_the_fields_tuple(self, kind, s):
+        for node in cached_nodes(hash_sample(kind, s)):
+            fields = tuple([getattr(node, k) for k in node.__match_args__])
+            assert hash(node) == hash(fields)
+            assert node._hash == hash(fields)
+
+    @given(seeds)
+    def test_cache_takes_no_part_in_eq_or_repr(self, kind, s):
+        x, twin = hash_sample(kind, s), hash_sample(kind, s)
+        hash(x)
+        assert x == twin and repr(x) == repr(twin) and twin._hash is None
+        object.__setattr__(x, "_hash", 12345)
+        assert x == twin and twin == x and repr(x) == repr(twin)
+        assert "_hash" not in repr(x) and "12345" not in repr(x)
+
+    @given(seeds)
+    @settings(max_examples=30)
+    def test_pickle_and_deepcopy_drop_the_cache(self, kind, s):
+        x = hash_sample(kind, s)
+        hash(x)
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert all(n._hash is None for n in cached_nodes(y))
+            assert y == x and hash(y) == hash(x)
+
+
+def test_a_value_pickled_under_one_hash_seed_is_found_under_another():
+    # one value of each of the four classes, hashed before pickling
+    src = os.path.dirname(os.path.dirname(redsem.__file__))
+
+    def run(seed, mode, data):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", HASH_SRC, mode],
+            input=data,
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    out = run("2", "load", run("1", "dump", b"")).decode().splitlines()
+    assert out == [
+        "['ListTerm', 'CtxTerm', 'HeadCtx', 'TailCtx']",
+        "[True, True, True, True]",
+        "[True, True, True, True]",
+    ]
