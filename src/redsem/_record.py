@@ -29,7 +29,8 @@ field list.  Each method is a template below, for its number of fields,
 with the placeholder names ``_0``, ``_1`` and ``_2`` renamed to the
 field names in a copy of its code object: it reads the fields as
 attributes, as generated code would, takes them as keywords, and making
-the class compiles nothing.
+the class compiles nothing.  The templates take up to three fields, or
+two in slots; `record` raises TypeError for a class with more.
 """
 
 from types import FunctionType
@@ -53,7 +54,7 @@ def _inits(k0=None, k1=None, k2=None):
     return None, init1, init2, init3
 
 
-def _slot_inits(s0=None, s1=None, s2=None):
+def _slot_inits(s0=None, s1=None):
     """Initializers that set each field through its slot's setter."""
 
     def init1(self, _0):
@@ -63,15 +64,10 @@ def _slot_inits(s0=None, s1=None, s2=None):
         s0(self, _0)
         s1(self, _1)
 
-    def init3(self, _0, _1, _2):
-        s0(self, _0)
-        s1(self, _1)
-        s2(self, _2)
-
-    return None, init1, init2, init3
+    return None, init1, init2
 
 
-def _cached_inits(clear, s0=None, s1=None, s2=None):
+def _cached_inits(clear, s0=None, s1=None):
     """`_slot_inits` that also empty the ``_hash`` slot with `clear`."""
 
     def init1(self, _0):
@@ -83,13 +79,7 @@ def _cached_inits(clear, s0=None, s1=None, s2=None):
         s1(self, _1)
         clear(self, None)
 
-    def init3(self, _0, _1, _2):
-        s0(self, _0)
-        s1(self, _1)
-        s2(self, _2)
-        clear(self, None)
-
-    return None, init1, init2, init3
+    return None, init1, init2
 
 
 def _eq0(self, other):
@@ -153,14 +143,7 @@ def _cached_hashes(keep):
             keep(self, h)
         return h
 
-    def hash3(self):
-        h = self._hash
-        if h is None:
-            h = hash((self._0, self._1, self._2))
-            keep(self, h)
-        return h
-
-    return None, hash1, hash2, hash3
+    return None, hash1, hash2
 
 
 def _reprs(l0, l1=None, l2=None):
@@ -224,6 +207,11 @@ def record(cls=None, /, *, compare=None, frozen=True):
     # the text before each field's value: "Name(" and "field=", or ", field="
     labels = [f"{', ' if i else ''}{k}=" for i, k in enumerate(fields)] or [""]
     labels[0] = f"{cls.__qualname__}({labels[0]}"
+    if len(fields) > (2 if slots else 3):
+        raise TypeError(
+            f"no record template for {cls.__qualname__}: {len(fields)} fields"
+            + (" in slots" if slots else "")
+        )
     hashes = _HASHES
     if not slots:
         inits = _inits(*fields)

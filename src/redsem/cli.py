@@ -188,7 +188,8 @@ def run_cli(argv: list[str] | None = None) -> int:
         # one printing scope per request: each shared node prints once
         with _PrintScope():
             return _COMMANDS[args.command](args)
-    except (EngineError, OSError) as e:
+    # UnicodeEncodeError: the output has a character stdout cannot encode
+    except (EngineError, OSError, UnicodeEncodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     # the term layer and the oracle still recurse on the Python stack

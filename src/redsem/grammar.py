@@ -79,17 +79,15 @@ def _group(productions: tuple[Production, ...]) -> Groups:
 def _entries(rows: list[tuple[int, Pattern]]) -> tuple[Entry, ...]:
     """A non-terminal's ``(bit, rhs, same, shape)`` entries (see
     `GrammarIndex`) from its ``(bit, rhs)`` pairs."""
+    same: dict[Pattern, int] = {}
+    for bit, rhs in rows:
+        same[rhs] = same.get(rhs, 0) | bit
     entries: list[Entry] = []
     for bit, rhs in rows:
         shape = len(rhs.items) if isinstance(rhs, ListPat) else None
         if isinstance(rhs, LitPat):
             shape = rhs.lit
-        same = bit
-        for j, (b, r, s, f) in enumerate(entries):
-            if r == rhs:
-                entries[j] = (b, r, s | bit, f)
-                same |= b
-        entries.append((bit, rhs, same, shape))
+        entries.append((bit, rhs, same[rhs], shape))
     return tuple(entries)
 
 

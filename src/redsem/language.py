@@ -36,7 +36,6 @@ from .terms import (
     Hole,
     HolePat,
     InHolePat,
-    ListContext,
     ListPat,
     ListTerm,
     Literal,
@@ -73,7 +72,10 @@ def _atom_literal(a: Atom) -> Literal:
     if a.text == "#f":
         return Literal(False)
     if _INT_RE.match(a.text):
-        return Literal(int(a.text))
+        try:
+            return Literal(int(a.text))
+        except ValueError:  # past the interpreter's limit on digits
+            raise ParseError("integer literal too long", a.line, a.col) from None
     return Literal(a.text)
 
 
@@ -151,23 +153,15 @@ def print_term(t: Term) -> str:
 
 
 def print_context(c: Context) -> str:
-    if isinstance(c, Hole):
-        return "hole"
-    return "(" + " ".join(_context_elements(c)) + ")"
-
-
-def _context_elements(lc: ListContext) -> list[str]:
-    if isinstance(lc, HeadCtx):
-        return [print_context(lc.hole_side)] + [print_term(t) for t in lc.tail]
-    return [print_term(lc.head)] + _context_elements(lc.rest)
-
-
-def _count_holes(t: Term) -> int:
-    if isinstance(t, ListTerm):
-        return sum(_count_holes(item) for item in t.items)
-    if isinstance(t, CtxTerm):
-        return 1 if isinstance(t.context, Hole) else 0
-    return 0
+    before, after = [], []  # the text on each side of the hole, by level
+    while not isinstance(c, Hole):
+        before.append("(")
+        while isinstance(c, TailCtx):
+            before.append(print_term(c.head) + " ")
+            c = c.rest
+        after.append("".join([" " + print_term(t) for t in c.tail]) + ")")
+        c = c.hole_side
+    return "".join(before) + "hole" + "".join(reversed(after))
 
 
 def to_context(t: Term) -> Context:
@@ -178,25 +172,25 @@ def to_context(t: Term) -> Context:
     """
     if isinstance(t, CtxTerm):
         return t.context
-    n = _count_holes(t)
+    # one walk: each hole's path is the chain of (list, index, parent path)
+    n, path, work = 0, None, [(t, None)]
+    while work:
+        u, up = work.pop()
+        if isinstance(u, ListTerm):
+            work += [(item, (u, i, up)) for i, item in enumerate(u.items)]
+        elif isinstance(u, CtxTerm) and isinstance(u.context, Hole):
+            n, path = n + 1, up
     if n == 0:
         raise NoHoleError("the term contains no hole")
     if n > 1:
         raise MultipleHolesError(f"the term contains {n} holes, expected exactly 1")
-    return _build_context(t)
-
-
-def _build_context(t: Term) -> Context:
-    if t == HOLE_TERM:
-        return HOLE
-    assert isinstance(t, ListTerm)
-    for i, item in enumerate(t.items):
-        if _count_holes(item) == 1:
-            ctx: Context = HeadCtx(_build_context(item), t.items[i + 1 :])
-            for head in reversed(t.items[:i]):
-                ctx = TailCtx(head, ctx)  # type: ignore[arg-type]
-            return ctx
-    raise NoHoleError("the term contains no hole")
+    ctx: Context = HOLE
+    while path is not None:
+        u, i, path = path
+        ctx = HeadCtx(ctx, u.items[i + 1 :])
+        for head in reversed(u.items[:i]):
+            ctx = TailCtx(head, ctx)  # type: ignore[arg-type]
+    return ctx
 
 
 def _arguments(e: SList, form: str, symbol: str = "") -> tuple[SExpr, ...]:
@@ -270,11 +264,8 @@ def _sexpr_template(e: SExpr) -> Template:
     if e.items and isinstance(e.items[0], Atom):
         head = e.items[0].text
         if head == "ref":
-            if len(e.items) != 2 or not isinstance(e.items[1], Atom):
-                raise ParseError(
-                    "arity error: (ref x) takes 1 symbol argument", e.line, e.col
-                )
-            return RefTemplate(e.items[1].text)
+            (var,) = _arguments(e, "(ref x)", symbol="x")
+            return RefTemplate(var.text)
         if head == "in-hole":
             c, t = _arguments(e, "(in-hole c t)")
             return InHoleTemplate(_sexpr_template(c), _sexpr_template(t))

@@ -165,17 +165,18 @@ def plug(c: Context, t: Term) -> Term:
     """
     if isinstance(t, CtxTerm):
         return CtxTerm(compose(c, t.context))
-    if isinstance(c, Hole):
-        return t
-    if isinstance(c, HeadCtx):
-        return ListTerm((plug(c.hole_side, t),) + c.tail)
-    return ListTerm((c.head,) + _plug_items(c.rest, t))
-
-
-def _plug_items(lc: ListContext, t: Term) -> tuple[Term, ...]:
-    if isinstance(lc, HeadCtx):
-        return (plug(lc.hole_side, t),) + lc.tail
-    return (lc.head,) + _plug_items(lc.rest, t)
+    # down the path: each list level's heads before the hole, and its tail
+    levels = []
+    while not isinstance(c, Hole):
+        heads = []
+        while isinstance(c, TailCtx):
+            heads.append(c.head)
+            c = c.rest
+        levels.append((heads, c.tail))
+        c = c.hole_side
+    for heads, tail in reversed(levels):
+        t = ListTerm((*heads, t, *tail))
+    return t
 
 
 def compose(outer: Context, inner: Context) -> Context:

@@ -9,12 +9,16 @@ on terms and on Grammar values: the engine checks each edge against the
 fact of the rule that made it, and the tests check those edges against
 the order itself.  The recursive printer that prints every node in full
 is the reference for the CLI's printer, which prints each shared node
-once per request.
+once per request.  The recursive `to_context`, which counts the holes
+of each item again at every level, and the pairwise grouping of equal
+right-hand sides are the references for the engine's one-pass versions.
 """
 
 from typing import NamedTuple
 
 from redsem import (
+    HOLE,
+    HOLE_TERM,
     CtxTerm,
     Hole,
     HeadCtx,
@@ -23,7 +27,10 @@ from redsem import (
     ListPat,
     ListTerm,
     Literal,
+    LitPat,
+    MultipleHolesError,
     NamePat,
+    NoHoleError,
     NtPat,
     Production,
     TailCtx,
@@ -137,6 +144,39 @@ def _context_elements(lc):
     if isinstance(lc, HeadCtx):
         return [print_context(lc.hole_side)] + [print_term(t) for t in lc.tail]
     return [print_term(lc.head)] + _context_elements(lc.rest)
+
+
+def count_holes(t):
+    """Bare holes of a term, outside its embedded non-hole contexts."""
+    if isinstance(t, ListTerm):
+        return sum(count_holes(item) for item in t.items)
+    if isinstance(t, CtxTerm):
+        return 1 if isinstance(t.context, Hole) else 0
+    return 0
+
+
+def to_context(t):
+    """The context of a term with one hole: down the item that holds it,
+    counting the holes of every item again at each level."""
+    if isinstance(t, CtxTerm):
+        return t.context
+    n = count_holes(t)
+    if n == 0:
+        raise NoHoleError("the term contains no hole")
+    if n > 1:
+        raise MultipleHolesError(f"the term contains {n} holes, expected exactly 1")
+    return _build_context(t)
+
+
+def _build_context(t):
+    if t == HOLE_TERM:
+        return HOLE
+    for i, item in enumerate(t.items):
+        if count_holes(item) == 1:
+            ctx = HeadCtx(_build_context(item), t.items[i + 1 :])
+            for head in reversed(t.items[:i]):
+                ctx = TailCtx(head, ctx)
+            return ctx
 
 
 def proper_subterms(t):
@@ -300,6 +340,24 @@ def reference_reach(g, nt, edges):
 def reference_index_sets(g, nt):
     """(reads, filtered) of nt, as `GrammarIndex` must hold them."""
     return reference_reach(g, nt, same_term)[0], reference_reach(g, nt, same_filter)[1]
+
+
+def grammar_entries(rows):
+    """A non-terminal's ``(bit, rhs, same, shape)`` entries, as
+    `GrammarIndex` holds them, from its ``(bit, rhs)`` pairs: each new
+    right-hand side is compared with every earlier one."""
+    entries = []
+    for bit, rhs in rows:
+        shape = len(rhs.items) if isinstance(rhs, ListPat) else None
+        if isinstance(rhs, LitPat):
+            shape = rhs.lit
+        same = bit
+        for j, (b, r, s, f) in enumerate(entries):
+            if r == rhs:
+                entries[j] = (b, r, s | bit, f)
+                same |= b
+        entries.append((bit, rhs, same, shape))
+    return tuple(entries)
 
 
 def from_immediate_part(sub, t):

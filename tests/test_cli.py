@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import redsem
 import references
@@ -347,6 +350,20 @@ class TestReduceAndTrace:
             "(edge 0 beta 1)\n"
         )
 
+    def test_reduce_puts_a_literal_and_a_hole_in_place(self, capsys, tmp_path):
+        # (a a) has one split at each a: under ((nt E) (nt e)) with E the
+        # hole, and under ((nt e) (nt E)); each puts (b hole) in its place
+        lang = tmp_path / "mark.sexp"
+        lang.write_text(
+            "(define-language mark\n"
+            "  (e a ((nt e) (nt e)))\n"
+            "  (E hole ((nt E) (nt e)) ((nt e) (nt E))))\n"
+            "(rule r (in-hole (name C (nt E)) a) (in-hole (ref C) (b hole)))",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "reduce", "-g", str(lang), "-t", "(a a)")
+        assert (code, out, err) == (0, "(r ((b hole) a))\n(r (a (b hole)))\n", "")
+
     def test_trace_rejects_negative_max_steps(self, capsys):
         argv = ("trace", "-g", LAMBDA_FILE, "-t", "((λ x x) (λ y y))", "--max-steps")
         code, out, err = run(capsys, *argv, "-1")
@@ -397,6 +414,169 @@ class TestOracleMode:
         )
         assert code == 3
         assert "only-oracle:" in err
+
+
+LONG = "9" * 5000  # past CPython's limit on the digits int() converts
+TOO_LONG = "integer literal too long"
+NEEDS = "needs a symbol for"
+REDUCE = ("reduce", "-t", "a")
+RULE = "(define-language l (e a)) (rule r (name x (nt e)) {})"
+FIRST_FORM = "the first form must be (define-language ...)"
+CLAUSE = "each grammar clause must be (<nonterminal> <pattern> ...)"
+
+
+class TestDiagnostics:
+    """Each input error exits 2 with one `error:` line on stderr, which
+    names the position where the reader has one."""
+
+    @pytest.mark.parametrize(
+        "lang, argv, err",
+        [
+            (None, ("match", "-p", "(nt e)", "-t", LONG), f"1:1: {TOO_LONG}"),
+            (None, ("match", "-p", f"(a\n {LONG})", "-t", "a"), f"2:2: {TOO_LONG}"),
+            (None, ("plug", "-c", f"(hole {LONG})", "-t", "a"), f"1:7: {TOO_LONG}"),
+            (None, ("plug", "-c", "(hole b)", "-t", LONG), f"1:1: {TOO_LONG}"),
+            (None, ("match", "-p", "(nt 5)", "-t", "a"), f"1:1: (nt n) {NEEDS} n"),
+            (
+                None,
+                ("match", "-p", "(name 5 a)", "-t", "a"),
+                f"1:1: (name x p) {NEEDS} x",
+            ),
+            (f"(define-language l (e {LONG}))", REDUCE, f"1:23: {TOO_LONG}"),
+            (RULE.format("\n(ref 5)"), REDUCE, f"2:1: (ref x) {NEEDS} x"),
+            (
+                RULE.format("(ref)"),
+                ("trace", "-t", "a"),
+                "1:51: arity error: (ref x) takes 1 argument, got 0",
+            ),
+            (
+                RULE.format("(k ref)"),
+                REDUCE,
+                "1:54: reserved word 'ref' cannot be a literal template",
+            ),
+            ("(rule r a a)", ("check-grammar",), FIRST_FORM),
+            ("(define-language)", ("check-grammar",), "define-language needs a name"),
+            ("(define-language l e)", ("check-grammar",), CLAUSE),
+        ],
+    )
+    def test_one_line(self, capsys, tmp_path, lang, argv, err):
+        if argv[0] != "plug":
+            path = tmp_path / "lang.sexp"
+            path.write_text(lang or "", encoding="utf-8")
+            argv = (argv[0], "-g", str(path) if lang else LAMBDA_FILE, *argv[1:])
+        assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("decompose", "-p", "(nt E)", "-t", "((λ x x) a)"),
+            ("decompose", "-p", "(nt E)", "-t", "((λ x x) a)", "--format", "json"),
+            ("match", "-p", "(name v (nt v))", "-t", "(λ x x)", "--format", "json"),
+            ("reduce", "-t", "((λ x x) (λ y y))"),
+            ("trace", "-t", "((λ x x) (λ y y))"),
+        ],
+    )
+    def test_output_stdout_cannot_encode(self, capsys, monkeypatch, argv):
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = run_cli([argv[0], "-g", LAMBDA_FILE, *argv[1:]])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith("error: 'ascii' codec can't encode character '\\u03bb'")
+
+
+def weighted(*choices):
+    """One of the strategies, drawn as often as it is listed."""
+    return st.sampled_from(choices).flatmap(lambda strategy: strategy)
+
+
+# atoms, and a few well-formed forms so that requests get past the reader
+LEAVES = st.one_of(
+    st.sampled_from(
+        ("name", "nt", "in-hole", "hole", "ref", "rule", "define-language")
+        + ("#t", "#f", "a", "x", "e", "E", "v", "λ", LONG, "-" + LONG)
+        + ("(nt e)", "(nt E)", "(name x (nt e))", "(in-hole (nt E) hole)", "(ref x)")
+    ),
+    st.integers(-99, 99).map(lambda n: f"{n:+d}"),
+)
+SEXPRS = st.recursive(
+    LEAVES,
+    lambda kids: st.lists(kids, max_size=4).map(lambda xs: f"({' '.join(xs)})"),
+    max_leaves=10,
+)
+# with unbalanced parentheses, a comment, and \x0b, which ends no atom
+NOISY = st.builds(
+    lambda parts, sep: sep.join(parts),
+    st.lists(
+        st.one_of(SEXPRS, st.sampled_from(("(", ")", "; c\n", "\x0b"))),
+        min_size=1,
+        max_size=3,
+    ),
+    st.sampled_from((" ", "", "\n")),
+)
+TEXTS = weighted(SEXPRS, SEXPRS, SEXPRS, NOISY)
+CLAUSES = st.builds(
+    lambda nt, rhss: f"({nt} {' '.join(rhss)})",
+    st.sampled_from("eEv"),
+    st.lists(SEXPRS, min_size=1, max_size=3),
+)
+RULES = st.builds(lambda lhs, rhs: f"(rule r {lhs} {rhs})", SEXPRS, SEXPRS)
+DEFINITIONS = st.builds(
+    lambda clauses, rules, tail: (
+        f"(define-language l {' '.join(clauses)})\n{' '.join(rules)}{tail}"
+    ),
+    st.lists(CLAUSES, max_size=3),
+    st.lists(RULES, max_size=2),
+    st.sampled_from(("", "", "", " (", " )", " ; c", "\x0b")),
+)
+COMMANDS = ("match", "decompose", "plug", "reduce", "trace", "check-grammar")
+
+
+@pytest.fixture(scope="module")
+def lang_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("robust") / "lang.sexp"
+
+
+class TestRobustness:
+    """Every request answers or fails with exit 2 and one `error:` line.
+    Texts go in as --term=TEXT and the like, so that argparse cannot read
+    a text that starts with '-' as an option."""
+
+    @given(
+        command=st.sampled_from(COMMANDS),
+        lang=st.one_of(st.none(), weighted(DEFINITIONS, DEFINITIONS, TEXTS)),
+        first=TEXTS,
+        second=TEXTS,
+        flags=st.sampled_from(((), ("--oracle",), ("--format=json",))),
+    )
+    # the same examples on every run: an ambiguous generated grammar can make
+    # one request slow, and tier-1 must take the same time on every run
+    @settings(
+        max_examples=250,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_no_traceback(self, lang_file, command, lang, first, second, flags):
+        path = LAMBDA_FILE
+        if lang is not None:
+            lang_file.write_text(lang, encoding="utf-8")
+            path = str(lang_file)
+        argv = {
+            "match": ["-g", path, f"--pattern={first}", f"--term={second}", *flags],
+            "plug": [f"--context={first}", f"--term={second}"],
+            "reduce": ["-g", path, f"--term={second}"],
+            "trace": ["-g", path, f"--term={second}", "--max-steps=2"],
+            "check-grammar": ["-g", path],
+        }
+        argv["decompose"] = argv["match"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli([command, *argv[command]])
+        assert code in (0, 1, 2, 3)
+        if code == 2:
+            assert err.getvalue().count("\n") == 1
+            assert err.getvalue().startswith("error:")
 
 
 class TestUsageErrors:

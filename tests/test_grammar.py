@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genterms import NONTERMINALS, VARS, gen_grammar, gen_pattern
+from genterms import NONTERMINALS, VARS, gen_case, gen_grammar, gen_pattern
 from redsem import (
     HOLE_PAT,
     Bindings,
@@ -28,6 +28,7 @@ from redsem import (
 )
 from redsem.grammar import GrammarIndex, grammar_index
 from references import (
+    grammar_entries,
     is_subgrammar,
     reference_hole_matchable,
     reference_index_sets,
@@ -245,6 +246,25 @@ class TestGrammarIndex:
         assert index["u"] == ((), 0, False)
         for nt in ("e", "E", "v", "u"):
             assert index[nt][1:] == reference_index_sets(g, nt)
+
+    def test_entries_equal_the_pairwise_grouping(self):
+        # each grammar, and the grammar followed by itself less its first
+        # production, whose equal right-hand sides share their `same` bits
+        rng = random.Random(20261018)
+        grouped = 0
+        for _ in range(3000):
+            g = gen_case(rng)[0]
+            for prods in (g.productions, g.productions + g.productions[1:]):
+                index = GrammarIndex(prods)
+                for nt in {p.nonterminal for p in prods}:
+                    rows = [
+                        (1 << i, p.pattern)
+                        for i, p in enumerate(prods)
+                        if p.nonterminal == nt
+                    ]
+                    assert index[nt][0] == grammar_entries(rows)
+                    grouped += sum(e[2] != e[0] for e in index[nt][0])
+        assert grouped > 3000
 
     def test_analyses_leave_the_engine_index_unbuilt(self, lam):
         # the engine's cached index is built by the engine's first query,

@@ -3,11 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import references
 from genterms import gen_term
 from redsem import (
     HOLE,
     HOLE_PAT,
     HOLE_TERM,
+    Bindings,
     CtxTerm,
     HeadCtx,
     InHolePat,
@@ -22,13 +24,22 @@ from redsem import (
     NtPat,
     ParseError,
     TailCtx,
+    UnboundTemplateVariableError,
     parse_pattern,
     parse_term,
     plug,
+    print_bindings,
+    print_context,
     print_term,
 )
 from redsem.language import parse_language, parse_template, print_pattern, to_context
-from redsem.reduction import InHoleTemplate, RefTemplate
+from redsem.reduction import (
+    HoleTemplate,
+    InHoleTemplate,
+    ListTemplate,
+    LitTemplate,
+    RefTemplate,
+)
 from redsem.sexpr import Atom, parse_sexprs
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -67,6 +78,15 @@ class TestParseTerm:
     def test_comments_ignored(self):
         assert parse_term("; note\n(a b) ; trailing") == parse_term("(a b)")
 
+    def test_integer_past_the_digit_limit_is_a_parse_error_at_its_atom(self):
+        # CPython converts at most 4,300 digits from a string by default
+        assert parse_term("-" + "9" * 4000) == Literal(-int("9" * 4000))
+        with pytest.raises(ParseError) as e:
+            parse_term("(a\n  " + "9" * 5000 + ")")
+        assert str(e.value) == "2:3: integer literal too long"
+        with pytest.raises(ParseError, match="^1:5: integer literal too long$"):
+            parse_pattern("(nt " + "9" * 5000 + ")")
+
 
 class TestReader:
     def test_atoms_end_only_at_listed_delimiters(self):
@@ -87,8 +107,14 @@ class TestReader:
 class TestPrintTerm:
     def test_literals(self):
         assert print_term(Literal(True)) == "#t"
+        assert print_term(Literal(False)) == "#f"
         assert print_term(Literal(0)) == "0"
         assert print_term(Literal("s")) == "s"
+
+    def test_bindings(self):
+        assert print_bindings(Bindings(())) == "(bindings)"
+        b = Bindings((("x", Literal(False)), ("y", ListTerm((HOLE_TERM, Literal(3))))))
+        assert print_bindings(b) == "(bindings (x #f) (y (hole 3)))"
 
     def test_context_prints_as_surface_list(self):
         c = CtxTerm(TailCtx(Literal("a"), HeadCtx(HOLE, (Literal("b"),))))
@@ -132,6 +158,62 @@ class TestToContext:
             c = to_context(parse_term(src))
             assert print_term(plug(c, HOLE_TERM)) == src
 
+    def test_agrees_with_the_recursive_reference(self):
+        # generated terms hold bare holes and embedded non-hole contexts,
+        # which count no hole; every outcome is met on the way to 3,000
+        # one-hole terms
+        rng = random.Random(20261019)
+        outcomes = {0: 0, 1: 0, 2: 0}
+        while outcomes[1] < 3000:
+            t = gen_term(rng, 5)
+            if rng.random() < 0.8:
+                t = ListTerm((t, *(gen_term(rng, 4) for _ in range(rng.randint(0, 2)))))
+            try:
+                want = repr(references.to_context(t))
+            except (NoHoleError, MultipleHolesError) as e:
+                with pytest.raises(type(e)) as got:
+                    to_context(t)
+                assert str(got.value) == str(e)
+                outcomes[2 if isinstance(e, MultipleHolesError) else 0] += 1
+            else:
+                assert repr(to_context(t)) == want
+                outcomes[1] += 1
+        assert min(outcomes.values()) >= 300
+
+
+def deep_context(depth):
+    """A context nested `depth` list levels deep, each level (a hole b) or
+    (hole b), and its text."""
+    c, opens = HOLE, []
+    for i in range(depth):
+        if i % 2:
+            c = TailCtx(Literal("a"), HeadCtx(c, (Literal("b"),)))
+            opens.append("(a ")
+        else:
+            c = HeadCtx(c, (Literal("b"),))
+            opens.append("(")
+    return c, "".join(reversed(opens)) + "hole" + " b)" * depth
+
+
+class TestDeepContexts:
+    """The hole-path walks use no Python stack per level; the results are
+    checked by their text, since `==` and `hash` still recurse."""
+
+    DEPTH = 10_000
+
+    def test_print_context(self):
+        assert deep_context(3)[1] == "((a (hole b) b) b)"
+        c, text = deep_context(self.DEPTH)
+        assert print_context(c) == text
+
+    def test_to_context(self):
+        # built level by level: parse_term still recurses
+        t = HOLE_TERM
+        for i in range(self.DEPTH):
+            items = (Literal("a"), t, Literal("b")) if i % 2 else (t, Literal("b"))
+            t = ListTerm(items)
+        assert print_context(to_context(t)) == deep_context(self.DEPTH)[1]
+
 
 class TestParsePattern:
     def test_name(self):
@@ -159,6 +241,16 @@ class TestParsePattern:
             with pytest.raises(ParseError, match="reserved"):
                 parse_pattern(src)
 
+    def test_symbol_arguments(self):
+        for src, form, param in (
+            ("(nt 5)", "(nt n)", "n"),
+            ("(nt #t)", "(nt n)", "n"),
+            ("(name (x) hole)", "(name x p)", "x"),
+        ):
+            with pytest.raises(ParseError) as e:
+                parse_pattern(" " + src)
+            assert str(e.value) == f"1:2: {form} needs a symbol for {param}"
+
     @given(seeds)
     @settings(max_examples=60)
     def test_roundtrip(self, seed):
@@ -172,9 +264,41 @@ class TestParseTemplate:
     def test_ref(self):
         assert parse_template("(ref x)") == RefTemplate("x")
 
+    def test_atoms(self):
+        assert parse_template("hole") == HoleTemplate()
+        assert parse_template("a") == LitTemplate(Literal("a"))
+        assert parse_template("-3") == LitTemplate(Literal(-3))
+        assert parse_template("#f") == LitTemplate(Literal(False))
+        for word in ("ref", "in-hole"):
+            with pytest.raises(ParseError) as e:
+                parse_template(f"(a\n {word})")
+            assert str(e.value) == (
+                f"2:2: reserved word {word!r} cannot be a literal template"
+            )
+
+    def test_plain_list(self):
+        got = parse_template("(a hole (ref x) ())")
+        want = (LitTemplate(Literal("a")), HoleTemplate(), RefTemplate("x"))
+        assert got == ListTemplate((*want, ListTemplate(())))
+
+    def test_ref_reads_its_arguments_as_the_other_forms_do(self):
+        for src, message in (
+            ("(ref)", "arity error: (ref x) takes 1 argument, got 0"),
+            ("(ref x y)", "arity error: (ref x) takes 1 argument, got 2"),
+            ("(ref 5)", "(ref x) needs a symbol for x"),
+            ("(ref #t)", "(ref x) needs a symbol for x"),
+            ("(ref (x))", "(ref x) needs a symbol for x"),
+        ):
+            with pytest.raises(ParseError) as e:
+                parse_template(f"(a {src})")
+            assert str(e.value) == f"1:4: {message}"
+
     def test_in_hole(self):
         got = parse_template("(in-hole (ref E) (ref a))")
         assert got == InHoleTemplate(RefTemplate("E"), RefTemplate("a"))
+
+
+GRAMMAR_CLAUSE = "each grammar clause must be (<nonterminal> <pattern> ...)"
 
 
 class TestLanguageFiles:
@@ -200,6 +324,39 @@ class TestLanguageFiles:
         src = "(define-language l (e a)) (rule r (name a (nt e)) (ref b))"
         with pytest.raises(Exception, match="unbound template variable"):
             parse_language(src)
+
+    def test_unbound_variable_inside_a_list_template_raises(self):
+        rule = "(rule r (name a (nt e)) (k (ref a) ((ref b) (ref c))))"
+        with pytest.raises(UnboundTemplateVariableError) as e:
+            parse_language(f"(define-language l (e a)) {rule}")
+        assert str(e.value) == "rule 'r' uses unbound template variable(s): b, c"
+        rule = "(rule r (name a (nt e)) ((ref a)))"
+        lang = parse_language(f"(define-language l (e a)) {rule}")
+        assert lang.rules[0].rhs == ListTemplate((RefTemplate("a"),))
+
+    def test_a_non_symbol_ref_fails_at_parse_with_its_position(self):
+        src = "(define-language l (e a))\n(rule r (name a (nt e)) (ref 5))"
+        with pytest.raises(ParseError, match="^2:25: "):
+            parse_language(src)
+
+    @pytest.mark.parametrize(
+        "src, message",
+        [
+            ("a", "the first form must be (define-language ...)"),
+            ("()", "the first form must be (define-language ...)"),
+            ("(rule r a a)", "the first form must be (define-language ...)"),
+            ("(define-language)", "define-language needs a name"),
+            ("(define-language (l) (e a))", "define-language needs a name"),
+        ]
+        + [
+            (f"(define-language l {clause})", GRAMMAR_CLAUSE)
+            for clause in ("e", "(e)", "((e) a)", "(e a) ()")
+        ],
+    )
+    def test_malformed_definition_raises(self, src, message):
+        with pytest.raises(LanguageError) as e:
+            parse_language(src)
+        assert str(e.value) == message
 
     def test_malformed_rule_raises(self):
         with pytest.raises(LanguageError, match="rule"):

@@ -34,6 +34,7 @@ from redsem import (
     UnboundTemplateVariableError,
     new_grammar,
 )
+from redsem._record import record
 from redsem.language import LanguageDef
 from redsem.matching import EMPTY_BINDINGS, EMPTY_DECOMPOSITION, EmptyDecomposition
 from redsem.reduction import (
@@ -203,6 +204,35 @@ def test_constructors_take_the_fields_in_order():
         NtPat(nonterminal="e")
     with pytest.raises(TypeError):
         Hole(1)
+
+
+def test_a_shape_with_no_template_is_a_type_error():
+    no_template = r"^no record template for \S*\b"
+    with pytest.raises(TypeError, match=no_template + "Three: 3 fields in slots$"):
+
+        @record
+        class Three:
+            __slots__ = ("a", "b", "c")
+            a: int
+            b: int
+            c: int
+
+    with pytest.raises(TypeError, match=no_template + "Four: 4 fields$"):
+
+        @record
+        class Four:
+            a: int
+            b: int
+            c: int
+            d: int
+
+    @record
+    class Two:
+        __slots__ = ("a", "b", "_hash")
+        a: int
+        b: int
+
+    assert Two(1, 2) == Two(1, 2) and hash(Two(1, 2)) == hash((1, 2))
 
 
 def test_the_caches_outside_the_fields_still_work():

@@ -167,6 +167,28 @@ class TestPlug:
         got = plug(HeadCtx(HOLE, (B,)), HOLE_TERM)
         assert got == CtxTerm(HeadCtx(HOLE, (B,)))
 
+    def test_deep_and_wide_contexts(self):
+        # plug keeps the hole path on the heap; the results are checked by
+        # an iterative walk, since == and hash still recurse
+        n = 10_000
+        c = HOLE
+        for i in range(n):
+            c = TailCtx(A, HeadCtx(c, (B,))) if i % 2 else HeadCtx(c, (B,))
+        t = plug(c, C)
+        for i in reversed(range(n)):
+            assert isinstance(t, ListTerm)
+            if i % 2:
+                assert len(t.items) == 3 and t.items[0] is A and t.items[2] is B
+                t = t.items[1]
+            else:
+                assert len(t.items) == 2 and t.items[1] is B
+                t = t.items[0]
+        assert t is C
+        wide = HeadCtx(HOLE, (B,))
+        for _ in range(n):
+            wide = TailCtx(A, wide)
+        assert plug(wide, C).items == (A,) * n + (C, B)
+
     def test_plain_term_stays_plain(self):
         # a hole buried inside the plugged term does not rewire
         t = ListTerm((HOLE_TERM,))
