@@ -1,10 +1,11 @@
 """Text syntax for terms, patterns, templates, and language files.
 
-Terms and patterns share one s-expression surface.  In pattern position
-the head symbols `name`, `nt`, and `in-hole` and the atom `hole` are
-reserved; in term position only `hole` is.  A language file is one
+Terms, patterns and templates share one s-expression surface, read by one
+loop from a table per syntax.  A syntax reserves the atom `hole` and the
+heads of its table's keyword forms.  A language file is one
 `(define-language <name> (<nt> <pat> ...) ...)` form followed by any
-number of `(rule <name> <lhs> <rhs>)` forms.
+number of `(rule <name> <lhs> <rhs>)` forms; every name is a symbol, and
+no two rules share a name.
 """
 
 from __future__ import annotations
@@ -62,8 +63,6 @@ class LanguageError(EngineError):
 
 
 _INT_RE = re.compile(r"^[+-]?[0-9]+$")
-_PATTERN_KEYWORDS = ("name", "nt", "in-hole")
-_TEMPLATE_KEYWORDS = ("ref", "in-hole")
 
 
 def _atom_literal(a: Atom) -> Literal:
@@ -87,16 +86,82 @@ def print_literal(lit: Literal) -> str:
     return str(lit.value)
 
 
-def _sexpr_term(e: SExpr) -> Term:
-    if isinstance(e, Atom):
-        if e.text == "hole":
-            return HOLE_TERM
-        return _atom_literal(e)
-    return ListTerm(tuple(_sexpr_term(item) for item in e.items))
+def _arguments(e: SList, form: str) -> tuple[SExpr, ...]:
+    """e's arguments, one for each parameter of `form`, as in "(nt n)"."""
+    params, args = form[1:-1].split()[1:], e.items[1:]
+    if len(args) != len(params):
+        noun = "argument" if len(params) == 1 else "arguments"
+        what = f"arity error: {form} takes {len(params)} {noun}, got {len(args)}"
+        raise ParseError(what, e.line, e.col)
+    return args
+
+
+def _is_symbol(e: SExpr) -> bool:
+    return isinstance(e, Atom) and isinstance(_atom_literal(e).value, str)
+
+
+# A syntax's table: what `hole`, a literal and a plain list read as, the noun
+# in its reserved-word error, and its keyword forms by head symbol, each as
+# (signature for `_arguments`, symbol parameter or "", class built).
+_TERM = (HOLE_TERM, lambda lit: lit, ListTerm, "", {})
+_PATTERN_FORMS = {
+    "name": ("(name x p)", "x", NamePat),
+    "nt": ("(nt n)", "n", NtPat),
+    "in-hole": ("(in-hole pc ph)", "", InHolePat),
+}
+_PATTERN = (HOLE_PAT, LitPat, ListPat, "pattern", _PATTERN_FORMS)
+_TEMPLATE_FORMS = {
+    "ref": ("(ref x)", "x", RefTemplate),
+    "in-hole": ("(in-hole c t)", "", InHoleTemplate),
+}
+_TEMPLATE = (HoleTemplate(), LitTemplate, ListTemplate, "template", _TEMPLATE_FORMS)
+
+
+def _read(e: SExpr, syntax: tuple) -> Term | Pattern | Template:
+    """e read in a syntax's table, on an explicit stack.  A list is checked
+    when it is first met and built after its items, so the first fault in
+    source pre-order is the one raised, at any depth."""
+    hole, literal, plain, noun, forms = syntax
+    done: list = []  # the values read, innermost last
+    # nodes to read, and builds: (class, the texts of its symbol argument,
+    # or None for a plain list, the number of values read that it takes)
+    todo: list = [e]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, Atom):
+            if e.text in forms:
+                what = f"reserved word {e.text!r} cannot be a literal {noun}"
+                raise ParseError(what, e.line, e.col)
+            done.append(hole if e.text == "hole" else literal(_atom_literal(e)))
+        elif isinstance(e, tuple):
+            cls, symbol, n = e
+            parts = done[len(done) - n :]
+            del done[len(done) - n :]
+            done.append(cls(tuple(parts)) if symbol is None else cls(*symbol, *parts))
+        elif e.items and isinstance(e.items[0], Atom) and e.items[0].text in forms:
+            signature, param, cls = forms[e.items[0].text]
+            args, symbol = _arguments(e, signature), ()
+            if param:
+                if not _is_symbol(args[0]):
+                    what = f"{signature} needs a symbol for {param}"
+                    raise ParseError(what, e.line, e.col)
+                symbol, args = (args[0].text,), args[1:]
+            todo += ((cls, symbol, len(args)), *reversed(args))
+        else:
+            todo += ((plain, None, len(e.items)), *reversed(e.items))
+    return done[0]
 
 
 def parse_term(src: str) -> Term:
-    return _sexpr_term(parse_sexpr(src))
+    return _read(parse_sexpr(src), _TERM)
+
+
+def parse_pattern(src: str) -> Pattern:
+    return _read(parse_sexpr(src), _PATTERN)
+
+
+def parse_template(src: str) -> Template:
+    return _read(parse_sexpr(src), _TEMPLATE)
 
 
 class _Printing(threading.local):
@@ -193,51 +258,6 @@ def to_context(t: Term) -> Context:
     return ctx
 
 
-def _arguments(e: SList, form: str, symbol: str = "") -> tuple[SExpr, ...]:
-    """e's arguments, one for each parameter of `form`, as in "(nt n)";
-    the argument for the parameter named `symbol`, if any, is a symbol."""
-    params, args = form[1:-1].split()[1:], e.items[1:]
-    if len(args) != len(params):
-        noun = "argument" if len(params) == 1 else "arguments"
-        raise ParseError(
-            f"arity error: {form} takes {len(params)} {noun}, got {len(args)}",
-            e.line,
-            e.col,
-        )
-    if symbol:
-        arg = args[params.index(symbol)]
-        if not isinstance(arg, Atom) or not isinstance(_atom_literal(arg).value, str):
-            raise ParseError(f"{form} needs a symbol for {symbol}", e.line, e.col)
-    return args
-
-
-def _sexpr_pattern(e: SExpr) -> Pattern:
-    if isinstance(e, Atom):
-        if e.text == "hole":
-            return HOLE_PAT
-        if e.text in _PATTERN_KEYWORDS:
-            raise ParseError(
-                f"reserved word {e.text!r} cannot be a literal pattern", e.line, e.col
-            )
-        return LitPat(_atom_literal(e))
-    if e.items and isinstance(e.items[0], Atom):
-        head = e.items[0].text
-        if head == "name":
-            var, body = _arguments(e, "(name x p)", symbol="x")
-            return NamePat(var.text, _sexpr_pattern(body))
-        if head == "nt":
-            (nt,) = _arguments(e, "(nt n)", symbol="n")
-            return NtPat(nt.text)
-        if head == "in-hole":
-            pc, ph = _arguments(e, "(in-hole pc ph)")
-            return InHolePat(_sexpr_pattern(pc), _sexpr_pattern(ph))
-    return ListPat(tuple(_sexpr_pattern(item) for item in e.items))
-
-
-def parse_pattern(src: str) -> Pattern:
-    return _sexpr_pattern(parse_sexpr(src))
-
-
 def print_pattern(p: Pattern) -> str:
     if isinstance(p, LitPat):
         return print_literal(p.lit)
@@ -250,30 +270,6 @@ def print_pattern(p: Pattern) -> str:
     if isinstance(p, NtPat):
         return f"(nt {p.name})"
     return f"(in-hole {print_pattern(p.context_pat)} {print_pattern(p.hole_pat)})"
-
-
-def _sexpr_template(e: SExpr) -> Template:
-    if isinstance(e, Atom):
-        if e.text == "hole":
-            return HoleTemplate()
-        if e.text in _TEMPLATE_KEYWORDS:
-            raise ParseError(
-                f"reserved word {e.text!r} cannot be a literal template", e.line, e.col
-            )
-        return LitTemplate(_atom_literal(e))
-    if e.items and isinstance(e.items[0], Atom):
-        head = e.items[0].text
-        if head == "ref":
-            (var,) = _arguments(e, "(ref x)", symbol="x")
-            return RefTemplate(var.text)
-        if head == "in-hole":
-            c, t = _arguments(e, "(in-hole c t)")
-            return InHoleTemplate(_sexpr_template(c), _sexpr_template(t))
-    return ListTemplate(tuple(_sexpr_template(item) for item in e.items))
-
-
-def parse_template(src: str) -> Template:
-    return _sexpr_template(parse_sexpr(src))
 
 
 def print_bindings(b: Bindings) -> str:
@@ -316,7 +312,7 @@ def parse_language(src: str) -> LanguageDef:
         or head.items[0] != Atom("define-language")
     ):
         raise LanguageError("the first form must be (define-language ...)")
-    if len(head.items) < 2 or not isinstance(head.items[1], Atom):
+    if len(head.items) < 2 or not _is_symbol(head.items[1]):
         raise LanguageError("define-language needs a name")
     name = head.items[1].text
 
@@ -325,14 +321,14 @@ def parse_language(src: str) -> LanguageDef:
         if (
             not isinstance(clause, SList)
             or len(clause.items) < 2
-            or not isinstance(clause.items[0], Atom)
+            or not _is_symbol(clause.items[0])
         ):
             raise LanguageError(
                 "each grammar clause must be (<nonterminal> <pattern> ...)"
             )
         nt = clause.items[0].text
         for rhs in clause.items[1:]:
-            productions.append(Production(nt, _sexpr_pattern(rhs)))
+            productions.append(Production(nt, _read(rhs, _PATTERN)))
     grammar = new_grammar(productions)
     defined = {p.nonterminal for p in grammar.productions}
     for prod in grammar.productions:
@@ -340,21 +336,23 @@ def parse_language(src: str) -> LanguageDef:
             defined, prod.pattern, f"the productions of {prod.nonterminal!r}"
         )
 
-    rules: list[Rule] = []
+    rules: dict[str, Rule] = {}
     for form in forms[1:]:
         if (
             not isinstance(form, SList)
             or len(form.items) != 4
             or form.items[0] != Atom("rule")
-            or not isinstance(form.items[1], Atom)
+            or not _is_symbol(form.items[1])
         ):
             raise LanguageError("each rule must be (rule <name> <lhs> <rhs>)")
         rule_name = form.items[1].text
-        lhs = _sexpr_pattern(form.items[2])
+        if rule_name in rules:
+            raise LanguageError(f"rule {rule_name!r} is defined twice")
+        lhs = _read(form.items[2], _PATTERN)
         _check_nonterminals(defined, lhs, f"rule {rule_name!r}")
-        rules.append(Rule(rule_name, lhs, _sexpr_template(form.items[3])))
+        rules[rule_name] = Rule(rule_name, lhs, _read(form.items[3], _TEMPLATE))
 
-    return LanguageDef(name, grammar, tuple(rules))
+    return LanguageDef(name, grammar, tuple(rules.values()))
 
 
 def load_language(path: str) -> LanguageDef:

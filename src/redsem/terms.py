@@ -144,16 +144,17 @@ def pattern_size(p: Pattern) -> int:
 
 
 def subpatterns(p: Pattern) -> Iterator[Pattern]:
-    """Yield p and every pattern nested inside it."""
-    yield p
-    if isinstance(p, ListPat):
-        for item in p.items:
-            yield from subpatterns(item)
-    elif isinstance(p, NamePat):
-        yield from subpatterns(p.pattern)
-    elif isinstance(p, InHolePat):
-        yield from subpatterns(p.context_pat)
-        yield from subpatterns(p.hole_pat)
+    """Yield p and every pattern nested inside it, in pre-order."""
+    todo = [p]
+    while todo:
+        p = todo.pop()
+        yield p
+        if isinstance(p, ListPat):
+            todo += reversed(p.items)
+        elif isinstance(p, NamePat):
+            todo.append(p.pattern)
+        elif isinstance(p, InHolePat):
+            todo += (p.hole_pat, p.context_pat)
 
 
 def plug(c: Context, t: Term) -> Term:

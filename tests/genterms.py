@@ -233,3 +233,58 @@ def gen_case(rng: random.Random) -> tuple[Grammar, Term, Pattern]:
 def corpus(seed: int, n: int) -> list[tuple[Grammar, Term, Pattern]]:
     rng = random.Random(seed)
     return [gen_case(rng) for _ in range(n)]
+
+
+# the keyword forms of the pattern and template syntaxes: head ->
+# (number of arguments, whether the first is a symbol)
+READER_FORMS = {
+    "name": (2, True),
+    "nt": (1, True),
+    "in-hole": (2, False),
+    "ref": (1, True),
+}
+LONG_INT = "9" * 5000  # past int()'s default limit of 4,300 digits
+READER_ATOMS = ("a", "x", "λ", "-", "+a", "0", "-3", "+7", "#t", "#f", "hole")
+NOT_SYMBOLS = ("5", "-1", "#t", "#f", "()", "(x)", LONG_INT)
+
+
+def gen_reader_text(
+    rng: random.Random, keywords: frozenset[str], depth: int = 4
+) -> tuple[str, int]:
+    """A random s-expression text, and the faults in it for the syntax
+    whose keyword forms have the heads `keywords`: a reserved word or a
+    5,000-digit integer where a literal goes, a keyword form with the wrong
+    number of arguments, or a non-symbol where a symbol goes.  Nothing
+    inside a form with the wrong number of arguments counts, since a reader
+    reads no further into it."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.4:
+        word = rng.random()
+        if word < 0.15:
+            text = rng.choice(tuple(READER_FORMS))
+        else:
+            text = LONG_INT if word < 0.27 else rng.choice(READER_ATOMS)
+        return text, int(text in keywords or text == LONG_INT)
+    sep = rng.choice((" ", " ", " ", "\n", "  ; c\n"))
+    if roll < 0.7:  # a keyword form, whatever the syntax
+        head = rng.choice(tuple(READER_FORMS))
+        arity, symbol = READER_FORMS[head]
+        if rng.random() < 0.2:
+            arity = rng.choice([k for k in range(4) if k != arity])
+        args = [gen_reader_text(rng, keywords, depth - 1) for _ in range(arity)]
+        if symbol and args and head in keywords:
+            bad = rng.random() < 0.15
+            names = NOT_SYMBOLS if bad else ("x", "q", "λ", "hole", "nt", "ref")
+            args[0] = rng.choice(names), int(bad)
+        faults = sum(n for _, n in args)
+        if head in keywords and len(args) != READER_FORMS[head][0]:
+            faults = 1
+        items = [head] + [text for text, _ in args]
+    else:  # a plain list: its first item is no keyword
+        width = rng.randint(0, 5)
+        args = [gen_reader_text(rng, keywords, depth - 1) for _ in range(width)]
+        while args and args[0][0] in READER_FORMS:
+            args[0] = gen_reader_text(rng, keywords, depth - 1)
+        faults = sum(n for _, n in args)
+        items = [text for text, _ in args]
+    return "(" + sep.join(items) + ")", faults

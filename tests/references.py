@@ -12,12 +12,17 @@ is the reference for the CLI's printer, which prints each shared node
 once per request.  The recursive `to_context`, which counts the holes
 of each item again at every level, and the pairwise grouping of equal
 right-hand sides are the references for the engine's one-pass versions.
+The recursive converters from the s-expression tree to terms, patterns
+and templates, one per syntax, are the references for the reader's one
+loop over its tables, and the recursive `subpatterns` for the engine's
+loop.
 """
 
 from typing import NamedTuple
 
 from redsem import (
     HOLE,
+    HOLE_PAT,
     HOLE_TERM,
     CtxTerm,
     Hole,
@@ -37,8 +42,15 @@ from redsem import (
     productions_of,
     remove_prod,
 )
-from redsem.language import print_literal
-from redsem.terms import subpatterns
+from redsem.language import _atom_literal, print_literal
+from redsem.reduction import (
+    HoleTemplate,
+    InHoleTemplate,
+    ListTemplate,
+    LitTemplate,
+    RefTemplate,
+)
+from redsem.sexpr import Atom, ParseError
 
 
 def immediate_subterms(t):
@@ -197,6 +209,91 @@ def context_hole_count(c):
     if isinstance(c, HeadCtx):
         return context_hole_count(c.hole_side)
     return context_hole_count(c.rest)
+
+
+def subpatterns(p):
+    """Yield p and every pattern nested inside it."""
+    yield p
+    if isinstance(p, ListPat):
+        for item in p.items:
+            yield from subpatterns(item)
+    elif isinstance(p, NamePat):
+        yield from subpatterns(p.pattern)
+    elif isinstance(p, InHolePat):
+        yield from subpatterns(p.context_pat)
+        yield from subpatterns(p.hole_pat)
+
+
+def arguments(e, form, symbol=""):
+    """e's arguments, one for each parameter of `form`, as in "(nt n)";
+    the argument for the parameter named `symbol`, if any, is a symbol."""
+    params, args = form[1:-1].split()[1:], e.items[1:]
+    if len(args) != len(params):
+        noun = "argument" if len(params) == 1 else "arguments"
+        raise ParseError(
+            f"arity error: {form} takes {len(params)} {noun}, got {len(args)}",
+            e.line,
+            e.col,
+        )
+    if symbol:
+        arg = args[params.index(symbol)]
+        if not isinstance(arg, Atom) or not isinstance(_atom_literal(arg).value, str):
+            raise ParseError(f"{form} needs a symbol for {symbol}", e.line, e.col)
+    return args
+
+
+def sexpr_term(e):
+    """The term an s-expression tree reads as."""
+    if isinstance(e, Atom):
+        if e.text == "hole":
+            return HOLE_TERM
+        return _atom_literal(e)
+    return ListTerm(tuple(sexpr_term(item) for item in e.items))
+
+
+def sexpr_pattern(e):
+    """The pattern an s-expression tree reads as."""
+    if isinstance(e, Atom):
+        if e.text == "hole":
+            return HOLE_PAT
+        if e.text in ("name", "nt", "in-hole"):
+            raise ParseError(
+                f"reserved word {e.text!r} cannot be a literal pattern", e.line, e.col
+            )
+        return LitPat(_atom_literal(e))
+    if e.items and isinstance(e.items[0], Atom):
+        head = e.items[0].text
+        if head == "name":
+            var, body = arguments(e, "(name x p)", symbol="x")
+            return NamePat(var.text, sexpr_pattern(body))
+        if head == "nt":
+            (nt,) = arguments(e, "(nt n)", symbol="n")
+            return NtPat(nt.text)
+        if head == "in-hole":
+            pc, ph = arguments(e, "(in-hole pc ph)")
+            return InHolePat(sexpr_pattern(pc), sexpr_pattern(ph))
+    return ListPat(tuple(sexpr_pattern(item) for item in e.items))
+
+
+def sexpr_template(e):
+    """The template an s-expression tree reads as."""
+    if isinstance(e, Atom):
+        if e.text == "hole":
+            return HoleTemplate()
+        if e.text in ("ref", "in-hole"):
+            raise ParseError(
+                f"reserved word {e.text!r} cannot be a literal template", e.line, e.col
+            )
+        return LitTemplate(_atom_literal(e))
+    if e.items and isinstance(e.items[0], Atom):
+        head = e.items[0].text
+        if head == "ref":
+            (var,) = arguments(e, "(ref x)", symbol="x")
+            return RefTemplate(var.text)
+        if head == "in-hole":
+            c, t = arguments(e, "(in-hole c t)")
+            return InHoleTemplate(sexpr_template(c), sexpr_template(t))
+    return ListTemplate(tuple(sexpr_template(item) for item in e.items))
 
 
 def is_subgrammar(g1, g2):

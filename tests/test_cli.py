@@ -270,6 +270,13 @@ class TestDeepInput:
             assert len(proc.stderr.splitlines()) == 1
             assert proc.stderr.startswith("error: ")
 
+    @pytest.mark.parametrize("n", [600, 3000])
+    @pytest.mark.parametrize("shape", ["right", "left"])
+    def test_chains_are_read_and_matched_at_any_depth(self, capsys, shape, n):
+        # the reader and the matcher both keep their work on a list
+        argv = ("-p", "(nt e)", "-t", chain_source(shape, n))
+        assert run(capsys, "match", "-g", LAMBDA_FILE, *argv) == (0, "(bindings)\n", "")
+
 
 class TestCheckGrammar:
     def test_left_recursive_golden(self, capsys):
@@ -535,6 +542,34 @@ COMMANDS = ("match", "decompose", "plug", "reduce", "trace", "check-grammar")
 @pytest.fixture(scope="module")
 def lang_file(tmp_path_factory):
     return tmp_path_factory.mktemp("robust") / "lang.sexp"
+
+
+MATCH_B = ("match", "-p", "(nt e)", "-t", "b")
+RULE_FORM = "each rule must be (rule <name> <lhs> <rhs>)"
+
+
+class TestLanguageNames:
+    """A language, non-terminal or rule name that is not a symbol, and a
+    rule name used twice, exit 2 with one line."""
+
+    @pytest.mark.parametrize(
+        "lang, argv, err",
+        [
+            ("(define-language 5 (e b))", REDUCE, "define-language needs a name"),
+            ("(define-language l (#t a) (e b))", MATCH_B, CLAUSE),
+            ("(define-language l (e b)) (rule 7 b b)", REDUCE, RULE_FORM),
+            (
+                "(define-language l (e b)) (rule r b a) (rule r b c)",
+                REDUCE,
+                "rule 'r' is defined twice",
+            ),
+        ],
+    )
+    def test_one_line(self, capsys, tmp_path, lang, argv, err):
+        path = tmp_path / "lang.sexp"
+        path.write_text(lang, encoding="utf-8")
+        argv = (argv[0], "-g", str(path), *argv[1:])
+        assert run(capsys, *argv) == (2, "", f"error: {err}\n")
 
 
 class TestRobustness:

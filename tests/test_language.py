@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import redsem
 import references
-from genterms import gen_term
+from genterms import gen_reader_text, gen_term
 from redsem import (
     HOLE,
     HOLE_PAT,
@@ -40,7 +45,7 @@ from redsem.reduction import (
     LitTemplate,
     RefTemplate,
 )
-from redsem.sexpr import Atom, parse_sexprs
+from redsem.sexpr import Atom, parse_sexpr, parse_sexprs
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -207,12 +212,120 @@ class TestDeepContexts:
         assert print_context(c) == text
 
     def test_to_context(self):
-        # built level by level: parse_term still recurses
+        # built level by level, without the reader
         t = HOLE_TERM
         for i in range(self.DEPTH):
             items = (Literal("a"), t, Literal("b")) if i % 2 else (t, Literal("b"))
             t = ListTerm(items)
         assert print_context(to_context(t)) == deep_context(self.DEPTH)[1]
+
+
+# A fresh interpreter at the default recursion limit reads input 10,000
+# deep in each syntax, right- and left-nested, as plain lists and as
+# keyword forms.  Each result is checked level by level, since `==` still
+# recurses: every level is of one class, and its part off the path is the
+# one given.
+DEEP_READ = """
+import sys
+from redsem import HOLE_PAT, InHolePat, ListPat, ListTerm, Literal, LitPat
+from redsem import NamePat, NtPat
+from redsem.language import parse_pattern, parse_template, parse_term
+from redsem.reduction import HoleTemplate, InHoleTemplate, ListTemplate
+from redsem.reduction import LitTemplate, RefTemplate
+
+assert sys.getrecursionlimit() == 1000
+n = 10_000
+a, b, E, x = Literal("a"), Literal("b"), RefTemplate("E"), RefTemplate("x")
+right, left = "(a " * n + "b" + ")" * n, "(" * n + "b" + " a)" * n
+name = "(name q " * n + "(nt e)" + ")" * n
+in_hole = "(in-hole " * n + "hole" + " (nt e))" * n
+right_tpl = "(in-hole (ref E) " * n + "(ref x)" + ")" * n
+left_tpl = "(in-hole " * n + "hole" + " (ref x))" * n
+cases = [  # reader, text, class of each level, index down, other part, leaf
+    (parse_term, right, ListTerm, 1, a, b),
+    (parse_term, left, ListTerm, 0, a, b),
+    (parse_pattern, right, ListPat, 1, LitPat(a), LitPat(b)),
+    (parse_pattern, left, ListPat, 0, LitPat(a), LitPat(b)),
+    (parse_pattern, name, NamePat, 1, "q", NtPat("e")),
+    (parse_pattern, in_hole, InHolePat, 0, NtPat("e"), HOLE_PAT),
+    (parse_template, right, ListTemplate, 1, LitTemplate(a), LitTemplate(b)),
+    (parse_template, left, ListTemplate, 0, LitTemplate(a), LitTemplate(b)),
+    (parse_template, right_tpl, InHoleTemplate, 1, E, x),
+    (parse_template, left_tpl, InHoleTemplate, 0, x, HoleTemplate()),
+]
+for parse, text, cls, down, other, leaf in cases:
+    v, levels = parse(text), 0
+    while type(v) is cls:
+        fields = [getattr(v, field) for field in cls.__match_args__]
+        parts = fields[0] if len(fields) == 1 else fields  # a list's items
+        assert len(parts) == 2 and parts[1 - down] == other, parts
+        v, levels = parts[down], levels + 1
+    assert v == leaf, v
+    print(parse.__name__, levels)
+"""
+
+
+class TestDeepReading:
+    def test_terms_patterns_and_templates_10_000_deep(self):
+        src = os.path.dirname(os.path.dirname(redsem.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", DEEP_READ],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        assert proc.stderr == ""
+        syntaxes = ["term"] * 2 + ["pattern"] * 4 + ["template"] * 4
+        assert proc.stdout.splitlines() == [f"parse_{s} 10000" for s in syntaxes]
+
+
+# each syntax: its public reader, the recursive converter it replaced, the
+# heads of its keyword forms, and the seed of its generated texts
+SYNTAXES = {
+    "term": (parse_term, references.sexpr_term, frozenset(), 1),
+    "pattern": (
+        parse_pattern,
+        references.sexpr_pattern,
+        frozenset({"name", "nt", "in-hole"}),
+        2,
+    ),
+    "template": (
+        parse_template,
+        references.sexpr_template,
+        frozenset({"ref", "in-hole"}),
+        3,
+    ),
+}
+FAULTS = ("arity error", "needs a symbol", "reserved word", "integer literal too long")
+
+
+def read_outcome(read, text):
+    """The repr of what `read` gives on text, or the class, message and
+    position of the error it raises."""
+    try:
+        return repr(read(text))
+    except ParseError as e:
+        return type(e), str(e), e.line, e.col
+
+
+class TestOneReader:
+    @pytest.mark.parametrize("syntax", SYNTAXES)
+    def test_agrees_with_the_recursive_converter(self, syntax):
+        parse, reference, keywords, seed = SYNTAXES[syntax]
+        rng = random.Random(seed)
+        counts, seen = Counter(), set()
+        for _ in range(3000):
+            text, faults = gen_reader_text(rng, keywords)
+            # the same value, or the same first fault in source pre-order
+            got = read_outcome(parse, text)
+            assert got == read_outcome(lambda s: reference(parse_sexpr(s)), text)
+            assert isinstance(got, tuple) == (faults > 0)
+            counts[min(faults, 2)] += 1
+            if faults:
+                seen.update(kind for kind in FAULTS if kind in got[1])
+        assert counts[0] >= 1000 and counts[1] >= 300 and counts[2] >= 300
+        assert seen == set(FAULTS if keywords else FAULTS[-1:])
 
 
 class TestParsePattern:
@@ -299,6 +412,7 @@ class TestParseTemplate:
 
 
 GRAMMAR_CLAUSE = "each grammar clause must be (<nonterminal> <pattern> ...)"
+RULE_FORM = "each rule must be (rule <name> <lhs> <rhs>)"
 
 
 class TestLanguageFiles:
@@ -361,3 +475,36 @@ class TestLanguageFiles:
     def test_malformed_rule_raises(self):
         with pytest.raises(LanguageError, match="rule"):
             parse_language("(define-language l (e a)) (rule r)")
+
+    @pytest.mark.parametrize(
+        "src, message",
+        [
+            ("(define-language 5 (e a))", "define-language needs a name"),
+            ("(define-language #f (e a))", "define-language needs a name"),
+            ("(define-language l (#t a) (e b))", GRAMMAR_CLAUSE),
+            ("(define-language l (e a) (-7 b))", GRAMMAR_CLAUSE),
+            ("(define-language l (e a)) (rule 7 a a)", RULE_FORM),
+            ("(define-language l (e a)) (rule #t a a)", RULE_FORM),
+            ("(define-language l (e a)) (rule (r) a a)", RULE_FORM),
+            (
+                "(define-language l (e a)) (rule r a a) (rule s a a) (rule r a b)",
+                "rule 'r' is defined twice",
+            ),
+        ],
+    )
+    def test_names_are_symbols_and_rule_names_distinct(self, src, message):
+        with pytest.raises(LanguageError) as e:
+            parse_language(src)
+        assert str(e.value) == message
+
+    def test_a_name_past_the_digit_limit_is_a_parse_error_at_its_atom(self):
+        with pytest.raises(ParseError) as e:
+            parse_language("(define-language l (e a))\n(rule " + "9" * 5000 + " a a)")
+        assert str(e.value) == "2:7: integer literal too long"
+
+    def test_symbol_names_load_in_order(self):
+        src = "(define-language hole (nt a)) (rule s a a) (rule r (nt nt) a)"
+        lang = parse_language(src)
+        assert lang.name == "hole"
+        assert [p.nonterminal for p in lang.grammar.productions] == ["nt"]
+        assert [r.name for r in lang.rules] == ["s", "r"]

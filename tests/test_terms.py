@@ -8,20 +8,27 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genterms import gen_context, gen_term
+from genterms import gen_case, gen_context, gen_term
 import redsem
+import references
 from redsem import (
     HOLE,
+    HOLE_PAT,
     HOLE_TERM,
     CtxTerm,
     HeadCtx,
+    InHolePat,
+    ListPat,
     ListTerm,
     Literal,
+    LitPat,
+    NamePat,
+    NtPat,
     TailCtx,
     enumerate_decompositions,
     plug,
 )
-from redsem.terms import compose
+from redsem.terms import compose, subpatterns
 from references import (
     context_hole_count,
     is_proper_subterm,
@@ -237,6 +244,38 @@ class TestCompose:
     def test_composed_contexts_have_one_hole(self, s1, s2):
         c1, c2 = rnd_context(s1), rnd_context(s2)
         assert context_hole_count(compose(c1, c2)) == 1
+
+
+class TestSubpatterns:
+    def test_agrees_with_the_recursive_reference(self):
+        rng = random.Random(20261018)
+        for _ in range(3000):
+            g, _, p = gen_case(rng)
+            for q in (p, *(prod.pattern for prod in g.productions)):
+                got, want = list(subpatterns(q)), list(references.subpatterns(q))
+                assert len(got) == len(want)
+                assert all(a is b for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("shape", ["right", "left", "name", "context", "body"])
+    def test_a_pattern_10_000_deep(self, shape):
+        # pre-order: each level and its leaves before the path, outermost
+        # first, then the leaves after the path, innermost first
+        lit, p = LitPat(A), NtPat("e")
+        before, after = [p], []  # before: innermost first
+        wrap = {  # a level around p, and its leaves before and after p
+            "right": lambda p: (ListPat((lit, p)), [lit], []),
+            "left": lambda p: (ListPat((p, lit)), [], [lit]),
+            "name": lambda p: (NamePat("x", p), [], []),
+            "context": lambda p: (InHolePat(p, HOLE_PAT), [], [HOLE_PAT]),
+            "body": lambda p: (InHolePat(HOLE_PAT, p), [HOLE_PAT], []),
+        }[shape]
+        for _ in range(10_000):
+            p, first, last = wrap(p)
+            before += [*reversed(first), p]
+            after += last
+        got, want = list(subpatterns(p)), before[::-1] + after
+        assert len(got) == len(want)
+        assert all(a is b for a, b in zip(got, want))
 
 
 class TestHoleCount:
