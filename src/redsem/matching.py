@@ -467,6 +467,11 @@ def match_decompose(
       derivation gives.  Every edge of a new derivation is still checked,
       each subproblem is checked once per session, and each call's
       returned list is plugged back in full.
+    - The identity keys also meet equal sub-terms of one input:
+      `parse_term` reads one object per distinct sub-term, so a
+      subproblem on a sub-term that recurs in the input is solved and
+      checked once, and by the first point each hit gives the raw list a
+      fresh derivation gives.
 
     *Inductive checks.*  Every split (c, s) that ev yields on a term t is
     sound: plug(c, s) = t, and s is t under a bare hole or a proper

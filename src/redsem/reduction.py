@@ -67,16 +67,17 @@ Template = LitTemplate | HoleTemplate | ListTemplate | RefTemplate | InHoleTempl
 
 
 def template_vars(tpl: Template) -> set[str]:
-    if isinstance(tpl, RefTemplate):
-        return {tpl.var}
-    if isinstance(tpl, ListTemplate):
-        out: set[str] = set()
-        for item in tpl.items:
-            out |= template_vars(item)
-        return out
-    if isinstance(tpl, InHoleTemplate):
-        return template_vars(tpl.context) | template_vars(tpl.body)
-    return set()
+    out: set[str] = set()
+    todo = [tpl]
+    while todo:
+        tpl = todo.pop()
+        if isinstance(tpl, RefTemplate):
+            out.add(tpl.var)
+        elif isinstance(tpl, ListTemplate):
+            todo += tpl.items
+        elif isinstance(tpl, InHoleTemplate):
+            todo += (tpl.context, tpl.body)
+    return out
 
 
 def pattern_binding_vars(p: Pattern) -> set[str]:

@@ -311,6 +311,20 @@ class TestCheckGrammar:
             code, out, err = run(capsys, "check-grammar", "-g", str(deep))
             assert (code, out, err) == (0, "not-left-recursive\n", "")
 
+    # a rule's right-hand side deeper than the interpreter's recursion
+    # limit loads: its variables are collected on a list, unbound ones too
+    def test_deep_rule_right_hand_side(self, capsys, tmp_path):
+        n = 3000
+        deep = tmp_path / "rhs.sexp"
+        for var, expected in (
+            ("q", (0, "not-left-recursive\n", "")),
+            ("z", (2, "", "error: rule 'r' uses unbound template variable(s): z\n")),
+        ):
+            rhs = "(in-hole hole " * n + f"(ref {var})" + ")" * n
+            text = f"(define-language l (e a))\n(rule r (name q (nt e)) {rhs})"
+            deep.write_text(text, encoding="utf-8")
+            assert run(capsys, "check-grammar", "-g", str(deep)) == expected
+
     def test_file_not_utf8_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.sexp"
         bad.write_bytes(b"\xff\xfe(define-language")

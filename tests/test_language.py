@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import redsem
 import references
-from genterms import gen_reader_text, gen_term
+from genterms import gen_case, gen_reader_text, gen_term
 from redsem import (
     HOLE,
     HOLE_PAT,
@@ -46,6 +46,7 @@ from redsem.reduction import (
     RefTemplate,
 )
 from redsem.sexpr import Atom, parse_sexpr, parse_sexprs
+from test_cli import chain_source
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -326,6 +327,80 @@ class TestOneReader:
                 seen.update(kind for kind in FAULTS if kind in got[1])
         assert counts[0] >= 1000 and counts[1] >= 300 and counts[2] >= 300
         assert seen == set(FAULTS if keywords else FAULTS[-1:])
+
+
+def subterms(t):
+    """t and every term inside it, once per occurrence, by an explicit walk."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        yield t
+        if isinstance(t, ListTerm):
+            todo += t.items
+
+
+# A fresh interpreter at the default recursion limit reads a list 10,000
+# wide of one repeated item, and chains 10,000 deep, with one object for
+# every copy of the item; each level is checked by identity, not by `==`.
+SHARED_READ = """
+import sys
+from redsem import parse_term
+
+assert sys.getrecursionlimit() == 1000
+n, lam = 10_000, "(λ x x)"
+wide = parse_term("(" + " ".join([lam] * n) + ")")
+print("wide", len(wide.items), len({id(item) for item in wide.items}))
+right = "(" + (lam + " (") * (n - 1) + lam + " " + lam + ")" * n
+left = "(" * n + lam + (" " + lam + ")") * n
+for shape, text, down in (("right", right, 1), ("left", left, 0)):
+    t, levels = parse_term(text), 0
+    head = t.items[1 - down]
+    while t is not head:
+        assert len(t.items) == 2 and t.items[1 - down] is head
+        t, levels = t.items[down], levels + 1
+    print(shape, levels)
+"""
+
+
+class TestReaderSharing:
+    """parse_term reads one object per distinct sub-term."""
+
+    @staticmethod
+    def check_read(text):
+        t = parse_term(text)
+        assert t == references.sexpr_term(parse_sexpr(text))
+        first = {}
+        for u in subterms(t):
+            assert first.setdefault(u, u) is u  # equal sub-terms are one object
+        return t
+
+    def test_reread_terms_share_equal_sub_terms(self):
+        rng = random.Random(20261018)
+        for _ in range(3000):
+            self.check_read(print_term(gen_case(rng)[1]))
+        for shape in ("right", "left"):
+            for n in range(65):
+                t = self.check_read(chain_source(shape, n))
+                # λ, each variable and its identity, each application
+                assert len({id(u) for u in subterms(t)}) == 1 + 2 * min(n + 1, 6) + n
+
+    def test_literals_of_other_types_stay_apart(self):
+        t = parse_term("(1 #t 1 #t (1) (#t))")
+        one, true = t.items[0], t.items[1]
+        assert t.items[2] is one and t.items[3] is true and one != true
+        assert t.items[4].items[0] is one and t.items[5].items[0] is true
+
+    def test_wide_and_deep_terms_at_the_default_recursion_limit(self):
+        src = os.path.dirname(os.path.dirname(redsem.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", SHARED_READ],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines() == ["wide 10000 1", "right 10000", "left 10000"]
 
 
 class TestParsePattern:

@@ -54,6 +54,7 @@ from redsem.matching import (
     grammar_index,
     select,
 )
+from redsem.sexpr import parse_sexpr
 from redsem.terms import compose, subpatterns
 from references import (
     Problem,
@@ -63,6 +64,7 @@ from references import (
     is_proper_subterm,
     proper_subterms,
     reference_order,
+    sexpr_term,
 )
 
 A, B = Literal("a"), Literal("b")
@@ -417,6 +419,12 @@ def right_chain_src(n):
 
 def right_chain(n):
     return parse_term(right_chain_src(n))
+
+
+def unshared_right_chain(n):
+    """right_chain(n) with one object per node, as the recursive reference
+    converter reads it: its equal sub-terms are not the same object."""
+    return sexpr_term(parse_sexpr(right_chain_src(n)))
 
 
 def left_chain(n):
@@ -954,13 +962,18 @@ class TestExactPruning:
         assert matches(g, t, p) == oracle_match(g, t, p)
         assert decompose(g, t, p) == oracle_decompose(g, t, p)
 
-    # mask_order_decreases calls on right chain 16 with the checks on.
-    # Before the pruning the same queries made 1,210, 1,591 and 971, and
-    # 455, 517 and 333 while a list pattern split its list into a head and
-    # a tail: 101, 145 and 83 of those were tail edges, and under the
-    # redex pattern 34 more were items on lists whose length differs from
-    # the pattern's, and the steps below them
+    # mask_order_decreases calls on right chain 16 with the checks on, the
+    # chain read with one object per node.  Before the pruning the same
+    # queries made 1,210, 1,591 and 971, and 455, 517 and 333 while a list
+    # pattern split its list into a head and a tail: 101, 145 and 83 of
+    # those were tail edges, and under the redex pattern 34 more were
+    # items on lists whose length differs from the pattern's, and the
+    # steps below them
     PRUNED_EDGES = {"redex": 320, "E": 372, "e": 250}
+    # the same calls on the chain as parse_term reads it, one object per
+    # distinct sub-term: the memo, keyed by term object, solves and checks
+    # each distinct (nt N) subproblem once
+    SHARED_EDGES = {"redex": 215, "E": 247, "e": 134}
 
     @pytest.mark.parametrize("name", sorted(PRUNED_EDGES))
     def test_edge_counts_pinned(self, lam, monkeypatch, name):
@@ -973,10 +986,15 @@ class TestExactPruning:
             return real(*args)
 
         monkeypatch.setattr(matching, "mask_order_decreases", counted)
-        t, p = right_chain(16), parse_pattern(CHAIN_PATTERNS[name])
-        got = match_decompose(lam.grammar, t, p, debug=True)
-        assert len(got) == CHAIN_RESULT_COUNTS[("right", 16, name)][0]
-        assert calls[0] == self.PRUNED_EDGES[name]
+        p = parse_pattern(CHAIN_PATTERNS[name])
+        for t, edges in (
+            (unshared_right_chain(16), self.PRUNED_EDGES),
+            (right_chain(16), self.SHARED_EDGES),
+        ):
+            calls[0] = 0
+            got = match_decompose(lam.grammar, t, p, debug=True)
+            assert len(got) == CHAIN_RESULT_COUNTS[("right", 16, name)][0]
+            assert calls[0] == edges[name]
 
     # structural comparisons of terms or patterns made inside the order
     # check in the same queries: it compares objects by identity.  While
@@ -1017,6 +1035,43 @@ class TestExactPruning:
             return eq(self, other)
 
         monkeypatch.setattr(cls, "__eq__", counted)
+
+
+# the code of match_decompose's judgment step, a generator
+EV = next(c for c in match_decompose.__code__.co_consts if getattr(c, "co_name", "") == "ev")
+
+
+def count_steps(g, t, p, debug):
+    """match_decompose(g, t, p)'s results and its steps: the sub-queries
+    that ev yields, each of which starts one more ev generator.  cProfile
+    counts 2 * steps + 1 calls of ev: the root, each step's start, and
+    the resume of its parent."""
+    steps = [0]
+
+    def profile(frame, event, arg):
+        # a yield reaches the profiler as a "return" of the value yielded
+        if event == "return" and frame.f_code is EV and type(arg) is tuple:
+            steps[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        got = match_decompose(g, t, p, debug=debug)
+    finally:
+        sys.setprofile(None)
+    return got, steps[0]
+
+
+class TestReaderSharing:
+    """The memo keys on the term object, so a chain read with one object
+    per distinct sub-term solves each distinct (nt N) subproblem once."""
+
+    @pytest.mark.parametrize("debug", [True, False])
+    def test_steps_of_decompose_e_on_right_chain_64_pinned(self, lam, debug):
+        g, p = lam.grammar, NtPat("E")
+        unshared, before = count_steps(g, unshared_right_chain(64), p, debug)
+        shared, after = count_steps(g, right_chain(64), p, debug)
+        assert (before, after) == (1476, 823)
+        assert repr(shared) == repr(unshared) and len(shared) == 129
 
 
 DEPTH_SCRIPT = """\

@@ -35,6 +35,7 @@ from test_matching import (
     right_chain,
     right_chain_src,
     select_one_item_too_many,
+    unshared_right_chain,
 )
 from redsem.reduction import (
     CUTOFF,
@@ -258,16 +259,22 @@ class TestSession:
 
     def test_a_trace_checks_each_shared_subproblem_once(self, lam, monkeypatch):
         # order checks made by the 9 calls of a right-chain trace, and by
-        # the same calls made afresh, one session each; 668 and 1,161 while
-        # a list pattern split its list into a head and a tail
+        # the same calls made afresh, one session each: on the chain read
+        # with one object per node (668 and 1,161 while a list pattern
+        # split its list into a head and a tail), and on the chain as
+        # parse_term reads it, one object per distinct sub-term
         checks(monkeypatch, True)
         edges = inject(monkeypatch, "mask_order_decreases")
         real, calls = record(monkeypatch)
-        trace(lam.grammar, list(lam.rules), right_chain(8), 9)
-        in_session = edges[0]
-        for args, kwargs, _, _ in calls:
-            real(*args, **kwargs)
-        assert (len(calls), in_session, edges[0] - in_session) == (9, 499, 815)
+        got = []
+        for t in (unshared_right_chain(8), right_chain(8)):
+            edges[0], calls[:] = 0, []
+            trace(lam.grammar, list(lam.rules), t, 9)
+            in_session = edges[0]
+            for args, kwargs, _, _ in calls:
+                real(*args, **kwargs)
+            got.append((len(calls), in_session, edges[0] - in_session))
+        assert got == [(9, 499, 815), (9, 466, 699)]
 
     def test_generated_cases_share_a_session(self):
         # four patterns on one term object per case, in both orders; each
