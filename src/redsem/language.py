@@ -122,13 +122,13 @@ def _read(e: SExpr, syntax: tuple) -> Term | Pattern | Template:
     when it is first met and built after its items, so the first fault in
     source pre-order is the one raised, at any depth.
 
-    A term is read with one object per distinct sub-term: each atom and
-    list is replaced by the first equal one built in this call.  A list is
-    built after its items, so hashing it, and comparing it on a hit, take
-    time in its length: its items are already shared.  Patterns and
-    templates, whose hash is recursive and uncached, are not shared."""
+    The value is read with one object per distinct sub-tree: each atom and
+    node is replaced by the first equal one built in this call.  A node is
+    built after its parts and caches its hash, so hashing it, and
+    comparing it on a hit, take time in its arity: its parts are already
+    shared."""
     hole, literal, plain, noun, forms = syntax
-    shared: dict | None = {} if syntax is _TERM else None
+    shared: dict = {}
     done: list = []  # the values read, innermost last
     # nodes to read, and builds: (class, the texts of its symbol argument,
     # or None for a plain list, the number of values read that it takes)
@@ -140,13 +140,13 @@ def _read(e: SExpr, syntax: tuple) -> Term | Pattern | Template:
                 what = f"reserved word {e.text!r} cannot be a literal {noun}"
                 raise ParseError(what, e.line, e.col)
             v = hole if e.text == "hole" else literal(_atom_literal(e))
-            done.append(v if shared is None else shared.setdefault(v, v))
+            done.append(shared.setdefault(v, v))
         elif isinstance(e, tuple):
             cls, symbol, n = e
             parts = done[len(done) - n :]
             del done[len(done) - n :]
             v = cls(tuple(parts)) if symbol is None else cls(*symbol, *parts)
-            done.append(v if shared is None else shared.setdefault(v, v))
+            done.append(shared.setdefault(v, v))
         elif e.items and isinstance(e.items[0], Atom) and e.items[0].text in forms:
             signature, param, cls = forms[e.items[0].text]
             args, symbol = _arguments(e, signature), ()
@@ -162,8 +162,9 @@ def _read(e: SExpr, syntax: tuple) -> Term | Pattern | Template:
 
 
 def parse_term(src: str) -> Term:
-    """The term src reads as.  Its equal sub-terms are one object, so a
-    caller must not rely on equal parts of it being distinct objects."""
+    """The term src reads as.  Like every parse, it has one object per
+    distinct sub-tree, so a caller must not rely on equal parts of it
+    being distinct objects."""
     return _read(parse_sexpr(src), _TERM)
 
 

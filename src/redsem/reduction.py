@@ -45,6 +45,7 @@ class HoleTemplate:
 
 @record
 class ListTemplate:
+    __slots__ = ("items", "_hash")
     items: tuple["Template", ...]
 
 
@@ -59,6 +60,7 @@ class RefTemplate:
 class InHoleTemplate:
     """Plugs the instantiated body into the instantiated context."""
 
+    __slots__ = ("context", "body", "_hash")
     context: "Template"
     body: "Template"
 
@@ -99,27 +101,48 @@ class Rule:
             )
 
 
+_CHECK, _PLUG = object(), object()  # the steps of an in-hole after its parts
+
+
 def instantiate(tpl: Template, bindings: Bindings) -> Term:
-    """Build the term a template denotes under the given bindings."""
-    if isinstance(tpl, LitTemplate):
-        return tpl.lit
-    if isinstance(tpl, HoleTemplate):
-        return CtxTerm(HOLE)
-    if isinstance(tpl, RefTemplate):
-        value = bindings.get(tpl.var)
-        if value is None:
-            raise UnboundTemplateVariableError(
-                f"template variable {tpl.var!r} is unbound"
-            )
-        return value
-    if isinstance(tpl, ListTemplate):
-        return ListTerm(tuple(instantiate(item, bindings) for item in tpl.items))
-    ctx_term = instantiate(tpl.context, bindings)
-    if not isinstance(ctx_term, CtxTerm):
-        raise TemplateContextError(
-            "the context slot of an in-hole template must instantiate to a context"
-        )
-    return plug(ctx_term.context, instantiate(tpl.body, bindings))
+    """Build the term a template denotes under the given bindings, on an
+    explicit stack.  An in-hole's context is built and checked before its
+    body is built, so the first fault in that order is the one raised, at
+    any depth."""
+    done: list[Term] = []  # the terms built, innermost last
+    # templates to build, and steps: a list's length, `_CHECK` or `_PLUG`
+    todo: list = [tpl]
+    while todo:
+        tpl = todo.pop()
+        if isinstance(tpl, LitTemplate):
+            done.append(tpl.lit)
+        elif isinstance(tpl, RefTemplate):
+            value = bindings.get(tpl.var)
+            if value is None:
+                raise UnboundTemplateVariableError(
+                    f"template variable {tpl.var!r} is unbound"
+                )
+            done.append(value)
+        elif isinstance(tpl, ListTemplate):
+            todo += (len(tpl.items), *reversed(tpl.items))
+        elif isinstance(tpl, InHoleTemplate):
+            todo += (_PLUG, tpl.body, _CHECK, tpl.context)
+        elif isinstance(tpl, HoleTemplate):
+            done.append(CtxTerm(HOLE))
+        elif tpl is _CHECK:
+            if not isinstance(done[-1], CtxTerm):
+                raise TemplateContextError(
+                    "the context slot of an in-hole template must instantiate"
+                    " to a context"
+                )
+        elif tpl is _PLUG:
+            body = done.pop()
+            done.append(plug(done.pop().context, body))
+        else:
+            items = done[len(done) - tpl :]
+            del done[len(done) - tpl :]
+            done.append(ListTerm(tuple(items)))
+    return done[0]
 
 
 def apply_rule(grammar: Grammar, rule: Rule, term: Term) -> list[Term]:

@@ -3,9 +3,11 @@
 Terms are literals, lists of terms, or embedded contexts.  A context is a
 term with exactly one hole; every list node of a context carries a tag
 (head/tail) pointing toward the hole, so plugging and decomposition can
-follow a path instead of searching.  List and context nodes cache their
-hash in a ``_hash`` slot outside their fields (see `redsem._record`): the
-engine shares sub-terms by identity, so a shared node is hashed once.
+follow a path instead of searching.  List and context nodes, and the
+list, name and in-hole patterns, cache their hash in a ``_hash`` slot
+outside their fields (see `redsem._record`): the engine shares sub-terms
+by identity, so a shared node is hashed once, and a node built after its
+parts is hashed in time in its arity.
 """
 
 from __future__ import annotations
@@ -102,6 +104,7 @@ class HolePat:
 class ListPat:
     """Matches a list of terms element-wise."""
 
+    __slots__ = ("items", "_hash")
     items: tuple["Pattern", ...]
 
 
@@ -109,6 +112,7 @@ class ListPat:
 class NamePat:
     """Matches the sub-pattern and binds the matched value to a variable."""
 
+    __slots__ = ("var", "pattern", "_hash")
     var: str
     pattern: "Pattern"
 
@@ -124,6 +128,7 @@ class NtPat:
 class InHolePat:
     """Matches terms decomposable into a context and a focused sub-term."""
 
+    __slots__ = ("context_pat", "hole_pat", "_hash")
     context_pat: "Pattern"
     hole_pat: "Pattern"
 

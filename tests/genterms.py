@@ -8,6 +8,7 @@ from redsem import (
     HOLE,
     HOLE_PAT,
     HOLE_TERM,
+    Bindings,
     CtxTerm,
     Grammar,
     HeadCtx,
@@ -27,6 +28,14 @@ from redsem import (
     is_left_recursive,
     new_grammar,
     productions_of,
+)
+from redsem.reduction import (
+    HoleTemplate,
+    InHoleTemplate,
+    ListTemplate,
+    LitTemplate,
+    RefTemplate,
+    Template,
 )
 from redsem.terms import Context, ListContext, Pattern, Term
 
@@ -228,6 +237,48 @@ def gen_case(rng: random.Random) -> tuple[Grammar, Term, Pattern]:
     else:
         p = gen_pattern(rng, rng.randint(1, 4), nts)
     return g, t, p
+
+
+TEMPLATE_VARS = ("E", "x", "y")  # in sorted order, as Bindings keeps them
+
+
+def gen_template(rng: random.Random, depth: int = 4) -> Template:
+    """A random template over `TEMPLATE_VARS`.  An in-hole's context slot
+    is a reference to E or a hole more often than chance would make it, so
+    that many templates instantiate and many faults lie deep."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.35:
+        leaf = rng.random()
+        if leaf < 0.4:
+            return LitTemplate(rng.choice(LITERALS))
+        if leaf < 0.55:
+            return HoleTemplate()
+        return RefTemplate(rng.choice(TEMPLATE_VARS))
+    if roll < 0.65:
+        width = rng.randint(0, 3)
+        return ListTemplate(tuple(gen_template(rng, depth - 1) for _ in range(width)))
+    slot = rng.random()
+    if slot < 0.3:
+        context: Template = RefTemplate("E")
+    elif slot < 0.45:
+        context = HoleTemplate()
+    else:
+        context = gen_template(rng, depth - 1)
+    return InHoleTemplate(context, gen_template(rng, depth - 1))
+
+
+def gen_template_bindings(rng: random.Random) -> Bindings:
+    """Bindings for `gen_template`'s variables: each is unbound at times,
+    and E is bound to a context more often than to another term."""
+    entries = []
+    for var in TEMPLATE_VARS:
+        if rng.random() < 0.15:
+            continue
+        if var == "E" and rng.random() < 0.75:
+            entries.append((var, CtxTerm(gen_context(rng))))
+        else:
+            entries.append((var, gen_term(rng, 2)))
+    return Bindings(tuple(entries))
 
 
 def corpus(seed: int, n: int) -> list[tuple[Grammar, Term, Pattern]]:

@@ -14,8 +14,8 @@ of each item again at every level, and the pairwise grouping of equal
 right-hand sides are the references for the engine's one-pass versions.
 The recursive converters from the s-expression tree to terms, patterns
 and templates, one per syntax, are the references for the reader's one
-loop over its tables, and the recursive `subpatterns` for the engine's
-loop.
+loop over its tables, and the recursive `subpatterns` and `instantiate`
+for the engine's loops.
 """
 
 from typing import NamedTuple
@@ -39,6 +39,9 @@ from redsem import (
     NtPat,
     Production,
     TailCtx,
+    TemplateContextError,
+    UnboundTemplateVariableError,
+    plug,
     productions_of,
     remove_prod,
 )
@@ -222,6 +225,29 @@ def subpatterns(p):
     elif isinstance(p, InHolePat):
         yield from subpatterns(p.context_pat)
         yield from subpatterns(p.hole_pat)
+
+
+def instantiate(tpl, bindings):
+    """The term a template denotes under the given bindings."""
+    if isinstance(tpl, LitTemplate):
+        return tpl.lit
+    if isinstance(tpl, HoleTemplate):
+        return CtxTerm(HOLE)
+    if isinstance(tpl, RefTemplate):
+        value = bindings.get(tpl.var)
+        if value is None:
+            raise UnboundTemplateVariableError(
+                f"template variable {tpl.var!r} is unbound"
+            )
+        return value
+    if isinstance(tpl, ListTemplate):
+        return ListTerm(tuple(instantiate(item, bindings) for item in tpl.items))
+    ctx_term = instantiate(tpl.context, bindings)
+    if not isinstance(ctx_term, CtxTerm):
+        raise TemplateContextError(
+            "the context slot of an in-hole template must instantiate to a context"
+        )
+    return plug(ctx_term.context, instantiate(tpl.body, bindings))
 
 
 def arguments(e, form, symbol=""):

@@ -312,18 +312,49 @@ class TestCheckGrammar:
             assert (code, out, err) == (0, "not-left-recursive\n", "")
 
     # a rule's right-hand side deeper than the interpreter's recursion
-    # limit loads: its variables are collected on a list, unbound ones too
+    # limit loads: its variables are collected on a list, unbound ones
+    # too, and it is instantiated on a list
     def test_deep_rule_right_hand_side(self, capsys, tmp_path):
         n = 3000
         deep = tmp_path / "rhs.sexp"
-        for var, expected in (
-            ("q", (0, "not-left-recursive\n", "")),
-            ("z", (2, "", "error: rule 'r' uses unbound template variable(s): z\n")),
+        unbound = (2, "", "error: rule 'r' uses unbound template variable(s): z\n")
+        for var, checked, reduced in (
+            ("q", (0, "not-left-recursive\n", ""), (0, "(r a)\n", "")),
+            ("z", unbound, unbound),
         ):
             rhs = "(in-hole hole " * n + f"(ref {var})" + ")" * n
             text = f"(define-language l (e a))\n(rule r (name q (nt e)) {rhs})"
             deep.write_text(text, encoding="utf-8")
-            assert run(capsys, "check-grammar", "-g", str(deep)) == expected
+            assert run(capsys, "check-grammar", "-g", str(deep)) == checked
+            assert run(capsys, "reduce", "-g", str(deep), "-t", "a") == reduced
+
+    # a production deeper than the interpreter's recursion limit is read
+    # with each pattern's hash cached, so the grammar analyses and the
+    # matcher answer it
+    def test_deep_list_production(self, capsys, tmp_path):
+        n = 3000
+        deep = tmp_path / "production.sexp"
+        deep.write_text(
+            "(define-language l (e a " + "(b " * n + "(nt e)" + ")" * n + "))",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "check-grammar", "-g", str(deep))
+        assert (code, out, err) == (0, "not-left-recursive\n", "")
+        term = "(b " * n + "a" + ")" * n
+        argv = ("-g", str(deep), "-p", "(nt e)", "-t", term)
+        assert run(capsys, "match", *argv) == (0, "(bindings)\n", "")
+
+    # a left-recursive production as deep gets past the analyses, but its
+    # witness is printed recursively: one line, never a traceback
+    def test_deep_left_recursive_production_exits_2(self, capsys, tmp_path):
+        n = 3000
+        deep = tmp_path / "left.sexp"
+        rhs = "(in-hole hole " * n + "(nt e)" + ")" * n
+        deep.write_text(f"(define-language l (e a {rhs}))", encoding="utf-8")
+        code, _, err = run(capsys, "check-grammar", "-g", str(deep))
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_file_not_utf8_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.sexp"

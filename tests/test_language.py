@@ -329,27 +329,37 @@ class TestOneReader:
         assert seen == set(FAULTS if keywords else FAULTS[-1:])
 
 
-def subterms(t):
-    """t and every term inside it, once per occurrence, by an explicit walk."""
-    todo = [t]
+def subtrees(v):
+    """v and every term, pattern or template inside it, once per
+    occurrence, by an explicit walk."""
+    todo = [v]
     while todo:
-        t = todo.pop()
-        yield t
-        if isinstance(t, ListTerm):
-            todo += t.items
+        v = todo.pop()
+        yield v
+        if isinstance(v, (ListTerm, ListPat, ListTemplate)):
+            todo += v.items
+        elif isinstance(v, NamePat):
+            todo.append(v.pattern)
+        elif isinstance(v, InHolePat):
+            todo += (v.context_pat, v.hole_pat)
+        elif isinstance(v, InHoleTemplate):
+            todo += (v.context, v.body)
 
 
-# A fresh interpreter at the default recursion limit reads a list 10,000
-# wide of one repeated item, and chains 10,000 deep, with one object for
-# every copy of the item; each level is checked by identity, not by `==`.
+# A fresh interpreter at the default recursion limit reads a list term
+# and a list pattern 10,000 wide of one repeated item, and chains 10,000
+# deep, with one object for every copy of the item; each level is checked
+# by identity, not by `==`.
 SHARED_READ = """
 import sys
-from redsem import parse_term
+from redsem import parse_pattern, parse_term
 
 assert sys.getrecursionlimit() == 1000
 n, lam = 10_000, "(λ x x)"
 wide = parse_term("(" + " ".join([lam] * n) + ")")
 print("wide", len(wide.items), len({id(item) for item in wide.items}))
+wide = parse_pattern("(" + " ".join(["(name x (nt e))"] * n) + ")")
+print("wide pattern", len(wide.items), len({id(item) for item in wide.items}))
 right = "(" + (lam + " (") * (n - 1) + lam + " " + lam + ")" * n
 left = "(" * n + lam + (" " + lam + ")") * n
 for shape, text, down in (("right", right, 1), ("left", left, 0)):
@@ -363,16 +373,16 @@ for shape, text, down in (("right", right, 1), ("left", left, 0)):
 
 
 class TestReaderSharing:
-    """parse_term reads one object per distinct sub-term."""
+    """Each parse reads one object per distinct sub-tree."""
 
     @staticmethod
-    def check_read(text):
-        t = parse_term(text)
-        assert t == references.sexpr_term(parse_sexpr(text))
+    def check_read(text, parse=parse_term, reference=references.sexpr_term):
+        v = parse(text)
+        assert v == reference(parse_sexpr(text))
         first = {}
-        for u in subterms(t):
-            assert first.setdefault(u, u) is u  # equal sub-terms are one object
-        return t
+        for u in subtrees(v):
+            assert first.setdefault(u, u) is u  # equal sub-trees are one object
+        return v
 
     def test_reread_terms_share_equal_sub_terms(self):
         rng = random.Random(20261018)
@@ -382,7 +392,21 @@ class TestReaderSharing:
             for n in range(65):
                 t = self.check_read(chain_source(shape, n))
                 # λ, each variable and its identity, each application
-                assert len({id(u) for u in subterms(t)}) == 1 + 2 * min(n + 1, 6) + n
+                assert len({id(u) for u in subtrees(t)}) == 1 + 2 * min(n + 1, 6) + n
+
+    def test_reread_patterns_and_templates_share_equal_sub_trees(self):
+        rng = random.Random(20261018)
+        for _ in range(3000):
+            text = print_pattern(gen_case(rng)[2])
+            self.check_read(text, parse_pattern, references.sexpr_pattern)
+        parse, reference, keywords, seed = SYNTAXES["template"]
+        rng, read = random.Random(seed), 0
+        for _ in range(3000):
+            text, faults = gen_reader_text(rng, keywords)
+            if not faults:
+                self.check_read(text, parse, reference)
+                read += 1
+        assert read >= 1000
 
     def test_literals_of_other_types_stay_apart(self):
         t = parse_term("(1 #t 1 #t (1) (#t))")
@@ -400,7 +424,12 @@ class TestReaderSharing:
             timeout=120,
         )
         assert proc.stderr == ""
-        assert proc.stdout.splitlines() == ["wide 10000 1", "right 10000", "left 10000"]
+        assert proc.stdout.splitlines() == [
+            "wide 10000 1",
+            "wide pattern 10000 1",
+            "right 10000",
+            "left 10000",
+        ]
 
 
 class TestParsePattern:

@@ -54,6 +54,7 @@ from redsem.matching import (
     grammar_index,
     select,
 )
+from redsem.reduction import InHoleTemplate, ListTemplate, RefTemplate
 from redsem.sexpr import parse_sexpr
 from redsem.terms import compose, subpatterns
 from references import (
@@ -811,14 +812,21 @@ class TestDepth:
         ctx = HeadCtx(HOLE, (A,))
         items, tail = ListTerm((A,)), TailCtx(A, ctx)
         term = CtxTerm(tail)
+        pattern = InHolePat(NamePat("x", ListPat((NtPat("e"),))), HOLE_PAT)
+        template = InHoleTemplate(RefTemplate("x"), ListTemplate((RefTemplate("x"),)))
         # fill the _hash slots
-        hash(items)
-        hash(term)
+        for obj in (items, term, pattern, template):
+            hash(obj)
         for obj in (
             items,
             term,
             ctx,
             tail,
+            pattern,
+            pattern.context_pat,
+            pattern.context_pat.pattern,
+            template,
+            template.body,
             Bindings((("x", A),)),
             ContextDecomposition(ctx, B),
             MatchResult(ContextDecomposition(ctx, B), EMPTY_BINDINGS),

@@ -1,11 +1,13 @@
 import gc
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
 import redsem.matching as matching
-from genterms import gen_case
+import references
+from genterms import gen_case, gen_template, gen_template_bindings
 from redsem import (
     HOLE,
     ContextDecomposition,
@@ -50,6 +52,7 @@ from redsem.reduction import (
     Rule,
     apply_rule,
     instantiate,
+    template_vars,
 )
 
 A, B, C = Literal("a"), Literal("b"), Literal("c")
@@ -81,6 +84,29 @@ class TestInstantiate:
     def test_hole_and_list(self):
         tpl = ListTemplate((HoleTemplate(), LitTemplate(A)))
         assert instantiate(tpl, bnd()) == ListTerm((CtxTerm(HOLE), A))
+
+    def test_agrees_with_the_recursive_definition(self):
+        def outcome(build, tpl, b):
+            try:
+                return build(tpl, b)
+            except (UnboundTemplateVariableError, TemplateContextError) as e:
+                return type(e), str(e)
+
+        rng = random.Random(20261019)
+        counts = Counter()
+        for _ in range(3000):
+            tpl, b = gen_template(rng), gen_template_bindings(rng)
+            got = outcome(instantiate, tpl, b)
+            # the same term, or the same first fault: an in-hole's context
+            # is built and checked before its body is built
+            assert got == outcome(references.instantiate, tpl, b)
+            kind = got[0] if isinstance(got, tuple) else "term"
+            unbound = template_vars(tpl) - {var for var, _ in b.entries}
+            counts[kind, bool(unbound)] += 1
+        assert counts["term", False] >= 1000
+        assert counts[UnboundTemplateVariableError, True] >= 300
+        # a context fault raised although an unbound variable lies later
+        assert counts[TemplateContextError, True] >= 100
 
 
 class TestRule:

@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genterms import gen_case, gen_context, gen_term
+from genterms import gen_case, gen_context, gen_pattern, gen_template, gen_term
 import redsem
 import references
 from redsem import (
@@ -28,6 +28,7 @@ from redsem import (
     enumerate_decompositions,
     plug,
 )
+from redsem.reduction import InHoleTemplate, ListTemplate
 from redsem.terms import compose, subpatterns
 from references import (
     context_hole_count,
@@ -291,7 +292,19 @@ class TestHoleCount:
 
 def hash_sample(kind, seed):
     """A value of the class named kind, rebuilt afresh on each call, whose
-    parts hold list and context nodes of every class."""
+    parts hold nodes of every class with a cached hash in its syntax."""
+    if kind.endswith("Pat"):
+        p, q = (gen_pattern(random.Random(seed), 3, ("n1", "n2")) for _ in range(2))
+        if kind == "ListPat":
+            return ListPat((p, NamePat("x", q), InHolePat(p, ListPat((q,)))))
+        if kind == "NamePat":
+            return NamePat("x", ListPat((p, InHolePat(q, p))))
+        return InHolePat(NamePat("x", p), ListPat((q,)))
+    if kind.endswith("Template"):
+        t, u = (gen_template(random.Random(seed), 3) for _ in range(2))
+        if kind == "ListTemplate":
+            return ListTemplate((t, InHoleTemplate(u, ListTemplate((t,)))))
+        return InHoleTemplate(ListTemplate((t,)), InHoleTemplate(u, t))
     t, c = rnd_term(seed), rnd_context(seed)
     if kind == "ListTerm":
         return ListTerm((t, CtxTerm(c), ListTerm((t,))))
@@ -303,11 +316,11 @@ def hash_sample(kind, seed):
 
 
 def cached_nodes(x):
-    """Every list and context node of x, x first, in one fixed order."""
+    """Every node of x that caches its hash, x first, in one fixed order."""
     out, todo = [], [x]
     while todo:
         node = todo.pop()
-        if isinstance(node, ListTerm):
+        if isinstance(node, (ListTerm, ListPat, ListTemplate)):
             todo.extend(node.items)
         elif isinstance(node, CtxTerm):
             todo.append(node.context)
@@ -315,6 +328,12 @@ def cached_nodes(x):
             todo.extend((node.hole_side, *node.tail))
         elif isinstance(node, TailCtx):
             todo.extend((node.head, node.rest))
+        elif isinstance(node, NamePat):
+            todo.append(node.pattern)
+        elif isinstance(node, InHolePat):
+            todo.extend((node.context_pat, node.hole_pat))
+        elif isinstance(node, InHoleTemplate):
+            todo.extend((node.context, node.body))
         else:
             continue
         out.append(node)
@@ -342,7 +361,11 @@ else:
 """
 
 
-@pytest.mark.parametrize("kind", ["ListTerm", "CtxTerm", "HeadCtx", "TailCtx"])
+@pytest.mark.parametrize(
+    "kind",
+    ["ListTerm", "CtxTerm", "HeadCtx", "TailCtx"]
+    + ["ListPat", "NamePat", "InHolePat", "ListTemplate", "InHoleTemplate"],
+)
 class TestHashCache:
     @given(seeds, seeds)
     def test_equal_values_hash_equal_whatever_was_hashed_first(self, kind, s, order):
