@@ -111,6 +111,14 @@ class MatchResult:
     bindings: Bindings
 
 
+# Inside the engine a result is one plain tuple (context, sub-term,
+# bindings), the context and sub-term None for a match of the whole term;
+# `match_decompose` builds the records only for the list it returns.
+Result = tuple[Context | None, Term | None, Bindings]
+
+MATCH: Result = (None, None, EMPTY_BINDINGS)
+
+
 def _list_count(t: Term) -> int | None:
     """The item count a list pattern needs to have a result on t, if any."""
     if isinstance(t, ListTerm):
@@ -163,10 +171,10 @@ def mask_order_decreases(
 
     - *List item* (fact: position i): t_next is item i of t_prev's
       flattening (`_is_item`), a proper sub-term, under item i of p_prev.
-    - *In-hole hole side* (fact: the context side's split): t_next is the
-      split's sub-term under the hole pattern; unless the split's context
-      is a bare hole, that is a proper sub-term, as the split is checked
-      where it is built, else the term and mask are unchanged.
+    - *In-hole hole side* (fact: the context side's split tuple): t_next
+      is the split's sub-term under the hole pattern; unless the split's
+      context is a bare hole, that is a proper sub-term, as the split is
+      checked where it is built, else the term and mask are unchanged.
     - *Production* (fact: entry j): t_next is t_prev under the j-th
       right-hand side of the non-terminal, and m_next is m_prev with the
       lowest live bit of that entry's ``same`` cleared.
@@ -189,104 +197,101 @@ def mask_order_decreases(
         component = p_prev.context_pat
     else:
         component = p_prev.hole_pat
-        if p_next is component and not isinstance(fact.context, Hole):
-            return t_next is fact.subterm
+        if p_next is component and not isinstance(fact[0], Hole):
+            return t_next is fact[1]
     return p_next is component and t_next is t_prev and m_next == m_prev
 
 
+_LIST_SPLIT_ERROR = "list split is not built from its input's pieces"
+
+
 def select(
-    t_head: Term,
-    d_head: Decomposition,
+    head: Term,
+    found: list[Result],
     t_tail: tuple[Term, ...],
-    d_tail: Decomposition,
+    tails: list[Result],
     whole: Term,
-) -> Decomposition | None:
-    """Combine head and tail results of a list-shaped match into one.
+    debug: bool,
+) -> list[Result]:
+    """One level of the list rule's fold: each result of the head item,
+    in order, against each result of the list after it, in order, whole
+    being the list of both.
 
-    Both empty: the whole list matched.  Exactly one side decomposed: the
+    Both matched: the whole list matched.  Exactly one side split: the
     split is lifted into a head- or tail-tagged list context built from
-    the other side, t_tail or t_head.  None when no single-hole context
-    exists for the combination: both sides split, or the split falls on
-    the opposite side of a context's own hole path, or extracting the
-    sub-term would tear a context value out of a plain list.  A tail
-    split's context is never a bare hole: the tail pattern is a list
-    pattern, whose splits all have list contexts.
+    the other side, t_tail or head.  No result when the bindings conflict
+    or when no single-hole context exists for the pair: both sides split,
+    or the split falls on the opposite side of a context's own hole path,
+    or extracting the sub-term would tear a context value out of a plain
+    list.  The side a split may fall on is a fact of whole, so it is
+    decided once per level, as the equation below states it.
+
+    With debug checks on, the level is checked against the list rule's
+    one-level equation where it is built: t_tail is whole's tail and head
+    its head, on each side a split may fall on; a head split's context
+    holds the head result's context over that tail; a tail split's
+    context holds that head over the tail result's context, which is a
+    list context, not a bare hole.
     """
-    if isinstance(d_head, ContextDecomposition):
-        if isinstance(d_tail, ContextDecomposition):
-            return None
-        if isinstance(whole, ListTerm):
-            if isinstance(d_head.subterm, CtxTerm):
-                return None
-        elif isinstance(whole.context, TailCtx):
-            return None
-        return ContextDecomposition(HeadCtx(d_head.context, t_tail), d_head.subterm)
-    if not isinstance(d_tail, ContextDecomposition):
-        return EMPTY_DECOMPOSITION
-    if isinstance(whole, CtxTerm) and isinstance(whole.context, HeadCtx):
-        return None
-    return ContextDecomposition(TailCtx(t_head, d_tail.context), d_tail.subterm)
+    plain = isinstance(whole, ListTerm)
+    w = None if plain else whole.context
+    head_side = plain or isinstance(w, HeadCtx)
+    tail_side = plain or isinstance(w, TailCtx)
+    if debug and not (
+        (not head_side or t_tail == (whole.items[1:] if plain else w.tail))
+        and (not tail_side or head == (whole.items[0] if plain else w.head))
+    ):
+        raise SoundnessCheckError(_LIST_SPLIT_ERROR)
+    level = []
+    for c_head, s_head, b_head in found:
+        if c_head is None:
+            for c_tail, s_tail, b_tail in tails:
+                if c_tail is not None and not tail_side:
+                    continue
+                b = bindings_union(b_head, b_tail)
+                if b is None:
+                    continue
+                if c_tail is None:
+                    level.append((None, None, b))
+                    continue
+                c = TailCtx(head, c_tail)
+                if debug and not (
+                    c.head is head and c.rest is c_tail and not isinstance(c_tail, Hole)
+                ):
+                    raise SoundnessCheckError(_LIST_SPLIT_ERROR)
+                level.append((c, s_tail, b))
+        elif head_side and not (plain and isinstance(s_head, CtxTerm)):
+            for c_tail, _, b_tail in tails:
+                if c_tail is not None:
+                    continue
+                b = bindings_union(b_head, b_tail)
+                if b is None:
+                    continue
+                c = HeadCtx(c_head, t_tail)
+                if debug and not (c.hole_side is c_head and c.tail is t_tail):
+                    raise SoundnessCheckError(_LIST_SPLIT_ERROR)
+                level.append((c, s_head, b))
+    return level
 
 
-def combine(context: Context, d_hole: Decomposition) -> Decomposition:
-    """Resolve an in-hole result: a match of the focused sub-term means the
-    in-hole pattern matched the whole term; a further split composes the
-    two contexts."""
-    if isinstance(d_hole, EmptyDecomposition):
-        return EMPTY_DECOMPOSITION
-    return ContextDecomposition(compose(context, d_hole.context), d_hole.subterm)
+def combine(context: Context, hole: Result, bindings: Bindings) -> Result:
+    """Resolve an in-hole result from the hole side's result: a match of
+    the focused sub-term means the in-hole pattern matched the whole term;
+    a further split composes the two contexts."""
+    c, s, _ = hole
+    if c is None:
+        return None, None, bindings
+    return compose(context, c), s, bindings
 
 
-def check_select(
-    d: Decomposition, d_head: Decomposition, d_tail: Decomposition, whole: Term
-) -> None:
-    """The list rule's one-level equation for a split that `select` built.
-
-    A head split holds the head result's context and sub-term objects
-    under whole's tail, and extracts no context term from a plain list; a
-    tail split holds the tail result's context (a list context, not a
-    bare hole) and sub-term objects under whole's head.
-    """
-    if isinstance(d, EmptyDecomposition):
-        return
-    c, s = d.context, d.subterm
-    w = whole.context if isinstance(whole, CtxTerm) else None
-    if isinstance(c, HeadCtx):
-        ok = (
-            isinstance(d_head, ContextDecomposition)
-            and c.hole_side is d_head.context
-            and s is d_head.subterm
-            and (
-                c.tail == whole.items[1:] and not isinstance(s, CtxTerm)
-                if isinstance(whole, ListTerm)
-                else isinstance(w, HeadCtx) and c.tail == w.tail
-            )
-        )
-    else:
-        ok = (
-            isinstance(c, TailCtx)
-            and isinstance(d_tail, ContextDecomposition)
-            and c.rest is d_tail.context
-            and not isinstance(c.rest, Hole)
-            and s is d_tail.subterm
-            and (
-                c.head == whole.items[0]
-                if isinstance(whole, ListTerm)
-                else isinstance(w, TailCtx) and c.head == w.head
-            )
-        )
-    if not ok:
-        raise SoundnessCheckError("list split is not built from its input's pieces")
-
-
-def check_combine(d: Decomposition, context: Context, d_hole: Decomposition) -> None:
+def check_combine(r: Result, context: Context, hole: Result) -> None:
     """The in-hole rule's one-level equation for a split that `combine`
     built: its context follows context's path with the same heads and
     tails and holds the hole result's context object at its hole, and its
     sub-term is the hole result's sub-term object."""
-    if isinstance(d, EmptyDecomposition):
+    c, outer = r[0], context
+    if c is None:
         return
-    c, outer = d.context, context
     while not isinstance(outer, Hole) and type(c) is type(outer):
         if isinstance(outer, HeadCtx):
             if c.tail is not outer.tail:
@@ -298,35 +303,31 @@ def check_combine(d: Decomposition, context: Context, d_hole: Decomposition) -> 
             c, outer = c.rest, outer.rest
     if not (
         isinstance(outer, Hole)
-        and isinstance(d_hole, ContextDecomposition)
-        and c is d_hole.context
-        and d.subterm is d_hole.subterm
+        and hole[0] is not None
+        and c is hole[0]
+        and r[1] is hole[1]
     ):
         raise SoundnessCheckError("in-hole split is not the composition of its parts")
 
 
-def check_results(t: Term, results: list[MatchResult]) -> None:
+def check_results(t: Term, results: list[Result]) -> None:
     """The full check: each split of t plugs back to t.
 
     That implies the rest of a split's soundness: plug(hole, s) is s
     itself, and any other context holds s strictly inside plug(c, s), so
     s is t under a bare hole or a proper sub-term of t.
     """
-    for r in results:
-        d = r.decomposition
-        if isinstance(d, ContextDecomposition) and plug(d.context, d.subterm) != t:
+    for c, s, _ in results:
+        if c is not None and plug(c, s) != t:
             raise SoundnessCheckError("decomposition does not plug back to its input")
 
 
 def bind_name(
-    var: str, whole: Term, decom: Decomposition, bindings: Bindings
+    var: str, whole: Term, context: Context | None, bindings: Bindings
 ) -> Bindings | None:
     """Extend bindings with the value a name pattern captured: the whole
-    term for a match, the extracted context for a decomposition."""
-    if isinstance(decom, EmptyDecomposition):
-        value: Term = whole
-    else:
-        value = CtxTerm(decom.context)
+    term for a match (no context), the extracted context for a split."""
+    value = whole if context is None else CtxTerm(context)
     return bindings_union(bindings, Bindings(((var, value),)))
 
 
@@ -352,8 +353,8 @@ class _Session:
         self.grammar = grammar
         self.debug: bool | None = None
         # (id(term), non-terminal, mask & reads, id(filter) or None) ->
-        # (term, filter, results)
-        self.memo: dict[tuple, tuple[Term, Pattern | None, list[MatchResult]]] = {}
+        # (term, filter, results), each result a `Result` tuple
+        self.memo: dict[tuple, tuple[Term, Pattern | None, list[Result]]] = {}
         # (id(term), id(filter)) -> (term, filter, keep); keep is True while
         # the query is being answered
         self.queries: dict[tuple[int, int], tuple[Term, Pattern, bool]] = {}
@@ -451,7 +452,9 @@ def match_decompose(
 
     *Sharing.*  A later call may answer from the memo and the queries an
     earlier call of its session left, and its raw list is still the one a
-    fresh call derives:
+    fresh call derives.  The memo holds each subproblem's results as
+    `Result` tuples, which every call reads and none changes; a call
+    builds its own `MatchResult` records for the list it returns:
 
     - An (nt N) subproblem's raw list is a function of its key under one
       index.  Every call of a session reads the same index, the grammar's
@@ -484,24 +487,28 @@ def match_decompose(
       nothing to check.
     - *Name, non-terminal.*  The results are the child's splits of the
       same term, unchanged: there is nothing to check.
-    - *List* (`check_select`).  A list pattern flattens t into its items
+    - *List* (`select`, inline).  A list pattern flattens t into its items
       and folds their results from the right as the binary head/tail rule
-      would, whole at level i being the list of items i onwards; every
-      split of every level is checked.  A head split (HeadCtx(c, tail),
-      s) holds the head result's c and s under whole's tail.  For a plain
-      list, plug gives the list (plug(c, s), *tail) = whole when s is not
-      a context term, and a context term when it is, so that split is
-      refused.  A head-tagged context term whole has a context term for
-      its head, so s is a context term too, and plug gives
+      would, whole at level i being the list of items i onwards.  `select`
+      builds one level and checks it as it builds it: the tail and head it
+      builds from against whole's, once per level, and each split's
+      context node against the result it holds, so every split of every
+      level is checked.  A head split (HeadCtx(c, tail), s) holds the head
+      result's c and s under whole's tail.  For a plain list, plug gives
+      the list (plug(c, s), *tail) = whole when s is not a context term,
+      and a context term when it is, so that split is refused.  A
+      head-tagged context term whole has a context term for its head, so s
+      is a context term too, and plug gives
       CtxTerm(HeadCtx(compose(c, s.context), tail)) = whole.  A tail split
       (TailCtx(head, c), s) holds whole's head and the tail result's c, a
-      list context, and s, and plugs back the same way.  In both, s is
-      the head or the tail or inside it, so a proper sub-term of whole.
-    - *In-hole* (`check_combine`).  The split (compose(c1, c2), s) of t
-      holds the context result's split (c1, u) of t, followed along c1's
-      path, and the hole result's split (c2, s) of u at its hole.  By the
-      compose lemma plug(compose(c1, c2), s) = plug(c1, plug(c2, s)) =
-      plug(c1, u) = t, and s is u or inside u, which is t or inside t.
+      list context, and s, and plugs back the same way.  In both, s is the
+      head or the tail or inside it, so a proper sub-term of whole.
+    - *In-hole* (`check_combine`, on each split `combine` builds).  The
+      split (compose(c1, c2), s) of t holds the context result's split
+      (c1, u) of t, followed along c1's path, and the hole result's split
+      (c2, s) of u at its hole.  By the compose lemma
+      plug(compose(c1, c2), s) = plug(c1, plug(c2, s)) = plug(c1, u) = t,
+      and s is u or inside u, which is t or inside t.
 
     The full check of the returned list then re-derives plug(c, s) = t
     with `plug` itself, so a wrong `plug` still raises.  The sub-term half
@@ -537,7 +544,7 @@ def match_decompose(
 
     def ev(
         t: Term, p: Pattern, mask: int, filt: Pattern | None
-    ) -> Generator[tuple, list[MatchResult], list[MatchResult]]:
+    ) -> Generator[tuple, list[Result], list[Result]]:
         """One step of the judgment on (t, p, mask) under filter filt.
 
         A generator: it yields each recursion edge as the sub-query
@@ -556,27 +563,24 @@ def match_decompose(
                     found = yield t, filt, full, None, None
                     queries[key] = (t, filt, bool(found))
                 keep = queries[key][2]
-            results = []
-            if keep:
-                split = ContextDecomposition(HOLE, t)
-                results.append(MatchResult(split, EMPTY_BINDINGS))
+            results = [(HOLE, t, EMPTY_BINDINGS)] if keep else []
             if t == HOLE_TERM:
-                results.append(MatchResult(EMPTY_DECOMPOSITION, EMPTY_BINDINGS))
+                results.append(MATCH)
             return results
 
         if isinstance(p, LitPat):
             if isinstance(t, Literal) and t == p.lit:
-                return [MatchResult(EMPTY_DECOMPOSITION, EMPTY_BINDINGS)]
+                return [MATCH]
             return []
 
         # name and non-terminal results carry their child's splits of the
         # same term unchanged, so they have no equation of their own
         if isinstance(p, NamePat):
             results = []
-            for r in (yield t, p.pattern, mask, filt, SAME_TERM):
-                extended = bind_name(p.var, t, r.decomposition, r.bindings)
+            for c, s, b in (yield t, p.pattern, mask, filt, SAME_TERM):
+                extended = bind_name(p.var, t, c, b)
                 if extended is not None:
-                    results.append(MatchResult(r.decomposition, extended))
+                    results.append((c, s, extended))
             return results
 
         # the key holds only what the subproblem reads, and a production
@@ -593,28 +597,28 @@ def match_decompose(
                 if mask & bit and (fit is None or fit == shape):
                     live = mask & same
                     for r in (yield t, rhs, mask ^ (live & -live), filt, j):
-                        if r.bindings.entries:
-                            r = MatchResult(r.decomposition, EMPTY_BINDINGS)
+                        if r[2].entries:
+                            r = r[0], r[1], EMPTY_BINDINGS
                         results.append(r)
             memo[key] = (t, filt, results)
             return results
 
         if isinstance(p, InHolePat):
             results = []
-            for rc in (yield t, p.context_pat, mask, p.hole_pat, SAME_TERM):
-                dc = rc.decomposition
-                if not isinstance(dc, ContextDecomposition):
+            for split in (yield t, p.context_pat, mask, p.hole_pat, SAME_TERM):
+                c, u, b = split
+                if c is None:
                     continue
                 # a bare-hole context consumed no input
-                m_hole = mask if isinstance(dc.context, Hole) else orig
-                for rh in (yield dc.subterm, p.hole_pat, m_hole, filt, dc):
-                    merged = bindings_union(rc.bindings, rh.bindings)
+                m_hole = mask if isinstance(c, Hole) else orig
+                for rh in (yield u, p.hole_pat, m_hole, filt, split):
+                    merged = bindings_union(b, rh[2])
                     if merged is None:
                         continue
-                    d = combine(dc.context, rh.decomposition)
+                    r = combine(c, rh, merged)
                     if debug:
-                        check_combine(d, dc.context, rh.decomposition)
-                    results.append(MatchResult(d, merged))
+                        check_combine(r, c, rh)
+                    results.append(r)
             return results
 
         if not isinstance(p, ListPat) or _list_count(t) != len(p.items):
@@ -643,7 +647,7 @@ def match_decompose(
             found.append(r)
         # folded from the right: level i is items[i] over the list of the
         # items after it, and whole is the list of items i onwards
-        results = [MatchResult(EMPTY_DECOMPOSITION, EMPTY_BINDINGS)]
+        results = [MATCH]
         off = len(nodes)
         for i in range(len(items) - 1, -1, -1):
             if i < off:
@@ -653,20 +657,9 @@ def match_decompose(
             else:
                 t_tail = tail[i - off + 1 :]
                 whole = ListTerm(tail[i - off :]) if i else t
-            head, level = items[i], []
-            for rh in found[i]:
-                for rt in results:
-                    d = select(head, rh.decomposition, t_tail, rt.decomposition, whole)
-                    if d is None:
-                        continue
-                    if debug:
-                        check_select(d, rh.decomposition, rt.decomposition, whole)
-                    merged = bindings_union(rh.bindings, rt.bindings)
-                    if merged is not None:
-                        level.append(MatchResult(d, merged))
-            if not level:
+            results = select(items[i], found[i], t_tail, results, whole, debug)
+            if not results:
                 return []
-            results = level
         return results
 
     # The suspended steps wait on a list, each under the (t, p, mask) it
@@ -706,7 +699,12 @@ def match_decompose(
         raise
     if debug:
         check_results(term, results)
-    return list(results)  # a memoized list stays the session's own
+    return [
+        MatchResult(
+            EMPTY_DECOMPOSITION if c is None else ContextDecomposition(c, s), b
+        )
+        for c, s, b in results
+    ]
 
 
 def matches(

@@ -47,6 +47,7 @@ from redsem import (
 from redsem.matching import (
     EMPTY_BINDINGS,
     EMPTY_DECOMPOSITION,
+    MATCH,
     _list_count,
     bind_name,
     bindings_union,
@@ -93,69 +94,111 @@ class TestBindingsUnion:
         assert bindings_union(bnd(y=B), bnd(x=A)) == Bindings((("x", A), ("y", B)))
 
 
+def select_level(*args):
+    """select's level on args, the same with the checks on and off."""
+    checked, unchecked = select(*args, True), select(*args, False)
+    assert checked == unchecked
+    return checked
+
+
 class TestSelect:
     def test_both_matches(self):
-        assert select(A, EMPTY_DECOMPOSITION, (B,), EMPTY_DECOMPOSITION, AB) == (
-            EMPTY_DECOMPOSITION
-        )
+        assert select_level(A, [MATCH], (B,), [MATCH], AB) == [MATCH]
 
     def test_head_split(self):
-        got = select(
-            A, ContextDecomposition(HOLE, A), (B,), EMPTY_DECOMPOSITION, AB
-        )
-        assert got == ContextDecomposition(HeadCtx(HOLE, (B,)), A)
+        got = select_level(A, [(HOLE, A, EMPTY_BINDINGS)], (B,), [MATCH], AB)
+        assert got == [(HeadCtx(HOLE, (B,)), A, EMPTY_BINDINGS)]
 
     def test_tail_split(self):
-        d_tail = ContextDecomposition(HeadCtx(HOLE, ()), B)
-        got = select(A, EMPTY_DECOMPOSITION, (B,), d_tail, AB)
-        assert got == ContextDecomposition(TailCtx(A, HeadCtx(HOLE, ())), B)
+        tails = [(HeadCtx(HOLE, ()), B, EMPTY_BINDINGS)]
+        got = select_level(A, [MATCH], (B,), tails, AB)
+        assert got == [(TailCtx(A, HeadCtx(HOLE, ())), B, EMPTY_BINDINGS)]
 
     def test_two_splits_absent(self):
-        d1 = ContextDecomposition(HOLE, A)
-        d2 = ContextDecomposition(HeadCtx(HOLE, ()), B)
-        assert select(A, d1, (B,), d2, AB) is None
+        found = [(HOLE, A, EMPTY_BINDINGS)]
+        tails = [(HeadCtx(HOLE, ()), B, EMPTY_BINDINGS)]
+        assert select_level(A, found, (B,), tails, AB) == []
 
     def test_context_value_never_torn_from_plain_list(self):
         whole = ListTerm((HOLE_TERM, B))
-        d_head = ContextDecomposition(HOLE, HOLE_TERM)
-        assert select(HOLE_TERM, d_head, (B,), EMPTY_DECOMPOSITION, whole) is None
+        found = [(HOLE, HOLE_TERM, EMPTY_BINDINGS)]
+        assert select_level(HOLE_TERM, found, (B,), [MATCH], whole) == []
 
     def test_head_tagged_context_splits_only_on_its_hole_side(self):
         whole = CtxTerm(HeadCtx(HOLE, (B,)))
-        d_head = ContextDecomposition(HOLE, HOLE_TERM)
-        got = select(HOLE_TERM, d_head, (B,), EMPTY_DECOMPOSITION, whole)
-        assert got == ContextDecomposition(HeadCtx(HOLE, (B,)), HOLE_TERM)
-        d_tail = ContextDecomposition(HeadCtx(HOLE, ()), B)
-        assert select(HOLE_TERM, EMPTY_DECOMPOSITION, (B,), d_tail, whole) is None
+        found = [(HOLE, HOLE_TERM, EMPTY_BINDINGS)]
+        got = select_level(HOLE_TERM, found, (B,), [MATCH], whole)
+        assert got == [(HeadCtx(HOLE, (B,)), HOLE_TERM, EMPTY_BINDINGS)]
+        tails = [(HeadCtx(HOLE, ()), B, EMPTY_BINDINGS)]
+        assert select_level(HOLE_TERM, [MATCH], (B,), tails, whole) == []
+
+    def test_pairs_in_order_without_conflicting_bindings(self):
+        # head results outside, tail results inside; a pair whose
+        # bindings disagree gives nothing
+        x_a, x_b = (None, None, bnd(x=A)), (None, None, bnd(x=B))
+        split = (HeadCtx(HOLE, ()), B, bnd(y=B))
+        got = select_level(A, [x_a, x_b], (B,), [x_a, split, x_b], AB)
+        assert got == [
+            x_a,
+            (TailCtx(A, HeadCtx(HOLE, ())), B, bnd(x=A, y=B)),
+            (TailCtx(A, HeadCtx(HOLE, ())), B, bnd(x=B, y=B)),
+            x_b,
+        ]
+
+    def test_tail_that_is_not_whole_tail_is_refused_with_checks_on(self):
+        found = [(HOLE, A, EMPTY_BINDINGS)]
+        with pytest.raises(SoundnessCheckError, match="list split"):
+            select(A, found, (A,), [MATCH], AB, True)
+        assert select(A, found, (A,), [MATCH], AB, False) == [
+            (HeadCtx(HOLE, (A,)), A, EMPTY_BINDINGS)
+        ]
+
+    @pytest.mark.parametrize(
+        "cls, wrong",
+        [
+            (HeadCtx, lambda init, node, side, tail: init(node, side, tail + (A,))),
+            (TailCtx, lambda init, node, head, rest: init(node, B, rest)),
+        ],
+        ids=["HeadCtx", "TailCtx"],
+    )
+    def test_wrongly_built_node_is_refused_with_checks_on(self, monkeypatch, cls, wrong):
+        # a head split over (B,) and a tail split under A, each built
+        # with a node other than the one asked for
+        found = [MATCH, (HOLE, A, EMPTY_BINDINGS)]
+        tails = [MATCH, (HeadCtx(HOLE, ()), B, EMPTY_BINDINGS)]
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda node, *f: wrong(init, node, *f))
+        with pytest.raises(SoundnessCheckError, match="list split"):
+            select(A, found, (B,), tails, AB, True)
+        assert len(select(A, found, (B,), tails, AB, False)) == 3
 
 
 class TestCombine:
     def test_inner_match_is_whole_match(self):
-        assert combine(HOLE, EMPTY_DECOMPOSITION) == EMPTY_DECOMPOSITION
+        assert combine(HOLE, MATCH, bnd(x=A)) == (None, None, bnd(x=A))
 
     def test_inner_hole_split_keeps_context(self):
         c = HeadCtx(HOLE, (B,))
-        got = combine(c, ContextDecomposition(HOLE, A))
-        assert got == ContextDecomposition(c, A)
+        got = combine(c, (HOLE, A, EMPTY_BINDINGS), EMPTY_BINDINGS)
+        assert got == (c, A, EMPTY_BINDINGS)
 
     def test_composes_contexts(self):
         outer = TailCtx(A, HeadCtx(HOLE, ()))
-        inner = ContextDecomposition(HOLE, B)
-        got = combine(outer, inner)
-        assert got == ContextDecomposition(outer, B)
+        inner = (HOLE, B, EMPTY_BINDINGS)
+        got = combine(outer, inner, EMPTY_BINDINGS)
+        assert got == (outer, B, EMPTY_BINDINGS)
 
 
 class TestBindName:
     def test_match_binds_term(self):
-        assert bind_name("x", A, EMPTY_DECOMPOSITION, EMPTY_BINDINGS) == bnd(x=A)
+        assert bind_name("x", A, None, EMPTY_BINDINGS) == bnd(x=A)
 
     def test_split_binds_context(self):
-        d = ContextDecomposition(HeadCtx(HOLE, (B,)), A)
-        got = bind_name("x", AB, d, EMPTY_BINDINGS)
+        got = bind_name("x", AB, HeadCtx(HOLE, (B,)), EMPTY_BINDINGS)
         assert got == bnd(x=CtxTerm(HeadCtx(HOLE, (B,))))
 
     def test_conflict_is_absent(self):
-        assert bind_name("x", A, EMPTY_DECOMPOSITION, bnd(x=B)) is None
+        assert bind_name("x", A, None, bnd(x=B)) is None
 
 
 class TestMatchDecompose:
@@ -537,6 +580,56 @@ def test_raw_lists_of_the_query_set_are_pinned(lam, debug):
     assert digest.hexdigest() == QUERY_SET_DIGEST
 
 
+# sha256 over the repr of every raw list of the chain patterns on right
+# chains 32, 48, 64 and 100 and left chains 32, 48 and 64, in that order:
+# the query set stops at 24.  Recorded before the matcher carried its
+# results as tuples.
+CHAIN_LADDER_DIGEST = "939ca22e9220e3a0de5d96b0896cc8779a98f14e869914299a0d04d313b04dd7"
+
+
+@pytest.mark.parametrize("debug", [True, False])
+def test_raw_lists_of_the_chain_ladder_are_pinned(lam, debug):
+    patterns = [parse_pattern(CHAIN_PATTERNS[k]) for k in ("redex", "E", "e")]
+    chains = [right_chain(n) for n in (32, 48, 64, 100)]
+    chains += [left_chain(n) for n in (32, 48, 64)]
+    digest = hashlib.sha256()
+    for t in chains:
+        for p in patterns:
+            digest.update(repr(match_decompose(lam.grammar, t, p, debug=debug)).encode())
+    assert digest.hexdigest() == CHAIN_LADDER_DIGEST
+
+
+class TestWorkColumns:
+    """The records and context nodes one call builds on right chain 64,
+    counted at each class's initializer.  The matcher carries its results
+    as tuples and builds one MatchResult, and one ContextDecomposition
+    per split, for each result it returns.  Before, (nt E) built 8,743
+    MatchResults and 8,326 ContextDecompositions, and the redex pattern
+    301 MatchResults and 127 ContextDecompositions; the context nodes
+    are the same."""
+
+    BUILT = {
+        "E": (129, {MatchResult: 129, ContextDecomposition: 129, HeadCtx: 4160, TailCtx: 4096}),
+        "redex": (1, {MatchResult: 1, ContextDecomposition: 0, HeadCtx: 63, TailCtx: 63}),
+    }
+
+    @pytest.mark.parametrize("debug", [True, False])
+    @pytest.mark.parametrize("name", sorted(BUILT))
+    def test_records_built_per_returned_result(self, lam, monkeypatch, name, debug):
+        t, p = right_chain(64), parse_pattern(CHAIN_PATTERNS[name])
+        results, expected = self.BUILT[name]
+        built = dict.fromkeys(expected, 0)
+        for cls in built:
+
+            def counted(obj, *fields, cls=cls, init=cls.__init__):
+                built[cls] += 1
+                init(obj, *fields)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        assert len(match_decompose(lam.grammar, t, p, debug=debug)) == results
+        assert built == expected
+
+
 class TestDebugChecksUnderMemo:
     # tuple-order checks on right chain 16 under (nt E) when every
     # non-terminal subproblem was solved afresh, before memoization
@@ -600,23 +693,53 @@ def inject(monkeypatch, name, at=None, wrong=None):
     return calls
 
 
-def select_one_item_too_many(t_head, d_head, t_tail, d_tail, whole):
+def inject_split(monkeypatch, rule, at=None, wrong=None):
+    """Count the splits that rule, "select" or "combine", builds; build
+    split `at` wrong.
+
+    combine builds one split per call: its call `at` answers wrong(*args).
+    select builds a whole level of the list fold per call, each split's
+    context node by one constructor call: the `at`-th head-tagged node it
+    builds is initialized by wrong(init, node, hole_side, tail) in place
+    of HeadCtx's own initializer init.
+    """
+    import redsem.matching as matching
+
+    if rule == "combine":
+        return inject(monkeypatch, rule, at, wrong)
+    real, init, calls, inside = matching.select, HeadCtx.__init__, [0], [False]
+
+    def selecting(*args):
+        inside[0] = True
+        try:
+            return real(*args)
+        finally:
+            inside[0] = False
+
+    def building(node, hole_side, tail):
+        if inside[0]:
+            calls[0] += 1
+            if calls[0] == at:
+                return wrong(init, node, hole_side, tail)
+        return init(node, hole_side, tail)
+
+    monkeypatch.setattr(matching, "select", selecting)
+    monkeypatch.setattr(HeadCtx, "__init__", building)
+    return calls
+
+
+def select_one_item_too_many(init, node, hole_side, tail):
     # a head split whose tail has an item that whole's tail lacks: it
     # plugs back to a list one item longer than whole
-    if isinstance(d_head, ContextDecomposition):
-        c, s = d_head.context, d_head.subterm
-    else:
-        c, s = HOLE, t_head
-    return ContextDecomposition(HeadCtx(c, t_tail + (A,)), s)
+    return init(node, hole_side, tail + (A,))
 
 
-def combine_wrong_inner(context, d_hole):
+def combine_wrong_inner(context, hole, bindings):
     # the hole result's context wrapped in a one-item list: the split
     # plugs back to a term with one list node too many
-    assert isinstance(d_hole, ContextDecomposition)
-    return ContextDecomposition(
-        compose(context, HeadCtx(d_hole.context, ())), d_hole.subterm
-    )
+    c, s, _ = hole
+    assert c is not None
+    return compose(context, HeadCtx(c, ())), s, bindings
 
 
 class TestInductiveDebugChecks:
@@ -639,13 +762,13 @@ class TestInductiveDebugChecks:
         self, lam, monkeypatch, name, pattern, wrong, message
     ):
         g, t, p = lam.grammar, right_chain(16), parse_pattern(pattern)
-        calls = inject(monkeypatch, name)
+        calls = inject_split(monkeypatch, name)
         match_decompose(g, t, p, debug=True)
         total = calls[0]
         assert total > 1
         for k in (1, total // 2, total):
             monkeypatch.undo()
-            inject(monkeypatch, name, k, wrong)
+            inject_split(monkeypatch, name, k, wrong)
             with pytest.raises(SoundnessCheckError, match=message):
                 match_decompose(g, t, p, debug=True)
 

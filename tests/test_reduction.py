@@ -10,7 +10,6 @@ import references
 from genterms import gen_case, gen_template, gen_template_bindings
 from redsem import (
     HOLE,
-    ContextDecomposition,
     CtxTerm,
     HeadCtx,
     ListTerm,
@@ -34,6 +33,7 @@ from redsem.matching import Bindings, _Session
 from test_matching import (
     REENTRY_PRODUCTIONS,
     inject,
+    inject_split,
     right_chain,
     right_chain_src,
     select_one_item_too_many,
@@ -246,10 +246,10 @@ def record(monkeypatch):
     return real, calls
 
 
-def combine_split_for_a_match(context, d_hole):
+def combine_split_for_a_match(context, hole, bindings):
     # a split where the hole pattern matched its term: the in-hole rule
     # gives a match, and the split has no hole result to hold
-    return ContextDecomposition(context, Literal("a"))
+    return context, Literal("a"), bindings
 
 
 class TestSession:
@@ -410,14 +410,14 @@ class TestSession:
             trace(lam_nd.grammar, list(lam_nd.rules), parse_term(balanced_tree_src(2)), 10)
 
         checks(monkeypatch, True)
-        calls = inject(monkeypatch, name)
+        calls = inject_split(monkeypatch, name)
         run()
         total = calls[0]
         assert total > 2
         for k in (1, total // 2, total):
             monkeypatch.undo()
             checks(monkeypatch, True)
-            inject(monkeypatch, name, k, wrong)
+            inject_split(monkeypatch, name, k, wrong)
             with pytest.raises(SoundnessCheckError):
                 run()
 
@@ -439,7 +439,9 @@ class TestSession:
         real = matching.match_decompose
         monkeypatch.setattr(matching, "match_decompose", holding)
         if fail:
-            inject(monkeypatch, "select", 1, select_one_item_too_many)
+            # under the redex pattern's filter the list rule splits nothing
+            # on this term, so the fault goes in at its one in-hole split
+            inject_split(monkeypatch, "combine", 1, combine_split_for_a_match)
             with pytest.raises(SoundnessCheckError):
                 trace(lam.grammar, list(lam.rules), term, 3)
         else:
