@@ -4,8 +4,7 @@
 a frozen dataclass:
 
 - ``__init__`` takes the fields in order, by position or by keyword; the
-  class attributes of the last fields are their defaults, and a
-  ``__post_init__`` of the class runs last;
+  class attributes of the last fields are their defaults;
 - ``__eq__`` compares the tuples of the compared fields (every field,
   unless `compare` names some) of two instances of the same class, and
   returns NotImplemented for any other operand; ``__hash__`` hashes that
@@ -162,14 +161,6 @@ def _reprs(l0, l1=None, l2=None):
     return repr0, repr1, repr2, repr3
 
 
-def _then_post_init(init):
-    def __init__(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        self.__post_init__()
-
-    return __init__
-
-
 def _refuse_set(self, name, value):
     raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -230,8 +221,6 @@ def record(cls=None, /, *, compare=None, frozen=True):
     }
     if fields:
         made["__init__"] = _renamed(inits[len(fields)], fields, defaults)
-    if "__post_init__" in cls.__dict__:
-        made["__init__"] = _then_post_init(made["__init__"])
     for name, method in made.items():
         if cls.__dict__.get(name) is None:
             if method is not None:  # named for tracebacks and profiles

@@ -92,13 +92,16 @@ class Rule:
     lhs: Pattern
     rhs: Template
 
-    def __post_init__(self) -> None:
-        free = template_vars(self.rhs) - pattern_binding_vars(self.lhs)
+    def __init__(self, name: str, lhs: Pattern, rhs: Template) -> None:
+        free = template_vars(rhs) - pattern_binding_vars(lhs)
         if free:
             raise UnboundTemplateVariableError(
-                f"rule {self.name!r} uses unbound template variable(s): "
+                f"rule {name!r} uses unbound template variable(s): "
                 + ", ".join(sorted(free))
             )
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
 _CHECK, _PLUG = object(), object()  # the steps of an in-hole after its parts
@@ -147,14 +150,8 @@ def instantiate(tpl: Template, bindings: Bindings) -> Term:
 
 def apply_rule(grammar: Grammar, rule: Rule, term: Term) -> list[Term]:
     """All reducts of term under one rule, deduplicated, deterministic."""
-    out: list[Term] = []
-    seen: set[Term] = set()
-    for b in sorted(matches(grammar, term, rule.lhs), key=repr):
-        reduct = instantiate(rule.rhs, b)
-        if reduct not in seen:
-            seen.add(reduct)
-            out.append(reduct)
-    return out
+    bindings = sorted(matches(grammar, term, rule.lhs), key=repr)
+    return list(dict.fromkeys([instantiate(rule.rhs, b) for b in bindings]))
 
 
 def step(grammar: Grammar, rules: list[Rule], term: Term) -> list[tuple[str, Term]]:
@@ -198,8 +195,9 @@ def trace(grammar: Grammar, rules: list[Rule], term: Term, max_steps: int) -> Tr
     """Expand the reduction graph from term, at most max_steps layers deep.
 
     A successor term equal to an already-discovered one becomes a 'cycle'
-    leaf and is not expanded again.  Unexpanded terms at the depth bound
-    are marked 'cutoff' unless they are normal forms.
+    leaf and is not expanded again.  Terms at the depth bound are 'cutoff'
+    leaves unless they are normal forms; a negative bound counts as 0.  The
+    loop stops when the frontier empties, however large the bound.
 
     Every matching call of every step shares one session
     (`matching._Session`): a step rebuilds only the spine from the root to
@@ -210,28 +208,27 @@ def trace(grammar: Grammar, rules: list[Rule], term: Term, max_steps: int) -> Tr
         tr = Trace(nodes=[term], statuses=["pending"], edges=[])
         seen: set[Term] = {term}
         frontier = [0]
-        for _ in range(max_steps):
-            if not frontier:
-                break
+        depth = 0
+        while frontier:
             next_frontier: list[int] = []
             for i in frontier:
                 successors = step(grammar, rules, tr.nodes[i])
                 if not successors:
                     tr.statuses[i] = NORMAL_FORM
-                    continue
-                tr.statuses[i] = REDUCED
-                for rule_name, t2 in successors:
-                    j = len(tr.nodes)
-                    tr.nodes.append(t2)
-                    tr.edges.append((i, rule_name, j))
-                    if t2 in seen:
-                        tr.statuses.append(CYCLE)
-                    else:
-                        seen.add(t2)
-                        tr.statuses.append("pending")
-                        next_frontier.append(j)
+                elif depth >= max_steps:
+                    tr.statuses[i] = CUTOFF
+                else:
+                    tr.statuses[i] = REDUCED
+                    for rule_name, t2 in successors:
+                        j = len(tr.nodes)
+                        tr.nodes.append(t2)
+                        tr.edges.append((i, rule_name, j))
+                        if t2 in seen:
+                            tr.statuses.append(CYCLE)
+                        else:
+                            seen.add(t2)
+                            tr.statuses.append("pending")
+                            next_frontier.append(j)
             frontier = next_frontier
-        for i in frontier:
-            successors = step(grammar, rules, tr.nodes[i])
-            tr.statuses[i] = NORMAL_FORM if not successors else CUTOFF
+            depth += 1
     return tr

@@ -15,7 +15,9 @@ right-hand sides are the references for the engine's one-pass versions.
 The recursive converters from the s-expression tree to terms, patterns
 and templates, one per syntax, are the references for the reader's one
 loop over its tables, and the recursive `subpatterns` and `instantiate`
-for the engine's loops.
+for the engine's loops.  A `trace` that steps its last frontier again in
+a second pass, with no shared matching session, and an `apply_rule` that
+dedupes by hand are the references for the reducer's one loop.
 """
 
 from typing import NamedTuple
@@ -41,17 +43,23 @@ from redsem import (
     TailCtx,
     TemplateContextError,
     UnboundTemplateVariableError,
+    matches,
     plug,
     productions_of,
     remove_prod,
 )
 from redsem.language import _atom_literal, print_literal
 from redsem.reduction import (
+    CUTOFF,
+    CYCLE,
+    NORMAL_FORM,
+    REDUCED,
     HoleTemplate,
     InHoleTemplate,
     ListTemplate,
     LitTemplate,
     RefTemplate,
+    Trace,
 )
 from redsem.sexpr import Atom, ParseError
 
@@ -248,6 +256,56 @@ def instantiate(tpl, bindings):
             "the context slot of an in-hole template must instantiate to a context"
         )
     return plug(ctx_term.context, instantiate(tpl.body, bindings))
+
+
+def apply_rule(grammar, rule, term):
+    """All reducts of term under one rule, one for each distinct term, in
+    the order of their bindings' reprs."""
+    out = []
+    seen = set()
+    for b in sorted(matches(grammar, term, rule.lhs), key=repr):
+        reduct = instantiate(rule.rhs, b)
+        if reduct not in seen:
+            seen.add(reduct)
+            out.append(reduct)
+    return out
+
+
+def trace(grammar, rules, term, max_steps):
+    """The breadth-first reduction graph: max_steps layers are expanded,
+    and a second pass steps the last frontier again to tell its normal
+    forms from its cutoff leaves."""
+
+    def step(t):
+        return [(r.name, t2) for r in rules for t2 in apply_rule(grammar, r, t)]
+
+    tr = Trace(nodes=[term], statuses=["pending"], edges=[])
+    seen = {term}
+    frontier = [0]
+    for _ in range(max_steps):
+        if not frontier:
+            break
+        next_frontier = []
+        for i in frontier:
+            successors = step(tr.nodes[i])
+            if not successors:
+                tr.statuses[i] = NORMAL_FORM
+                continue
+            tr.statuses[i] = REDUCED
+            for rule_name, t2 in successors:
+                j = len(tr.nodes)
+                tr.nodes.append(t2)
+                tr.edges.append((i, rule_name, j))
+                if t2 in seen:
+                    tr.statuses.append(CYCLE)
+                else:
+                    seen.add(t2)
+                    tr.statuses.append("pending")
+                    next_frontier.append(j)
+        frontier = next_frontier
+    for i in frontier:
+        tr.statuses[i] = NORMAL_FORM if not step(tr.nodes[i]) else CUTOFF
+    return tr
 
 
 def arguments(e, form, symbol=""):

@@ -183,11 +183,24 @@ def test_trace_is_mutable_and_unhashable():
         hash(tr)
 
 
-def test_rule_checks_its_template_by_position_and_by_keyword():
+def test_rule_checks_its_template_by_position_and_by_keyword(lam):
     with pytest.raises(UnboundTemplateVariableError, match="variable.*: y"):
         Rule("r", NamePat("x", HOLE_PAT), RefTemplate("y"))
     with pytest.raises(UnboundTemplateVariableError, match="variable.*: y"):
         Rule(rhs=RefTemplate("y"), lhs=NamePat("x", HOLE_PAT), name="r")
+    with pytest.raises(TypeError, match=r"Rule\.__init__"):
+        Rule("r", NamePat("x", HOLE_PAT))
+    with pytest.raises(TypeError, match=r"Rule\.__init__"):
+        Rule("r", NamePat("x", HOLE_PAT), RefTemplate("x"), None)
+    with pytest.raises(AttributeError):
+        RULE.rhs = RefTemplate("y")
+    # pickle and copy rebuild a rule through its constructor, which checks
+    # the template again
+    (beta,) = lam.rules
+    for rule in (RULE, beta):
+        assert rule.__reduce__() == (Rule, (rule.name, rule.lhs, rule.rhs))
+        for twin in (pickle.loads(pickle.dumps(rule)), copy.deepcopy(rule)):
+            assert twin == rule and twin is not rule and repr(twin) == repr(rule)
 
 
 def test_constructors_take_the_fields_in_order():

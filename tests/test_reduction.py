@@ -1,5 +1,6 @@
 import gc
 import random
+import time
 import weakref
 from collections import Counter
 
@@ -21,6 +22,7 @@ from redsem import (
     TemplateContextError,
     UnboundTemplateVariableError,
     match_decompose,
+    matches,
     new_grammar,
     parse_pattern,
     parse_term,
@@ -152,6 +154,23 @@ class TestApplyRule:
             assert_term(reduct)
             print_term(reduct)
 
+    def test_agrees_with_the_reference_on_every_traced_node(self, lam_nd):
+        # beta, and a rule that takes a redex in any context to its
+        # argument, so that two redexes with equal arguments give one reduct
+        g = lam_nd.grammar
+        lhs = parse_pattern("(in-hole (name E (nt E)) ((nt v) (name a (nt v))))")
+        argument = Rule("argument", lhs, RefTemplate("a"))
+        counts = Counter()
+        for depth in (1, 2, 3):
+            t = parse_term(balanced_tree_src(depth))
+            for node in trace(g, list(lam_nd.rules), t, 10**6).nodes:
+                counts["nodes"] += 1
+                for rule in (*lam_nd.rules, argument):
+                    got = apply_rule(g, rule, node)
+                    assert got == references.apply_rule(g, rule, node)
+                    counts["deduplicated"] += len(matches(g, node, rule.lhs)) > len(got)
+        assert counts == {"nodes": 2 + 6 + 52, "deduplicated": 10}
+
 
 class TestStep:
     def test_no_rules(self):
@@ -184,19 +203,39 @@ class TestTrace:
         assert tr.edges == []
 
     def test_identity_application_reduces_once(self, lam):
-        tr = trace(lam.grammar, list(lam.rules), parse_term("((λ x x) (λ y y))"), 10)
-        assert len(tr.nodes) == 2
-        assert tr.edges == [(0, "beta", 1)]
-        assert tr.nodes[1] == parse_term("(λ y y)")
-        assert tr.statuses == [REDUCED, NORMAL_FORM]
+        # the loop stops when the frontier empties, however large the bound
+        t = parse_term("((λ x x) (λ y y))")
+        for max_steps in (10, 10**9):
+            start = time.perf_counter()
+            tr = trace(lam.grammar, list(lam.rules), t, max_steps)
+            assert time.perf_counter() - start < 1
+            assert len(tr.nodes) == 2
+            assert tr.edges == [(0, "beta", 1)]
+            assert tr.nodes[1] == parse_term("(λ y y)")
+            assert tr.statuses == [REDUCED, NORMAL_FORM]
 
     def test_zero_steps_is_cutoff_unless_normal(self, lam):
+        # a negative bound counts as 0: the root is still classified
         t = parse_term("((λ x x) (λ y y))")
-        tr = trace(lam.grammar, list(lam.rules), t, 0)
-        assert tr.nodes == [t]
-        assert tr.statuses == [CUTOFF]
-        tr2 = trace(lam.grammar, list(lam.rules), parse_term("(λ x x)"), 0)
-        assert tr2.statuses == [NORMAL_FORM]
+        for max_steps in (-1, 0):
+            tr = trace(lam.grammar, list(lam.rules), t, max_steps)
+            assert tr.nodes == [t]
+            assert tr.statuses == [CUTOFF]
+            assert tr.edges == []
+            tr2 = trace(lam.grammar, list(lam.rules), parse_term("(λ x x)"), max_steps)
+            assert tr2.statuses == [NORMAL_FORM]
+
+    @pytest.mark.parametrize("max_steps", [-3, -1, 0, 1, 2, 3, 5, 10, 10**6])
+    def test_agrees_with_the_two_pass_reference(self, lam, lam_nd, max_steps):
+        srcs = [right_chain_src(n) for n in range(8)]
+        srcs += [balanced_tree_src(depth) for depth in (1, 2, 3)]
+        for lang in (lam, lam_nd):
+            for src in srcs:
+                t, rules = parse_term(src), list(lang.rules)
+                got = trace(lang.grammar, rules, t, max_steps)
+                assert repr(got) == repr(
+                    references.trace(lang.grammar, rules, t, max_steps)
+                )
 
     def test_cycle_detected_on_revisit(self):
         r = Rule("spin", LitPat(A), LitTemplate(A))
