@@ -1,11 +1,13 @@
 """Text syntax for terms, patterns, templates, and language files.
 
 Terms, patterns and templates share one s-expression surface, read by one
-loop from a table per syntax.  A syntax reserves the atom `hole` and the
-heads of its table's keyword forms.  A language file is one
-`(define-language <name> (<nt> <pat> ...) ...)` form followed by any
-number of `(rule <name> <lhs> <rhs>)` forms; every name is a symbol, and
-no two rules share a name.
+forward loop over the tokens of `sexpr._tokens`, from a table per syntax.
+A syntax reserves the atom `hole` and the heads of its table's keyword
+forms.  A language file is one `(define-language <name> (<nt> <pat> ...)
+...)` form followed by any number of `(rule <name> <lhs> <rhs>)` forms;
+every name is a symbol, and no two rules share a name.  Its forms are
+checked in place on the same tokens, and each pattern and template in
+them is read by that loop.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .reduction import (
     Rule,
     Template,
 )
-from .sexpr import Atom, ParseError, SExpr, SList, parse_sexpr, parse_sexprs
+from .sexpr import _fault, _one_datum, _tokens
 from .terms import (
     HOLE,
     HOLE_PAT,
@@ -65,17 +67,19 @@ class LanguageError(EngineError):
 _INT_RE = re.compile(r"^[+-]?[0-9]+$")
 
 
-def _atom_literal(a: Atom) -> Literal:
-    if a.text == "#t":
+def _literal(src: str, tokens: list[str], k: int) -> Literal:
+    """The literal token k of src reads as."""
+    text = tokens[k]
+    if text == "#t":
         return Literal(True)
-    if a.text == "#f":
+    if text == "#f":
         return Literal(False)
-    if _INT_RE.match(a.text):
+    if _INT_RE.match(text):
         try:
-            return Literal(int(a.text))
+            return Literal(int(text))
         except ValueError:  # past the interpreter's limit on digits
-            raise ParseError("integer literal too long", a.line, a.col) from None
-    return Literal(a.text)
+            raise _fault(src, k, "integer literal too long") from None
+    return Literal(text)
 
 
 def print_literal(lit: Literal) -> str:
@@ -86,23 +90,15 @@ def print_literal(lit: Literal) -> str:
     return str(lit.value)
 
 
-def _arguments(e: SList, form: str) -> tuple[SExpr, ...]:
-    """e's arguments, one for each parameter of `form`, as in "(nt n)"."""
-    params, args = form[1:-1].split()[1:], e.items[1:]
-    if len(args) != len(params):
-        noun = "argument" if len(params) == 1 else "arguments"
-        what = f"arity error: {form} takes {len(params)} {noun}, got {len(args)}"
-        raise ParseError(what, e.line, e.col)
-    return args
-
-
-def _is_symbol(e: SExpr) -> bool:
-    return isinstance(e, Atom) and isinstance(_atom_literal(e).value, str)
+def _is_symbol(src: str, tokens: list[str], k: int) -> bool:
+    """Whether the item at token k is an atom that reads as a symbol."""
+    return tokens[k] != "(" and isinstance(_literal(src, tokens, k).value, str)
 
 
 # A syntax's table: what `hole`, a literal and a plain list read as, the noun
 # in its reserved-word error, and its keyword forms by head symbol, each as
-# (signature for `_arguments`, symbol parameter or "", class built).
+# (signature, symbol parameter or "", class built).  A form takes one
+# argument per word of its signature after the head, as in "(nt n)".
 _TERM = (HOLE_TERM, lambda lit: lit, ListTerm, "", {})
 _PATTERN_FORMS = {
     "name": ("(name x p)", "x", NamePat),
@@ -117,63 +113,85 @@ _TEMPLATE_FORMS = {
 _TEMPLATE = (HoleTemplate(), LitTemplate, ListTemplate, "template", _TEMPLATE_FORMS)
 
 
-def _read(e: SExpr, syntax: tuple) -> Term | Pattern | Template:
-    """e read in a syntax's table, on an explicit stack.  A list is checked
-    when it is first met and built after its items, so the first fault in
-    source pre-order is the one raised, at any depth.
+def _read(
+    src: str, tokens: list[str], counts: list[int], k: int, syntax: tuple
+) -> tuple[Term | Pattern | Template, int]:
+    """The item at token k of src (see `sexpr._tokens`) read in a syntax's
+    table, and the index of the token after it.  The tokens are read
+    forward and each list is built at its ')' from the values of its items,
+    on an explicit stack.  A list is checked at its '(' and an atom where
+    it stands, so the first fault in source order, which is pre-order, is
+    the one raised, at any depth.
 
-    The value is read with one object per distinct sub-tree: each atom and
-    node is replaced by the first equal one built in this call.  A node is
-    built after its parts and caches its hash, so hashing it, and
-    comparing it on a hit, take time in its arity: its parts are already
-    shared."""
+    The value is read with one object per distinct sub-tree: each atom text
+    is read once, and each atom and node is replaced by the first equal one
+    built in this call.  A node is built after its parts and caches its
+    hash, so hashing it, and comparing it on a hit, take time in its arity:
+    its parts are already shared."""
     hole, literal, plain, noun, forms = syntax
     shared: dict = {}
-    done: list = []  # the values read, innermost last
-    # nodes to read, and builds: (class, the texts of its symbol argument,
-    # or None for a plain list, the number of values read that it takes)
-    todo: list = [e]
-    while todo:
-        e = todo.pop()
-        if isinstance(e, Atom):
-            if e.text in forms:
-                what = f"reserved word {e.text!r} cannot be a literal {noun}"
-                raise ParseError(what, e.line, e.col)
-            v = hole if e.text == "hole" else literal(_atom_literal(e))
-            done.append(shared.setdefault(v, v))
-        elif isinstance(e, tuple):
-            cls, symbol, n = e
-            parts = done[len(done) - n :]
-            del done[len(done) - n :]
-            v = cls(tuple(parts)) if symbol is None else cls(*symbol, *parts)
-            done.append(shared.setdefault(v, v))
-        elif e.items and isinstance(e.items[0], Atom) and e.items[0].text in forms:
-            signature, param, cls = forms[e.items[0].text]
-            args, symbol = _arguments(e, signature), ()
-            if param:
-                if not _is_symbol(args[0]):
-                    what = f"{signature} needs a symbol for {param}"
-                    raise ParseError(what, e.line, e.col)
-                symbol, args = (args[0].text,), args[1:]
-            todo += ((cls, symbol, len(args)), *reversed(args))
+    atoms: dict[str, object] = {}  # each atom text read, and its value
+    items: list = []  # the values read in the innermost open list
+    # each open list: (the class built at its ')'; None for a plain list,
+    # else the texts of its keyword form's symbol argument, if it has one;
+    # and the items of the list around it)
+    frames: list = []
+    while True:
+        t = tokens[k]
+        k += 1
+        if t == "(":
+            form = forms.get(tokens[k])
+            if form is None:
+                frames.append((plain, None, items))
+            else:
+                signature, param, cls = form
+                params, args = signature.count(" "), counts[k - 1] - 1
+                if args != params:
+                    noun_s = "argument" if params == 1 else "arguments"
+                    what = f"arity error: {signature} takes {params} {noun_s}"
+                    raise _fault(src, k - 1, f"{what}, got {args}")
+                symbol = ()
+                if param:
+                    if not _is_symbol(src, tokens, k + 1):
+                        what = f"{signature} needs a symbol for {param}"
+                        raise _fault(src, k - 1, what)
+                    symbol = (tokens[k + 1],)
+                    k += 1
+                frames.append((cls, symbol, items))
+                k += 1
+            items = []
+            continue
+        if t == ")":
+            cls, symbol, up = frames.pop()
+            v = cls(tuple(items)) if symbol is None else cls(*symbol, *items)
+            v = shared.setdefault(v, v)
+            items = up
         else:
-            todo += ((plain, None, len(e.items)), *reversed(e.items))
-    return done[0]
+            v = atoms.get(t)
+            if v is None:
+                if t in forms:
+                    what = f"reserved word {t!r} cannot be a literal {noun}"
+                    raise _fault(src, k - 1, what)
+                v = hole if t == "hole" else literal(_literal(src, tokens, k - 1))
+                v = atoms[t] = shared.setdefault(v, v)
+        if not frames:
+            return v, k
+        items.append(v)
 
 
 def parse_term(src: str) -> Term:
     """The term src reads as.  Like every parse, it has one object per
     distinct sub-tree, so a caller must not rely on equal parts of it
     being distinct objects."""
-    return _read(parse_sexpr(src), _TERM)
+    return _read(src, *_one_datum(src), 0, _TERM)[0]
 
 
 def parse_pattern(src: str) -> Pattern:
-    return _read(parse_sexpr(src), _PATTERN)
+    return _read(src, *_one_datum(src), 0, _PATTERN)[0]
 
 
 def parse_template(src: str) -> Template:
-    return _read(parse_sexpr(src), _TEMPLATE)
+    return _read(src, *_one_datum(src), 0, _TEMPLATE)[0]
 
 
 class _Printing(threading.local):
@@ -230,15 +248,22 @@ def print_term(t: Term) -> str:
 
 
 def print_context(c: Context) -> str:
-    before, after = [], []  # the text on each side of the hole, by level
+    # the pieces of text before the hole, and after it from the end back
+    text, after = [], []
     while not isinstance(c, Hole):
-        before.append("(")
+        text.append("(")
         while isinstance(c, TailCtx):
-            before.append(print_term(c.head) + " ")
+            text.append(print_term(c.head))
+            text.append(" ")
             c = c.rest
-        after.append("".join([" " + print_term(t) for t in c.tail]) + ")")
+        after.append(")")
+        for t in reversed(c.tail):
+            after.append(print_term(t))
+            after.append(" ")
         c = c.hole_side
-    return "".join(before) + "hole" + "".join(reversed(after))
+    text.append("hole")
+    text += reversed(after)
+    return "".join(text)
 
 
 def to_context(t: Term) -> Context:
@@ -314,33 +339,28 @@ def check_pattern_nonterminals(grammar: Grammar, p: Pattern) -> None:
 
 
 def parse_language(src: str) -> LanguageDef:
-    forms = parse_sexprs(src)
-    if not forms:
+    tokens, counts, n_forms = _tokens(src)
+    if not n_forms:
         raise LanguageError("missing (define-language ...) form")
-    head = forms[0]
-    if (
-        not isinstance(head, SList)
-        or not head.items
-        or head.items[0] != Atom("define-language")
-    ):
+    if tokens[0] != "(" or not counts[0] or tokens[1] != "define-language":
         raise LanguageError("the first form must be (define-language ...)")
-    if len(head.items) < 2 or not _is_symbol(head.items[1]):
+    if counts[0] < 2 or not _is_symbol(src, tokens, 2):
         raise LanguageError("define-language needs a name")
-    name = head.items[1].text
+    name = tokens[2]
 
     productions: list[Production] = []
-    for clause in head.items[2:]:
-        if (
-            not isinstance(clause, SList)
-            or len(clause.items) < 2
-            or not _is_symbol(clause.items[0])
-        ):
+    k = 3
+    for _ in range(counts[0] - 2):
+        if tokens[k] != "(" or counts[k] < 2 or not _is_symbol(src, tokens, k + 1):
             raise LanguageError(
                 "each grammar clause must be (<nonterminal> <pattern> ...)"
             )
-        nt = clause.items[0].text
-        for rhs in clause.items[1:]:
-            productions.append(Production(nt, _read(rhs, _PATTERN)))
+        nt, n_rhs, k = tokens[k + 1], counts[k] - 1, k + 2
+        for _ in range(n_rhs):
+            rhs, k = _read(src, tokens, counts, k, _PATTERN)
+            productions.append(Production(nt, rhs))
+        k += 1  # past the clause's ')'
+    k += 1  # past the definition's ')'
     grammar = new_grammar(productions)
     defined = {p.nonterminal for p in grammar.productions}
     for prod in grammar.productions:
@@ -349,20 +369,22 @@ def parse_language(src: str) -> LanguageDef:
         )
 
     rules: dict[str, Rule] = {}
-    for form in forms[1:]:
+    for _ in range(n_forms - 1):
         if (
-            not isinstance(form, SList)
-            or len(form.items) != 4
-            or form.items[0] != Atom("rule")
-            or not _is_symbol(form.items[1])
+            tokens[k] != "("
+            or counts[k] != 4
+            or tokens[k + 1] != "rule"
+            or not _is_symbol(src, tokens, k + 2)
         ):
             raise LanguageError("each rule must be (rule <name> <lhs> <rhs>)")
-        rule_name = form.items[1].text
+        rule_name = tokens[k + 2]
         if rule_name in rules:
             raise LanguageError(f"rule {rule_name!r} is defined twice")
-        lhs = _read(form.items[2], _PATTERN)
+        lhs, k = _read(src, tokens, counts, k + 3, _PATTERN)
         _check_nonterminals(defined, lhs, f"rule {rule_name!r}")
-        rules[rule_name] = Rule(rule_name, lhs, _read(form.items[3], _TEMPLATE))
+        rhs, k = _read(src, tokens, counts, k, _TEMPLATE)
+        rules[rule_name] = Rule(rule_name, lhs, rhs)
+        k += 1  # past the rule's ')'
 
     return LanguageDef(name, grammar, tuple(rules.values()))
 

@@ -150,7 +150,9 @@ def instantiate(tpl: Template, bindings: Bindings) -> Term:
 
 def apply_rule(grammar: Grammar, rule: Rule, term: Term) -> list[Term]:
     """All reducts of term under one rule, deduplicated, deterministic."""
-    bindings = sorted(matches(grammar, term, rule.lhs), key=repr)
+    bindings = matches(grammar, term, rule.lhs)
+    if len(bindings) > 1:  # a set of one needs no order, nor its repr
+        bindings = sorted(bindings, key=repr)
     return list(dict.fromkeys([instantiate(rule.rhs, b) for b in bindings]))
 
 

@@ -20,6 +20,7 @@ a second pass, with no shared matching session, and an `apply_rule` that
 dedupes by hand are the references for the reducer's one loop.
 """
 
+import re
 from typing import NamedTuple
 
 from redsem import (
@@ -27,10 +28,12 @@ from redsem import (
     HOLE_PAT,
     HOLE_TERM,
     CtxTerm,
+    EngineError,
     Hole,
     HeadCtx,
     HolePat,
     InHolePat,
+    LanguageError,
     ListPat,
     ListTerm,
     Literal,
@@ -44,16 +47,18 @@ from redsem import (
     TemplateContextError,
     UnboundTemplateVariableError,
     matches,
+    new_grammar,
     plug,
     productions_of,
     remove_prod,
 )
-from redsem.language import _atom_literal, print_literal
+from redsem.language import LanguageDef, print_literal
 from redsem.reduction import (
     CUTOFF,
     CYCLE,
     NORMAL_FORM,
     REDUCED,
+    Rule,
     HoleTemplate,
     InHoleTemplate,
     ListTemplate,
@@ -61,7 +66,7 @@ from redsem.reduction import (
     RefTemplate,
     Trace,
 )
-from redsem.sexpr import Atom, ParseError
+from redsem.sexpr import Atom, ParseError, SList, parse_sexprs
 
 
 def immediate_subterms(t):
@@ -308,6 +313,25 @@ def trace(grammar, rules, term, max_steps):
     return tr
 
 
+def atom_literal(e):
+    """The literal an atom reads as: #t, #f, a decimal integer, or else a
+    symbol."""
+    if e.text == "#t":
+        return Literal(True)
+    if e.text == "#f":
+        return Literal(False)
+    if re.fullmatch(r"[+-]?[0-9]+", e.text):
+        try:
+            return Literal(int(e.text))
+        except ValueError:  # past the interpreter's limit on digits
+            raise ParseError("integer literal too long", e.line, e.col) from None
+    return Literal(e.text)
+
+
+def is_symbol(e):
+    return isinstance(e, Atom) and isinstance(atom_literal(e).value, str)
+
+
 def arguments(e, form, symbol=""):
     """e's arguments, one for each parameter of `form`, as in "(nt n)";
     the argument for the parameter named `symbol`, if any, is a symbol."""
@@ -321,7 +345,7 @@ def arguments(e, form, symbol=""):
         )
     if symbol:
         arg = args[params.index(symbol)]
-        if not isinstance(arg, Atom) or not isinstance(_atom_literal(arg).value, str):
+        if not is_symbol(arg):
             raise ParseError(f"{form} needs a symbol for {symbol}", e.line, e.col)
     return args
 
@@ -331,7 +355,7 @@ def sexpr_term(e):
     if isinstance(e, Atom):
         if e.text == "hole":
             return HOLE_TERM
-        return _atom_literal(e)
+        return atom_literal(e)
     return ListTerm(tuple(sexpr_term(item) for item in e.items))
 
 
@@ -344,7 +368,7 @@ def sexpr_pattern(e):
             raise ParseError(
                 f"reserved word {e.text!r} cannot be a literal pattern", e.line, e.col
             )
-        return LitPat(_atom_literal(e))
+        return LitPat(atom_literal(e))
     if e.items and isinstance(e.items[0], Atom):
         head = e.items[0].text
         if head == "name":
@@ -368,7 +392,7 @@ def sexpr_template(e):
             raise ParseError(
                 f"reserved word {e.text!r} cannot be a literal template", e.line, e.col
             )
-        return LitTemplate(_atom_literal(e))
+        return LitTemplate(atom_literal(e))
     if e.items and isinstance(e.items[0], Atom):
         head = e.items[0].text
         if head == "ref":
@@ -378,6 +402,74 @@ def sexpr_template(e):
             c, t = arguments(e, "(in-hole c t)")
             return InHoleTemplate(sexpr_template(c), sexpr_template(t))
     return ListTemplate(tuple(sexpr_template(item) for item in e.items))
+
+
+def sexpr_language(forms):
+    """The language definition a file's s-expression trees read as: the
+    first form defines the grammar, and each later one is a rule."""
+    if not forms:
+        raise LanguageError("missing (define-language ...) form")
+    head = forms[0]
+    if (
+        not isinstance(head, SList)
+        or not head.items
+        or head.items[0] != Atom("define-language")
+    ):
+        raise LanguageError("the first form must be (define-language ...)")
+    if len(head.items) < 2 or not is_symbol(head.items[1]):
+        raise LanguageError("define-language needs a name")
+    productions = []
+    for clause in head.items[2:]:
+        if (
+            not isinstance(clause, SList)
+            or len(clause.items) < 2
+            or not is_symbol(clause.items[0])
+        ):
+            raise LanguageError(
+                "each grammar clause must be (<nonterminal> <pattern> ...)"
+            )
+        for rhs in clause.items[1:]:
+            productions.append(Production(clause.items[0].text, sexpr_pattern(rhs)))
+    grammar = new_grammar(productions)
+    defined = {prod.nonterminal for prod in grammar.productions}
+
+    def check(p, where):
+        for sp in subpatterns(p):
+            if isinstance(sp, NtPat) and sp.name not in defined:
+                raise LanguageError(f"undefined non-terminal {sp.name!r} in {where}")
+
+    for prod in grammar.productions:
+        check(prod.pattern, f"the productions of {prod.nonterminal!r}")
+    rules = {}
+    for form in forms[1:]:
+        if (
+            not isinstance(form, SList)
+            or len(form.items) != 4
+            or form.items[0] != Atom("rule")
+            or not is_symbol(form.items[1])
+        ):
+            raise LanguageError("each rule must be (rule <name> <lhs> <rhs>)")
+        _, name, lhs, rhs = form.items
+        if name.text in rules:
+            raise LanguageError(f"rule {name.text!r} is defined twice")
+        lhs = sexpr_pattern(lhs)
+        check(lhs, f"rule {name.text!r}")
+        rules[name.text] = Rule(name.text, lhs, sexpr_template(rhs))
+    return LanguageDef(head.items[1].text, grammar, tuple(rules.values()))
+
+
+def read_language(text):
+    """The language definition a file's text reads as."""
+    return sexpr_language(parse_sexprs(text))
+
+
+def read_outcome(read, text):
+    """The repr of what `read` gives on text, or the class, message and
+    position of the engine error it raises."""
+    try:
+        return repr(read(text))
+    except EngineError as e:
+        return type(e), str(e), getattr(e, "line", None), getattr(e, "col", None)
 
 
 def is_subgrammar(g1, g2):

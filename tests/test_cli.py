@@ -650,6 +650,10 @@ class TestRobustness:
             "check-grammar": ["-g", path],
         }
         argv["decompose"] = argv["match"]
+        if lang is not None:
+            # the same language, or the same first fault, as the reference
+            want = references.read_outcome(references.read_language, lang)
+            assert references.read_outcome(language.parse_language, lang) == want
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run_cli([command, *argv[command]])

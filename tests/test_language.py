@@ -1,3 +1,4 @@
+import glob
 import os
 import random
 import subprocess
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import redsem
 import references
 from genterms import gen_case, gen_reader_text, gen_term
+from references import read_language, read_outcome
 from redsem import (
     HOLE,
     HOLE_PAT,
@@ -301,13 +303,22 @@ SYNTAXES = {
 FAULTS = ("arity error", "needs a symbol", "reserved word", "integer literal too long")
 
 
-def read_outcome(read, text):
-    """The repr of what `read` gives on text, or the class, message and
-    position of the error it raises."""
-    try:
-        return repr(read(text))
-    except ParseError as e:
-        return type(e), str(e), e.line, e.col
+SEXPR_FAULTS = ("unbalanced ')'", "missing ')'", "trailing input")
+
+
+def bracket_fault(rng, text, kind):
+    """text with a stray ')' put in (kind 0), with one of its ')' taken out
+    (kind 1, if it has one), with an item after it (2), or with an extra
+    '(' before it (3)."""
+    i = rng.randrange(len(text) + 1)
+    if kind == 0:
+        return text[:i] + ")" + text[i:]
+    if kind == 1 and ")" in text:
+        i = text.find(")", i) if ")" in text[i:] else text.find(")")
+        return text[:i] + text[i + 1 :]
+    if kind == 2:
+        return text + rng.choice((" a", "\n(b c)", " ; c\n()"))
+    return "(" + text
 
 
 class TestOneReader:
@@ -315,8 +326,8 @@ class TestOneReader:
     def test_agrees_with_the_recursive_converter(self, syntax):
         parse, reference, keywords, seed = SYNTAXES[syntax]
         rng = random.Random(seed)
-        counts, seen = Counter(), set()
-        for _ in range(3000):
+        counts, seen = Counter(), Counter()
+        for i in range(3000):
             text, faults = gen_reader_text(rng, keywords)
             # the same value, or the same first fault in source pre-order
             got = read_outcome(parse, text)
@@ -325,8 +336,94 @@ class TestOneReader:
             counts[min(faults, 2)] += 1
             if faults:
                 seen.update(kind for kind in FAULTS if kind in got[1])
+            # a bracket fault comes before any fault of the syntax
+            bad = bracket_fault(rng, text, i % 4)
+            got = read_outcome(parse, bad)
+            assert got == read_outcome(lambda s: reference(parse_sexpr(s)), bad)
+            seen.update(kind for kind in SEXPR_FAULTS if kind in got[1])
         assert counts[0] >= 1000 and counts[1] >= 300 and counts[2] >= 300
-        assert seen == set(FAULTS if keywords else FAULTS[-1:])
+        assert set(seen) == set(FAULTS if keywords else FAULTS[-1:]) | set(SEXPR_FAULTS)
+        assert all(seen[kind] >= 500 for kind in SEXPR_FAULTS)
+
+
+LANGUAGE_TEXT = """\
+(define-language l
+  (e a (nt e)))
+; a rule
+(rule r
+  (name q (nt e))
+  (ref q))
+"""
+
+
+class TestFaultPositions:
+    """The exact message and position of each s-expression fault, which
+    every reader raises before any fault of its syntax."""
+
+    @pytest.mark.parametrize(
+        "parse", [parse_sexpr, parse_term, parse_pattern, parse_template]
+    )
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "1:1: empty input"),
+            ("  ; a comment\n\t", "1:1: empty input"),
+            ("(a\n  b)\n ) (", "3:2: unbalanced ')'"),
+            ("(a (nt)))", "1:9: unbalanced ')'"),
+            ("a )", "1:3: unbalanced ')'"),
+            ("(a\n (b c)\n  (d", "3:3: unbalanced '(': missing ')'"),
+            ("(nt (ref))\n(", "2:1: unbalanced '(': missing ')'"),
+            ("(a b)\n ; c\n  (c) d", "3:3: trailing input after expression"),
+            ("name\tb", "1:6: trailing input after expression"),
+        ],
+    )
+    def test_one_item_readers(self, parse, text, message):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert str(e.value) == message
+        assert message.startswith(f"{e.value.line}:{e.value.col}: ")
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("", LanguageError, "missing (define-language ...) form"),
+            ("; a comment\n", LanguageError, "missing (define-language ...) form"),
+            (LANGUAGE_TEXT + "  )", ParseError, "7:3: unbalanced ')'"),
+            (
+                LANGUAGE_TEXT.replace("(ref q))", "(ref q)"),
+                ParseError,
+                "4:1: unbalanced '(': missing ')'",
+            ),
+            (
+                LANGUAGE_TEXT.replace("(e a", "(e (a"),
+                ParseError,
+                "1:1: unbalanced '(': missing ')'",
+            ),
+            (
+                LANGUAGE_TEXT.replace("(nt e)))", "(nt e e)))") + "(",
+                ParseError,
+                "7:1: unbalanced '(': missing ')'",
+            ),
+            (
+                LANGUAGE_TEXT.replace("(nt e)))", "(nt e e)))"),
+                ParseError,
+                "2:8: arity error: (nt n) takes 1 argument, got 2",
+            ),
+            (
+                LANGUAGE_TEXT.replace("(ref q)", "(ref q) r"),
+                LanguageError,
+                "each rule must be (rule <name> <lhs> <rhs>)",
+            ),
+        ],
+    )
+    def test_language_files(self, text, error, message):
+        with pytest.raises(error) as e:
+            parse_language(text)
+        assert str(e.value) == message
+        if "unbalanced" in message:
+            with pytest.raises(ParseError) as e:
+                parse_sexprs(text)
+            assert str(e.value) == message
 
 
 def subtrees(v):
@@ -612,3 +709,79 @@ class TestLanguageFiles:
         assert lang.name == "hole"
         assert [p.nonterminal for p in lang.grammar.productions] == ["nt"]
         assert [r.name for r in lang.rules] == ["s", "r"]
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LANGUAGE_FILES = sorted(
+    glob.glob(os.path.join(ROOT, "tests", "fixtures", "*.sexp"))
+    + glob.glob(os.path.join(ROOT, "bench", "inputs", "*.sexp"))
+)
+# spliced into a language file in place of a few characters
+SPLICES = ("", "(", ")", "()", "a", "nt", "(nt)", "(nt 5)", "(nt zz)", "hole", "ref")
+SPLICES += ("(ref 7)", "rule", "(rule r a a)", "define-language", "#t", "9" * 5000)
+
+
+# A fresh interpreter at the default recursion limit loads a file with a
+# production and a rule's right-hand side each nested 10,000 deep.
+DEEP_LANGUAGE = """
+import sys
+from redsem import ListPat, Literal, LitPat, NtPat, load_language
+from redsem.reduction import HoleTemplate, InHoleTemplate, RefTemplate
+
+assert sys.getrecursionlimit() == 1000
+n, path = 10_000, sys.argv[1]
+production = "(e a " + "(b " * n + "(nt e)" + ")" * n + ")"
+rhs = "(in-hole hole " * n + "(ref q)" + ")" * n
+with open(path, "w", encoding="utf-8") as f:
+    f.write(f"(define-language l\\n  {production})\\n(rule r (name q (nt e))\\n  {rhs})\\n")
+lang = load_language(path)
+p, levels = lang.grammar.productions[1].pattern, 0
+while type(p) is ListPat:
+    assert len(p.items) == 2 and p.items[0] == LitPat(Literal("b"))
+    p, levels = p.items[1], levels + 1
+print("production", levels, p == NtPat("e"))
+t, levels = lang.rules[0].rhs, 0
+while type(t) is InHoleTemplate:
+    assert t.context == HoleTemplate()
+    t, levels = t.body, levels + 1
+print("rule", levels, t == RefTemplate("q"))
+"""
+
+
+class TestLanguageReader:
+    """`parse_language` reads as the recursive reference does, from the
+    s-expression tree: the same value, or the same first fault.  The
+    language texts `TestRobustness` generates are compared there."""
+
+    def test_the_fixtures_and_the_benchmark_inputs(self):
+        assert len(LANGUAGE_FILES) == 6
+        rng, counts = random.Random(20261019), Counter()
+        for path in LANGUAGE_FILES:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+            got = read_outcome(parse_language, text)
+            assert got == read_outcome(read_language, text)
+            counts["read" if isinstance(got, str) else got[0]] += 1
+            for _ in range(150):
+                i = rng.randrange(len(text) + 1)
+                j = min(len(text), i + rng.randrange(6))
+                sep = rng.choice(("", " ", "\n"))
+                bad = text[:i] + sep + rng.choice(SPLICES) + sep + text[j:]
+                got = read_outcome(parse_language, bad)
+                assert got == read_outcome(read_language, bad)
+                counts["read" if isinstance(got, str) else got[0]] += 1
+        # corpus.sexp holds cases, not a language
+        assert counts[LanguageError] >= 150 and counts[ParseError] >= 150
+        assert counts["read"] >= 150
+
+    def test_a_production_and_a_rule_10_000_deep(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(redsem.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", DEEP_LANGUAGE, str(tmp_path / "deep.sexp")],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines() == ["production 10000 True", "rule 10000 True"]

@@ -134,6 +134,18 @@ class TestApplyRule:
         t = parse_term("((λ x x) (λ y y))")
         assert apply_rule(lam.grammar, rule, t) == [parse_term("(λ y y)")]
 
+    def test_orders_by_repr_only_two_or_more_bindings(self, lam, lam_nd, monkeypatch):
+        # two redexes side by side: lambda.sexp's contexts reach the left
+        # one only, lambda_nd.sexp's reach both; one binding is not printed
+        printed = []
+        real = Bindings.__repr__
+        monkeypatch.setattr(Bindings, "__repr__", lambda b: printed.append(b) or real(b))
+        t = parse_term("(((λ x x) (λ y y)) ((λ z z) (λ w w)))")
+        got = apply_rule(lam.grammar, lam.rules[0], t)
+        assert got == [parse_term("((λ y y) ((λ z z) (λ w w)))")] and printed == []
+        assert len(apply_rule(lam_nd.grammar, lam_nd.rules[0], t)) == 2
+        assert len(printed) >= 2
+
     def test_results_are_closed_terms(self, lam):
         from redsem.terms import CtxTerm as Ctx, Hole as H, ListTerm as L
 
