@@ -665,17 +665,32 @@ class TestDebugChecksUnderMemo:
             with pytest.raises(MeasureViolationError):
                 match_decompose(g, t, p, debug=True)
 
-    def test_broken_plug_is_caught(self, lam, monkeypatch):
+    def test_broken_plug_leaves_checked_list_unchanged(self, lam, monkeypatch):
+        # the checks compare each split with the pieces it is built from
+        # and plug nothing back, so a plug that answers the hole term for
+        # every input changes no result
         g, t, p = self.query(lam)
-        calls = self.counting(monkeypatch, "plug")
-        match_decompose(g, t, p, debug=True)
-        total = calls[0]
-        assert total > 0
-        for k in (1, total):
-            monkeypatch.undo()
-            self.counting(monkeypatch, "plug", k, HOLE_TERM)
-            with pytest.raises(SoundnessCheckError):
-                match_decompose(g, t, p, debug=True)
+        expected = repr(match_decompose(g, t, p, debug=True))
+        patch_plug(monkeypatch, lambda c, s: HOLE_TERM)
+        assert repr(match_decompose(g, t, p, debug=True)) == expected
+
+
+def patch_plug(monkeypatch, wrong=None):
+    """Count the calls of plug, as redsem.terms.plug and under the name
+    redsem.matching.plug that an import of it would bind; answer
+    wrong(*args) in place of the real result, if given."""
+    import redsem.matching as matching
+    import redsem.terms as terms
+
+    real, calls = terms.plug, [0]
+
+    def wrapped(*args):
+        calls[0] += 1
+        return (wrong or real)(*args)
+
+    monkeypatch.setattr(terms, "plug", wrapped)
+    monkeypatch.setattr(matching, "plug", wrapped, raising=False)
+    return calls
 
 
 def inject(monkeypatch, name, at=None, wrong=None):
@@ -772,12 +787,14 @@ class TestInductiveDebugChecks:
             with pytest.raises(SoundnessCheckError, match=message):
                 match_decompose(g, t, p, debug=True)
 
-    def test_full_check_plugs_each_returned_split_once(self, lam, monkeypatch):
-        calls = inject(monkeypatch, "plug")
+    def test_checked_call_plugs_no_split_back(self, lam, monkeypatch):
+        # the one-level checks above already give plug(c, s) = t for
+        # every returned split, so nothing is plugged back to re-derive it
+        calls = patch_plug(monkeypatch)
         got = match_decompose(lam.grammar, right_chain(16), NtPat("E"), debug=True)
         splits = [r for r in got if isinstance(r.decomposition, ContextDecomposition)]
         assert len(splits) == 33
-        assert calls[0] == len(splits)
+        assert calls[0] == 0
 
 
 def parent_term(args):
@@ -906,6 +923,42 @@ def run_unparsed_chains(debug):
     )
 
 
+# Runs checked and unchecked (nt E) on one term and compares the raw lists
+# without recursion, since `==` and `repr` recurse from about 250 levels:
+# contexts by their printed text, sub-terms by identity.  (nt E) binds
+# nothing.
+CHECKED_DEPTH_SCRIPT = """\
+import sys
+from redsem import ContextDecomposition, load_language, match_decompose
+from redsem import parse_pattern, parse_term, print_context
+g = load_language(sys.argv[1]).grammar
+t, p = parse_term(sys.argv[2]), parse_pattern("(nt E)")
+checked = match_decompose(g, t, p, debug=True)
+unchecked = match_decompose(g, t, p, debug=False)
+same = len(checked) == len(unchecked) and all(
+    type(a.decomposition) is type(b.decomposition) is ContextDecomposition
+    and print_context(a.decomposition.context) == print_context(b.decomposition.context)
+    and a.decomposition.subterm is b.decomposition.subterm
+    and not a.bindings
+    and not b.bindings
+    for a, b in zip(checked, unchecked)
+)
+print(len(checked), same)
+"""
+
+
+def run_fresh(*args):
+    """Run a fresh interpreter, at its default recursion limit, on args."""
+    src = os.path.dirname(os.path.dirname(redsem.__file__))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+
+
 class TestDepth:
     def test_matcher_needs_no_python_stack_per_level(self):
         # matching on the Python stack took about ten frames per chain
@@ -930,6 +983,18 @@ class TestDepth:
         kinds = {type(r.decomposition) for r in checked}
         assert (len(checked), kinds) == (splits, {ContextDecomposition})
         assert same_without_recursion(checked, unchecked)
+
+    def test_checked_call_answers_right_chain_300(self):
+        # the checks compare each split with its pieces by identity, so a
+        # checked call goes as deep as an unchecked one
+        proc = run_fresh("-c", CHECKED_DEPTH_SCRIPT, LAMBDA_FILE, right_chain_src(300))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "601 True\n"  # 2n + 1 splits
+
+    def test_cli_match_on_right_chain_300_finds_no_whole_match(self):
+        argv = ["match", "-g", LAMBDA_FILE, "-p", "(nt E)", "-t", right_chain_src(300)]
+        proc = run_fresh("-m", "redsem.cli", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "")
 
     def test_slotted_classes_have_no_dict_and_round_trip(self):
         ctx = HeadCtx(HOLE, (A,))
