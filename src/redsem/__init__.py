@@ -25,6 +25,7 @@ from .language import (
     LanguageError,
     MultipleHolesError,
     NoHoleError,
+    ParseError,
     load_language,
     parse_pattern,
     parse_term,
@@ -57,7 +58,6 @@ from .reduction import (
     step,
     trace,
 )
-from .sexpr import ParseError
 from .terms import (
     HOLE,
     HOLE_PAT,

@@ -3,16 +3,13 @@
 `record` gives a class whose annotations name its fields the methods of
 a frozen dataclass:
 
-- ``__init__`` takes the fields in order, by position or by keyword; the
-  class attributes of the last fields are their defaults;
-- ``__eq__`` compares the tuples of the compared fields (every field,
-  unless `compare` names some) of two instances of the same class, and
-  returns NotImplemented for any other operand; ``__hash__`` hashes that
-  tuple;
-- ``__repr__`` is ``Name(field=value, ...)`` over every field;
+- ``__init__`` takes every field in order, by position or by keyword;
+- ``__eq__`` compares the field tuples of two instances of the same
+  class, and returns NotImplemented for any other operand; ``__hash__``
+  hashes the field tuple;
+- ``__repr__`` is ``Name(field=value, ...)``;
 - ``__setattr__`` and ``__delattr__`` raise AttributeError, and pickle
-  and copy rebuild an instance from its fields.  With ``frozen=False``
-  instances are mutable and unhashable instead.
+  and copy rebuild an instance from its fields.
 
 A class with ``__slots__`` sets each field through its slot's own member
 descriptor (``Cls.field.__set__``), which skips the attribute lookup of
@@ -173,28 +170,20 @@ def _by_fields(self):
     return self.__class__, tuple([getattr(self, k) for k in self.__match_args__])
 
 
-def _renamed(template, fields, defaults=None):
+def _renamed(template, fields):
     names = {f"_{i}": k for i, k in enumerate(fields)}
     code = template.__code__
     code = code.replace(
         co_names=tuple([names.get(n, n) for n in code.co_names]),
         co_varnames=tuple([names.get(n, n) for n in code.co_varnames]),
     )
-    closure = template.__closure__
-    return FunctionType(code, template.__globals__, None, defaults or None, closure)
+    return FunctionType(code, template.__globals__, None, None, template.__closure__)
 
 
-def record(cls=None, /, *, compare=None, frozen=True):
+def record(cls):
     """Give cls the methods the module docstring lists."""
-    if cls is None:
-        return lambda cls: record(cls, compare=compare, frozen=frozen)
     fields = tuple(cls.__annotations__)
-    compared = fields if compare is None else compare
-    # a slot's member descriptor is not a default
     slots = cls.__dict__.get("__slots__", ())
-    defaults = tuple(
-        [cls.__dict__[k] for k in fields if k in cls.__dict__ and k not in slots]
-    )
     # the text before each field's value: "Name(" and "field=", or ", field="
     labels = [f"{', ' if i else ''}{k}=" for i, k in enumerate(fields)] or [""]
     labels[0] = f"{cls.__qualname__}({labels[0]}"
@@ -215,21 +204,20 @@ def record(cls=None, /, *, compare=None, frozen=True):
         else:
             inits = _slot_inits(*setters)
     made = {
-        "__eq__": _renamed(_EQS[len(compared)], compared),
-        "__hash__": _renamed(hashes[len(compared)], compared) if frozen else None,
+        "__eq__": _renamed(_EQS[len(fields)], fields),
+        "__hash__": _renamed(hashes[len(fields)], fields),
         "__repr__": _renamed(_reprs(*labels)[len(fields)], fields),
     }
     if fields:
-        made["__init__"] = _renamed(inits[len(fields)], fields, defaults)
+        made["__init__"] = _renamed(inits[len(fields)], fields)
     for name, method in made.items():
         if cls.__dict__.get(name) is None:
-            if method is not None:  # named for tracebacks and profiles
-                method.__code__ = method.__code__.replace(co_name=name)
-                method.__name__ = name
-                method.__qualname__ = f"{cls.__qualname__}.{name}"
+            # named for tracebacks and profiles
+            method.__code__ = method.__code__.replace(co_name=name)
+            method.__name__ = name
+            method.__qualname__ = f"{cls.__qualname__}.{name}"
             setattr(cls, name, method)
-    if frozen:
-        cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_del
-        cls.__reduce__ = _by_fields
+    cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_del
+    cls.__reduce__ = _by_fields
     cls.__match_args__ = fields
     return cls

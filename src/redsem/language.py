@@ -1,13 +1,16 @@
 """Text syntax for terms, patterns, templates, and language files.
 
-Terms, patterns and templates share one s-expression surface, read by one
-forward loop over the tokens of `sexpr._tokens`, from a table per syntax.
-A syntax reserves the atom `hole` and the heads of its table's keyword
-forms.  A language file is one `(define-language <name> (<nt> <pat> ...)
-...)` form followed by any number of `(rule <name> <lhs> <rhs>)` forms;
-every name is a symbol, and no two rules share a name.  Its forms are
-checked in place on the same tokens, and each pattern and template in
-them is read by that loop.
+Every reader starts from `_tokens`: one regex scan cuts the text into
+tokens, and one pass over them checks the brackets, raising every
+s-expression fault, and counts the items of each list.  A reader works
+out a token's line and column only when it raises an error.  Terms,
+patterns and templates are read by one forward loop over the tokens,
+from a table per syntax; a syntax reserves the atom `hole` and the heads
+of its table's keyword forms.  A language file is one `(define-language
+<name> (<nt> <pat> ...) ...)` form followed by any number of `(rule
+<name> <lhs> <rhs>)` forms; every name is a symbol, and no two rules
+share a name.  Its forms are checked in place on the same tokens, and
+each pattern and template in them is read by that loop.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .reduction import (
     Rule,
     Template,
 )
-from .sexpr import _fault, _one_datum, _tokens
 from .terms import (
     HOLE,
     HOLE_PAT,
@@ -62,6 +64,75 @@ class MultipleHolesError(EngineError):
 
 class LanguageError(EngineError):
     """A language file is malformed."""
+
+
+class ParseError(EngineError):
+    def __init__(self, message: str, line: int, col: int):
+        super().__init__(f"{line}:{col}: {message}")
+        self.line = line
+        self.col = col
+
+
+# A delimiter, an atom or a comment; whitespace matches nothing and is
+# skipped.  Atoms end only at the characters listed here; `\s` would also
+# end them at \x0b, \x0c or a no-break space.  No token holds a newline.
+_TOKENS = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*")
+
+
+def _tokens(src: str) -> tuple[list[str], list[int], int]:
+    """The tokens of src, comments left out; at the index of each '(' the
+    number of items of its list; and the number of top-level items.
+    Raises a ParseError at an unbalanced ')' when it is met, and at the
+    innermost '(' still open at the end."""
+    tokens = _TOKENS.findall(src)
+    if ";" in src:
+        tokens = [t for t in tokens if t[0] != ";"]
+    counts = [0] * len(tokens)
+    opens: list[tuple[int, int]] = []  # each open '(' and the items before it
+    n = 0  # items read so far in the innermost open list
+    for k, t in enumerate(tokens):
+        if t == "(":
+            opens.append((k, n))
+            n = 0
+        elif t == ")":
+            if not opens:
+                raise _fault(src, k, "unbalanced ')'")
+            j, n_before = opens.pop()
+            counts[j] = n
+            n = n_before + 1
+        else:
+            n += 1
+    if opens:
+        raise _fault(src, opens[-1][0], "unbalanced '(': missing ')'")
+    return tokens, counts, n
+
+
+def _one_datum(src: str) -> tuple[list[str], list[int]]:
+    """`_tokens` of a text of exactly one item; rejects empty or trailing
+    input."""
+    tokens, counts, n = _tokens(src)
+    if n == 0:
+        raise ParseError("empty input", 1, 1)
+    if n > 1:
+        k, depth = 0, 0  # the first item ends where its depth returns to 0
+        while True:
+            depth += (tokens[k] == "(") - (tokens[k] == ")")
+            k += 1
+            if depth == 0:
+                raise _fault(src, k, "trailing input after expression")
+    return tokens, counts
+
+
+def _fault(src: str, k: int, message: str) -> ParseError:
+    """A ParseError at token k of src."""
+    for m in _TOKENS.finditer(src):
+        if src[m.start()] != ";":
+            if k == 0:
+                break
+            k -= 1
+    start = m.start()
+    col = start - src.rfind("\n", 0, start)
+    return ParseError(message, src.count("\n", 0, start) + 1, col)
 
 
 _INT_RE = re.compile(r"^[+-]?[0-9]+$")
@@ -116,7 +187,7 @@ _TEMPLATE = (HoleTemplate(), LitTemplate, ListTemplate, "template", _TEMPLATE_FO
 def _read(
     src: str, tokens: list[str], counts: list[int], k: int, syntax: tuple
 ) -> tuple[Term | Pattern | Template, int]:
-    """The item at token k of src (see `sexpr._tokens`) read in a syntax's
+    """The item at token k of src (see `_tokens`) read in a syntax's
     table, and the index of the token after it.  The tokens are read
     forward and each list is built at its ')' from the values of its items,
     on an explicit stack.  A list is checked at its '(' and an atom where

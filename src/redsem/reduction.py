@@ -174,23 +174,24 @@ CYCLE = "cycle"
 REDUCED = "reduced"
 
 
-@record(frozen=False)
+@record
 class Trace:
     """Breadth-first reduction graph up to a depth bound.
 
     nodes[i] is the i-th term discovered; statuses[i] is 'reduced' for
     expanded interior nodes and a leaf status otherwise; edges hold
-    (source, rule name, target) triples.
+    (source, rule name, target) triples.  The fields are fixed, and
+    `trace` grows the three lists in place.
     """
 
     nodes: list[Term]
     statuses: list[str]
     edges: list[tuple[int, str, int]]
 
-    def __init__(self, nodes=None, statuses=None, edges=None):
-        self.nodes = [] if nodes is None else nodes
-        self.statuses = [] if statuses is None else statuses
-        self.edges = [] if edges is None else edges
+    def __init__(self, nodes=None, statuses=None, edges=None) -> None:
+        object.__setattr__(self, "nodes", [] if nodes is None else nodes)
+        object.__setattr__(self, "statuses", [] if statuses is None else statuses)
+        object.__setattr__(self, "edges", [] if edges is None else edges)
 
 
 def trace(grammar: Grammar, rules: list[Rule], term: Term, max_steps: int) -> Trace:

@@ -12,15 +12,17 @@ is the reference for the CLI's printer, which prints each shared node
 once per request.  The recursive `to_context`, which counts the holes
 of each item again at every level, and the pairwise grouping of equal
 right-hand sides are the references for the engine's one-pass versions.
-The recursive converters from the s-expression tree to terms, patterns
-and templates, one per syntax, are the references for the reader's one
-loop over its tables, and the recursive `subpatterns` and `instantiate`
-for the engine's loops.  A `trace` that steps its last frontier again in
-a second pass, with no shared matching session, and an `apply_rule` that
-dedupes by hand are the references for the reducer's one loop.
+The s-expression tree below, built from the engine's tokens, and the
+recursive converters from it to terms, patterns and templates, one per
+syntax, are the references for the reader's one loop over its tables,
+and the recursive `subpatterns` and `instantiate` for the engine's
+loops.  A `trace` that steps its last frontier again in a second pass,
+with no shared matching session, and an `apply_rule` that dedupes by
+hand are the references for the reducer's one loop.
 """
 
 import re
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from redsem import (
@@ -52,7 +54,14 @@ from redsem import (
     productions_of,
     remove_prod,
 )
-from redsem.language import LanguageDef, print_literal
+from redsem.language import (
+    _TOKENS,
+    LanguageDef,
+    ParseError,
+    _one_datum,
+    _tokens,
+    print_literal,
+)
 from redsem.reduction import (
     CUTOFF,
     CYCLE,
@@ -66,7 +75,6 @@ from redsem.reduction import (
     RefTemplate,
     Trace,
 )
-from redsem.sexpr import Atom, ParseError, SList, parse_sexprs
 
 
 def immediate_subterms(t):
@@ -311,6 +319,67 @@ def trace(grammar, rules, term, max_steps):
     for i in frontier:
         tr.statuses[i] = NORMAL_FORM if not step(tr.nodes[i]) else CUTOFF
     return tr
+
+
+# line and col locate a node in its source: they take no part in equality
+@dataclass(frozen=True)
+class Atom:
+    text: str
+    line: int = field(default=0, compare=False)
+    col: int = field(default=0, compare=False)
+
+
+@dataclass(frozen=True)
+class SList:
+    items: tuple
+    line: int = field(default=0, compare=False)
+    col: int = field(default=0, compare=False)
+
+
+def _tree(src):
+    """The top-level s-expressions of well-bracketed src, each node at
+    its own line and column."""
+    stack = []
+    items = []
+    line, line_start, last = 1, 0, 0
+    for m in _TOKENS.finditer(src):
+        text, start = m.group(), m.start()
+        if text[0] == ";":
+            continue
+        if newlines := src.count("\n", last, start):
+            line += newlines
+            line_start = src.rindex("\n", last, start) + 1
+        last, col = start, start - line_start + 1
+        if text == "(":
+            stack.append((items, line, col))
+            items = []
+        elif text == ")":
+            up, l0, c0 = stack.pop()
+            up.append(SList(tuple(items), l0, c0))
+            items = up
+        else:
+            items.append(Atom(text, line, col))
+    return items
+
+
+def parse_sexprs(src):
+    """All top-level s-expressions in src; the engine's tokenizer raises
+    each bracket fault."""
+    _tokens(src)
+    return _tree(src)
+
+
+def parse_sexpr(src):
+    """Exactly one s-expression; the engine rejects empty or trailing
+    input."""
+    _one_datum(src)
+    return _tree(src)[0]
+
+
+def print_sexpr(e):
+    if isinstance(e, Atom):
+        return e.text
+    return "(" + " ".join(print_sexpr(item) for item in e.items) + ")"
 
 
 def atom_literal(e):

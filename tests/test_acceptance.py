@@ -364,7 +364,7 @@ class TestCriterion8CliGoldenContract:
         assert ok_match and ok_plug and ok_check and ok_lam and ok_codes
 
     def test_oracle_mode_agrees_on_bundled_corpus(self, capsys):
-        from redsem.sexpr import Atom, SList, parse_sexprs, print_sexpr
+        from references import Atom, SList, parse_sexprs, print_sexpr
 
         with open(CORPUS_FILE, encoding="utf-8") as f:
             forms = parse_sexprs(f.read())

@@ -83,3 +83,15 @@ def test_benchmark_and_readme_imports_resolve():
         assert names, where
         missing = sorted(n for n in names if not resolves(n))
         assert not missing, f"{where}: {missing}"
+
+
+def test_the_layout_table_names_every_module():
+    section = read("README.md").split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    named = re.findall(r"`redsem\.(\w+)`", "".join(row.split(" | ")[0] for row in rows))
+    modules = [
+        name[:-3]
+        for name in os.listdir(os.path.dirname(redsem.__file__))
+        if name.endswith(".py") and name != "__init__.py"
+    ]
+    assert sorted(named) == sorted(modules)

@@ -14,7 +14,7 @@ import references
 from conftest import CORPUS_FILE, LAMBDA_FILE, LAMBDA_ND_FILE, LEFTREC_FILE
 from redsem import ListTerm, Literal, cli, language, parse_term
 from redsem.cli import run_cli
-from redsem.sexpr import Atom, SList, parse_sexprs, print_sexpr
+from references import Atom, SList, parse_sexprs, print_sexpr
 
 
 def run(capsys, *argv):

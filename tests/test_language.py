@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import redsem
 import references
 from genterms import gen_case, gen_reader_text, gen_term
-from references import read_language, read_outcome
+from references import parse_sexpr, parse_sexprs, read_language, read_outcome
 from redsem import (
     HOLE,
     HOLE_PAT,
@@ -47,7 +47,6 @@ from redsem.reduction import (
     LitTemplate,
     RefTemplate,
 )
-from redsem.sexpr import Atom, parse_sexpr, parse_sexprs
 from test_cli import chain_source
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -98,16 +97,17 @@ class TestParseTerm:
 
 class TestReader:
     def test_atoms_end_only_at_listed_delimiters(self):
-        assert parse_sexprs("a\x0cb") == [Atom("a\x0cb")]
+        assert parse_term("a\x0cb") == Literal("a\x0cb")
 
     def test_position_after_crlf_and_comment(self):
-        (form,) = parse_sexprs("(a\r\n ;c\n  b)")
-        b = form.items[1]
-        assert (b.text, b.line, b.col) == ("b", 3, 3)
+        with pytest.raises(ParseError) as e:
+            parse_pattern("(a\r\n ;c\n  name)")
+        assert (e.value.line, e.value.col) == (3, 3)
+        assert str(e.value) == "3:3: reserved word 'name' cannot be a literal pattern"
 
     def test_unbalanced_close_reports_its_own_position(self):
         with pytest.raises(ParseError) as e:
-            parse_sexprs("(a)\n\n  )")
+            parse_term("(a)\n\n  )")
         assert (e.value.line, e.value.col) == (3, 3)
         assert str(e.value) == "3:3: unbalanced ')'"
 

@@ -56,7 +56,6 @@ from redsem.matching import (
     select,
 )
 from redsem.reduction import InHoleTemplate, ListTemplate, RefTemplate
-from redsem.sexpr import parse_sexpr
 from redsem.terms import compose, subpatterns
 from references import (
     Problem,
@@ -64,6 +63,7 @@ from references import (
     general_order_decreases,
     immediate_subterms,
     is_proper_subterm,
+    parse_sexpr,
     proper_subterms,
     reference_order,
     sexpr_term,
