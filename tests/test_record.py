@@ -1,11 +1,13 @@
 """The engine's value classes: constructors, equality, hashing, repr,
-immutability, pickling, and what importing the engine loads."""
+immutability, pickling, and what importing the engine loads; and the
+same for the test s-expression tree that `references` builds."""
 
 import copy
 import os
 import pickle
 import subprocess
 import sys
+from types import MemberDescriptorType
 
 import pytest
 
@@ -45,6 +47,7 @@ from redsem.reduction import (
     RefTemplate,
     Rule,
 )
+from references import Atom, SList
 
 SRC = os.path.dirname(os.path.dirname(redsem.__file__))
 A, B = Literal("a"), Literal("b")
@@ -81,6 +84,8 @@ FROZEN = [
     LanguageDef("L", GRAMMAR, (RULE,)),
 ]
 TRACE = Trace([A, B], ["reduced", "normal-form"], [(0, "r", 1)])
+# the test tree is a frozen dataclass pair, not engine records
+TREE = [Atom("a", 2, 3), SList((Atom("a"),), 1, 1)]
 
 
 def test_every_class_is_covered():
@@ -96,7 +101,15 @@ def test_every_class_is_covered():
     assert len(classes) == 26
 
 
-@pytest.mark.parametrize("x", FROZEN + [TRACE], ids=lambda x: type(x).__name__)
+def test_no_field_has_a_class_attribute_default():
+    # a field is a slot's member descriptor or no class attribute at all
+    for cls in {type(x) for x in FROZEN + [TRACE]}:
+        for name in cls.__match_args__:
+            if name in vars(cls):
+                assert type(vars(cls)[name]) is MemberDescriptorType, (cls, name)
+
+
+@pytest.mark.parametrize("x", FROZEN + [TRACE] + TREE, ids=lambda x: type(x).__name__)
 def test_fields_can_be_neither_assigned_nor_deleted(x):
     for name in x.__match_args__ + ("other",):
         with pytest.raises(AttributeError):
@@ -105,7 +118,7 @@ def test_fields_can_be_neither_assigned_nor_deleted(x):
             delattr(x, name)
 
 
-@pytest.mark.parametrize("x", FROZEN + [TRACE], ids=lambda x: type(x).__name__)
+@pytest.mark.parametrize("x", FROZEN + [TRACE] + TREE, ids=lambda x: type(x).__name__)
 def test_pickle_and_deepcopy_give_an_equal_object(x):
     for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
         assert y == x and type(y) is type(x) and y is not x
@@ -122,6 +135,19 @@ def test_equality_and_hash_are_those_of_the_field_tuple(x):
     assert type(x)(**dict(zip(x.__match_args__, fields))) == x
     assert x.__eq__(fields) is NotImplemented
     assert x != fields
+
+
+def test_atom_and_slist_compare_without_their_position():
+    assert Atom("a", 1, 2) == Atom("a") and hash(Atom("a", 1, 2)) == hash(("a",))
+    assert Atom("a") != Atom("b") and Atom("a").line == Atom("a").col == 0
+    items = (Atom("a"),)
+    assert SList(items, 3, 4) == SList(items) and hash(SList(items, 3, 4)) == hash(
+        (items,)
+    )
+    assert repr(Atom("a", 1, 2)) == "Atom(text='a', line=1, col=2)"
+    assert repr(SList(items, col=4)) == (
+        "SList(items=(Atom(text='a', line=0, col=0),), line=0, col=4)"
+    )
 
 
 def test_pinned_reprs():
