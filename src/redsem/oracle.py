@@ -5,13 +5,15 @@ candidate split of the input term is enumerated exhaustively and checked
 rule by rule, with none of the engine's select/combine machinery; each
 rule is written once, in `_Search`.  This keeps the oracle independent of
 the matcher so that agreement between the two is a meaningful check.
+The generalized search ends by production removal alone, as the
+judgment does; the ungeneralized one stops where it re-enters a goal.
 Exponential; intended for desk-scale inputs.
 """
 
 from __future__ import annotations
 
 from .errors import EngineError
-from .grammar import Grammar, Production, productions_of, remove_prod
+from .grammar import Grammar, _group
 from .matching import EMPTY_BINDINGS, Bindings
 from .terms import (
     HOLE,
@@ -33,16 +35,16 @@ from .terms import (
     TailCtx,
     Term,
     compose,
-    pattern_size,
 )
 
 
 class OracleFuelError(EngineError):
-    """The oracle's non-consumption budget ran out (suspected left recursion)."""
+    """The ungeneralized oracle search re-entered a goal it was still
+    deriving: it would loop forever (the grammar is left recursive)."""
 
 
-_OUT_OF_BUDGET = (
-    "oracle ran out of non-consumption budget; the grammar is probably left recursive"
+_REENTERED = (
+    "oracle re-entered a goal it is still deriving; the grammar is left recursive"
 )
 
 
@@ -122,50 +124,56 @@ def _list_parts(t: Term):
     return None
 
 
-def _grammar_weight(g: Grammar) -> int:
-    return sum(1 + pattern_size(p.pattern) for p in g.productions)
-
-
 class _Search:
     """Rule-by-rule derivability search for both judgment forms.
 
     `match` states the matching rules; `decomp` the decomposition rules,
     with its list and in-hole rules in `_decomp_list` and `_decomp_inhole`.
-    `_alternatives` is the non-terminal rule of both.  A step that consumes
-    input restarts from the original grammar and the full budget.
+    `_alternatives` is the non-terminal rule of both.
+
+    A grammar state is an int mask over the original grammar's productions
+    followed by the current grammar's (only the original's when the two
+    are one object), production i as bit ``1 << i``.  The non-terminal rule
+    clears the bit of the production it tries, and a step that consumes
+    input restarts from the original grammar's bits, so the search ends by
+    production removal alone.
 
     With `removal` off, a non-terminal keeps the grammar it was read
-    against: the ungeneralized judgment, which loops on a left-recursive
-    grammar until the budget runs out.  The budget, fixed per search, is
-    the query's size plus the weight of the original grammar and of the
-    current one if it is another.  A chain of steps that consume no input
-    fits in it if it reads no pattern node twice, as on a grammar that is
-    not left recursive, or if it removes a production at every
-    non-terminal, as the generalized search does.
+    against: the ungeneralized judgment, which can loop on a left-recursive
+    grammar.  Its search raises OracleFuelError when it re-enters a
+    non-terminal goal that it is still deriving: ``(t, name)`` for
+    matching, ``(t, c, sub, name)`` for decomposition.  The stop is exact.
+    The search is deterministic, so a re-entered goal loops forever; and a
+    chain of steps that consume no input keeps its term and meets only
+    finitely many patterns and splits, so every such loop re-enters a goal.
     """
 
-    def __init__(
-        self, original: Grammar, current: Grammar, p: Pattern, removal: bool = True
-    ):
-        self.original = original
-        self.removal = removal
-        weight = _grammar_weight(original)
+    def __init__(self, original: Grammar, current: Grammar, removal: bool = True):
+        productions = original.productions
+        self.original = self.current = (1 << len(productions)) - 1
         if current is not original:
-            weight += _grammar_weight(current)
-        self.budget = pattern_size(p) + weight + 1
+            productions += current.productions
+            self.current = ((1 << len(productions)) - 1) ^ self.original
+        self.rows = _group(productions)
+        self.removal = removal
+        self.deriving: set[tuple] = set()
 
-    def _alternatives(self, name: str, g_cur: Grammar):
-        """The non-terminal rule: each rhs of `name`, with the grammar it reads."""
-        for rhs in productions_of(g_cur, name):
-            if self.removal:
-                yield rhs, remove_prod(g_cur, Production(name, rhs))
-            else:
-                yield rhs, g_cur
+    def _alternatives(
+        self, name: str, mask: int, goal: tuple | None
+    ) -> list[tuple[Pattern, int]]:
+        """The non-terminal rule: each live rhs of `name`, with the mask it
+        is read against, less the rhs's own bit.  With removal off the mask
+        stays as it is, and `goal` is marked as being derived until the
+        caller unmarks it."""
+        rows = self.rows.get(name, ())
+        if self.removal:
+            return [(rhs, mask ^ bit) for bit, rhs in rows if mask & bit]
+        if goal in self.deriving:
+            raise OracleFuelError(_REENTERED)
+        self.deriving.add(goal)
+        return [(rhs, mask) for _, rhs in rows]
 
-    def match(self, t: Term, p: Pattern, g_cur: Grammar, fuel: int) -> set[Bindings]:
-        if fuel < 0:
-            raise OracleFuelError(_OUT_OF_BUDGET)
-
+    def match(self, t: Term, p: Pattern, mask: int) -> set[Bindings]:
         if isinstance(p, LitPat):
             return {EMPTY_BINDINGS} if isinstance(t, Literal) and t == p.lit else set()
         if isinstance(p, HolePat):
@@ -173,65 +181,61 @@ class _Search:
 
         if isinstance(p, NamePat):
             bound = (Bindings(((p.var, t),)),)
-            return _cross(self.match(t, p.pattern, g_cur, fuel - 1), bound)
+            return _cross(self.match(t, p.pattern, mask), bound)
 
         if isinstance(p, NtPat):
-            for rhs, g_rhs in self._alternatives(p.name, g_cur):
-                if self.match(t, rhs, g_rhs, fuel - 1):
-                    return {EMPTY_BINDINGS}
-            return set()
+            goal = None if self.removal else (t, p.name)
+            alternatives = self._alternatives(p.name, mask, goal)
+            found = any(self.match(t, rhs, m) for rhs, m in alternatives)
+            self.deriving.discard(goal)
+            return {EMPTY_BINDINGS} if found else set()
 
         if isinstance(p, ListPat):
             parts = _list_parts(t) if p.items else None
             if parts is None:
                 return {EMPTY_BINDINGS} if not p.items and t == ListTerm(()) else set()
-            g1, budget = self.original, self.budget
-            heads = self.match(parts[0], p.items[0], g1, budget)
+            g1 = self.original
+            heads = self.match(parts[0], p.items[0], g1)
             if not heads:
                 return set()
-            return _cross(heads, self.match(parts[1], ListPat(p.items[1:]), g1, budget))
+            return _cross(heads, self.match(parts[1], ListPat(p.items[1:]), g1))
 
         if isinstance(p, InHolePat):
             out = set()
             for c_ctx, t_ctx in enumerate_decompositions(t):
-                bcs = self.decomp(t, c_ctx, t_ctx, p.context_pat, g_cur, fuel - 1)
+                bcs = self.decomp(t, c_ctx, t_ctx, p.context_pat, mask)
                 if not bcs:
                     continue
                 # a bare-hole context consumed no input: the focused match
-                # keeps the current grammar and the budget left
-                if isinstance(c_ctx, Hole):
-                    bhs = self.match(t_ctx, p.hole_pat, g_cur, fuel - 1)
-                else:
-                    bhs = self.match(t_ctx, p.hole_pat, self.original, self.budget)
-                out |= _cross(bcs, bhs)
+                # keeps the current grammar state
+                m = mask if isinstance(c_ctx, Hole) else self.original
+                out |= _cross(bcs, self.match(t_ctx, p.hole_pat, m))
             return out
 
         return set()
 
     def decomp(
-        self, t: Term, c: Context, sub: Term, p: Pattern, g_cur: Grammar, fuel: int
+        self, t: Term, c: Context, sub: Term, p: Pattern, mask: int
     ) -> set[Bindings]:
         """Bindings for which t = c[sub] is derivable against p."""
-        if fuel < 0:
-            raise OracleFuelError(_OUT_OF_BUDGET)
-
         if isinstance(p, HolePat):
             return {EMPTY_BINDINGS} if isinstance(c, Hole) and sub == t else set()
 
         if isinstance(p, NamePat):
             bound = (Bindings(((p.var, CtxTerm(c)),)),)
-            return _cross(self.decomp(t, c, sub, p.pattern, g_cur, fuel - 1), bound)
+            return _cross(self.decomp(t, c, sub, p.pattern, mask), bound)
 
         if isinstance(p, NtPat):
-            for rhs, g_rhs in self._alternatives(p.name, g_cur):
-                if self.decomp(t, c, sub, rhs, g_rhs, fuel - 1):
-                    return {EMPTY_BINDINGS}
-            return set()
+            goal = None if self.removal else (t, c, sub, p.name)
+            alternatives = self._alternatives(p.name, mask, goal)
+            found = any(self.decomp(t, c, sub, rhs, m) for rhs, m in alternatives)
+            self.deriving.discard(goal)
+            return {EMPTY_BINDINGS} if found else set()
 
         if isinstance(p, ListPat):
             return self._decomp_list(t, c, sub, p)
         if isinstance(p, InHolePat):
-            return self._decomp_inhole(t, c, sub, p, g_cur, fuel)
+            return self._decomp_inhole(t, c, sub, p, mask)
 
         return set()  # a literal has no decomposition rule
 
@@ -241,42 +245,41 @@ class _Search:
             return set()
         head, tail_term, tail_items, head_rule, tail_rule = parts
         p_head, p_tail = p.items[0], ListPat(p.items[1:])
-        g1, budget = self.original, self.budget
+        g1 = self.original
         out: set[Bindings] = set()
         if head_rule and isinstance(c, HeadCtx) and c.tail == tail_items:
-            inner = self.decomp(head, c.hole_side, sub, p_head, g1, budget)
+            inner = self.decomp(head, c.hole_side, sub, p_head, g1)
             if inner:
-                out = _cross(inner, self.match(tail_term, p_tail, g1, budget))
+                out = _cross(inner, self.match(tail_term, p_tail, g1))
         if tail_rule and isinstance(c, TailCtx) and c.head == head:
-            heads = self.match(head, p_head, g1, budget)
+            heads = self.match(head, p_head, g1)
             if heads:
-                inner = self.decomp(tail_term, c.rest, sub, p_tail, g1, budget)
+                inner = self.decomp(tail_term, c.rest, sub, p_tail, g1)
                 out |= _cross(heads, inner)
         return out
 
     def _decomp_inhole(
-        self, t: Term, c: Context, sub: Term, p: InHolePat, g_cur: Grammar, fuel: int
+        self, t: Term, c: Context, sub: Term, p: InHolePat, mask: int
     ) -> set[Bindings]:
         out: set[Bindings] = set()
         for c_outer, t_mid in enumerate_decompositions(t):
-            bcs = self.decomp(t, c_outer, t_mid, p.context_pat, g_cur, fuel - 1)
+            bcs = self.decomp(t, c_outer, t_mid, p.context_pat, mask)
             if not bcs:
                 continue
             # a bare-hole context consumed no input: the nested split is the
-            # whole split, under the current grammar and the budget left
+            # whole split, under the current grammar state
             if isinstance(c_outer, Hole):
-                splits = ((c, sub),)
-                g_hole, f_hole = g_cur, fuel - 1
+                splits, m = ((c, sub),), mask
             else:
                 splits = (
                     (c_inner, t_inner)
                     for c_inner, t_inner in enumerate_decompositions(t_mid)
                     if compose(c_outer, c_inner) == c and t_inner == sub
                 )
-                g_hole, f_hole = self.original, self.budget
+                m = self.original
             bhs: set[Bindings] = set()
             for c_inner, t_inner in splits:
-                bhs |= self.decomp(t_mid, c_inner, t_inner, p.hole_pat, g_hole, f_hole)
+                bhs |= self.decomp(t_mid, c_inner, t_inner, p.hole_pat, m)
             out |= _cross(bcs, bhs)
         return out
 
@@ -285,20 +288,18 @@ def oracle_match(
     grammar: Grammar, term: Term, pattern: Pattern, current: Grammar | None = None
 ) -> set[Bindings]:
     """Bindings derivable for the matching judgment, by exhaustive search."""
-    current = grammar if current is None else current
-    search = _Search(grammar, current, pattern)
-    return search.match(term, pattern, current, search.budget)
+    search = _Search(grammar, grammar if current is None else current)
+    return search.match(term, pattern, search.current)
 
 
 def oracle_decompose(
     grammar: Grammar, term: Term, pattern: Pattern, current: Grammar | None = None
 ) -> set[tuple[Context, Term, Bindings]]:
     """Derivable (context, sub-term, bindings) triples, by exhaustive search."""
-    current = grammar if current is None else current
-    search = _Search(grammar, current, pattern)
+    search = _Search(grammar, grammar if current is None else current)
     out: set[tuple[Context, Term, Bindings]] = set()
     for c, sub in enumerate_decompositions(term):
-        for b in search.decomp(term, c, sub, pattern, current, search.budget):
+        for b in search.decomp(term, c, sub, pattern, search.current):
             out.add((c, sub, b))
     return out
 
@@ -311,8 +312,8 @@ def oracle_match_original(
     Non-terminals are always read against the full grammar and no
     production is ever removed.  On a grammar that is not left recursive
     this agrees with the generalized judgment; on a left-recursive one the
-    search can loop without consuming input, and then raises
-    OracleFuelError.
+    search can loop without consuming input, and raises OracleFuelError
+    when it re-enters a goal that it is still deriving.
     """
-    search = _Search(grammar, grammar, pattern, removal=False)
-    return search.match(term, pattern, grammar, search.budget)
+    search = _Search(grammar, grammar, removal=False)
+    return search.match(term, pattern, search.current)

@@ -138,16 +138,6 @@ Pattern = LitPat | HolePat | ListPat | NamePat | NtPat | InHolePat
 HOLE_PAT = HolePat()
 
 
-def pattern_size(p: Pattern) -> int:
-    if isinstance(p, (LitPat, HolePat, NtPat)):
-        return 1
-    if isinstance(p, ListPat):
-        return 1 + sum(pattern_size(item) for item in p.items)
-    if isinstance(p, NamePat):
-        return 1 + pattern_size(p.pattern)
-    return 1 + pattern_size(p.context_pat) + pattern_size(p.hole_pat)
-
-
 def subpatterns(p: Pattern) -> Iterator[Pattern]:
     """Yield p and every pattern nested inside it, in pre-order."""
     todo = [p]

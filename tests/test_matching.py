@@ -1070,7 +1070,7 @@ class TestHoleDirected:
     @pytest.mark.parametrize("key", sorted(REENTRY_RAW_COUNTS))
     def test_agrees_with_oracle_on_left_recursive_grammar(self, key):
         # left recursive: the oracle's generalized search ends by production
-        # removal, never by running out of its budget
+        # removal alone
         g = new_grammar([(nt, parse_pattern(rhs)) for nt, rhs in REENTRY_PRODUCTIONS])
         t, p = parse_term(key[0]), parse_pattern(key[1])
         assert matches(g, t, p) == oracle_match(g, t, p)

@@ -23,12 +23,14 @@ from redsem import (
     NtPat,
     OracleFuelError,
     TailCtx,
+    decompose,
     enumerate_decompositions,
     matches,
     new_grammar,
     oracle_decompose,
     oracle_match,
     oracle_match_original,
+    parse_pattern,
     parse_term,
     plug,
     remove_prod,
@@ -200,11 +202,12 @@ class TestOriginalSystem:
         ],
         ids=["nt", "name", "in-hole"],
     )
-    def test_left_recursive_grammar_exhausts_budget(self, productions, term):
+    def test_left_recursive_grammar_reenters_a_goal(self, productions, term):
         # without production removal, (nt n) is read at the same term
         # forever; the generalized judgment (and the engine) remove the
         # production and fall through to the others.  The ungeneralized
-        # search must stop with its own error, not overflow the Python stack.
+        # search re-enters the goal it is deriving, and must stop there
+        # with its own error, not overflow the Python stack.
         g, t = new_grammar(productions), parse_term(term)
         # only n -> a can match, and only the term a
         matchable = t == A and ("n", LitPat(A)) in productions
@@ -213,10 +216,11 @@ class TestOriginalSystem:
         with pytest.raises(OracleFuelError):
             oracle_match_original(g, t, NtPat("n"))
 
-    def test_budget_covers_a_long_chain_that_consumes_no_input(self):
+    def test_a_long_chain_that_consumes_no_input_reenters_no_goal(self):
         # n0 -> (nt n1), ..., n119 -> (nt n120), n120 -> (in-hole hole
         # (name x a)): not left recursive, yet over 120 steps in a row consume
-        # no input, through both judgments, before the literal is read
+        # no input, through both judgments, before the literal is read; each
+        # non-terminal goal is new, so the search does not stop
         productions = [(f"n{i}", NtPat(f"n{i + 1}")) for i in range(120)]
         productions.append(("n120", InHolePat(HOLE_PAT, NamePat("x", LitPat(A)))))
         g, p = new_grammar(productions), NtPat("n0")
@@ -224,6 +228,15 @@ class TestOriginalSystem:
         assert oracle_match(g, A, p) == {EMPTY_BINDINGS}
         one = ListTerm((A,))
         assert oracle_match_original(g, one, p) == oracle_match(g, one, p) == set()
+
+    def test_a_goal_derived_again_as_a_sibling_is_not_reentered(self):
+        # s -> ((nt m) (nt m)), m -> a | b: the goal (a, m) is derived
+        # twice, one after the other; its first derivation returns early,
+        # at m -> a, and must unmark the goal all the same
+        g = new_grammar(
+            [("s", ListPat((NtPat("m"), NtPat("m")))), ("m", LitPat(A)), ("m", LitPat(B))]
+        )
+        assert oracle_match_original(g, ListTerm((A, A)), NtPat("s")) == {EMPTY_BINDINGS}
 
     @given(seeds)
     @settings(max_examples=60, deadline=None)
@@ -239,6 +252,22 @@ class TestOriginalSystem:
 
 
 class TestGrammarWeakening:
+    @pytest.mark.parametrize(
+        "term, pattern, matched, splits",
+        [
+            ("a", "(nt m)", set(), set()),
+            # consuming input restores the original grammar
+            ("(a)", "((nt m))", {EMPTY_BINDINGS}, {(HeadCtx(HOLE, ()), A, EMPTY_BINDINGS)}),
+        ],
+    )
+    def test_an_empty_current_grammar_is_a_grammar(self, term, pattern, matched, splits):
+        # m -> a | hole under the empty current grammar: an empty grammar
+        # has length 0, and must not be read as no current grammar
+        g = new_grammar([("m", LitPat(A)), ("m", HOLE_PAT)])
+        t, p = parse_term(term), parse_pattern(pattern)
+        assert oracle_match(g, t, p, EMPTY_G) == matches(g, t, p, current=EMPTY_G) == matched
+        assert oracle_decompose(g, t, p, EMPTY_G) == decompose(g, t, p, current=EMPTY_G) == splits
+
     @given(seeds)
     @settings(max_examples=60, deadline=None)
     def test_fewer_productions_derive_fewer_matches(self, seed):

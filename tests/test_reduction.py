@@ -1,11 +1,13 @@
 import gc
 import random
+import threading
 import time
 import weakref
 from collections import Counter
 
 import pytest
 
+import redsem.language as language
 import redsem.matching as matching
 import references
 from genterms import gen_case, gen_template, gen_template_bindings
@@ -423,6 +425,39 @@ class TestSession:
                 assert matching._open.session is session
             assert session.memo == memo
         assert matching._open.session is None
+
+    def test_sessions_and_print_scopes_are_kept_per_thread(self, lam):
+        # another thread holds a session and a print scope open: this
+        # thread sees neither, and its own calls, which would add to that
+        # session's memo if they joined it, leave it as it is
+        g = lam.grammar
+        opened, release = threading.Event(), threading.Event()
+        memos = []  # the other thread's session memo and print memo
+
+        def hold():
+            with _Session(g), language._PrintScope():
+                match_decompose(g, right_chain(3), NtPat("E"))
+                print_term(right_chain(3))
+                memos.extend((matching._open.session.memo, language._printing.memo))
+                opened.set()
+                release.wait()
+
+        worker = threading.Thread(target=hold)
+        worker.start()
+        try:
+            assert opened.wait(timeout=60)
+            before = [dict(memo) for memo in memos]
+            assert matching._open.session is None
+            assert language._printing.memo is None
+            t = right_chain(4)
+            fresh = repr(match_decompose(g, t, NtPat("E")))
+            with _Session(g), language._PrintScope():
+                assert repr(match_decompose(g, t, NtPat("E"))) == fresh
+                print_term(t)
+            assert memos == before and all(before)
+        finally:
+            release.set()
+            worker.join()
 
     def test_a_returned_list_is_the_callers_own(self, lam):
         # (nt E) returns its memoized list; emptying the caller's copy
