@@ -11,7 +11,6 @@ from .errors import EngineError
 from .grammar import find_left_recursion
 from .language import (
     _bindings_text,
-    _PrintScope,
     check_pattern_nonterminals,
     load_language,
     parse_pattern,
@@ -185,9 +184,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return EXIT_INPUT_ERROR if e.code else EXIT_OK
     try:
-        # one printing scope per request: each shared node prints once
-        with _PrintScope():
-            return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args)
     # UnicodeEncodeError: the output has a character stdout cannot encode
     except (EngineError, OSError, UnicodeEncodeError) as e:
         print(f"error: {e}", file=sys.stderr)

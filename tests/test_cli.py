@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import redsem
 import references
 from conftest import CORPUS_FILE, LAMBDA_FILE, LAMBDA_ND_FILE, LEFTREC_FILE
-from redsem import ListTerm, Literal, cli, language, parse_term
+from redsem import ListTerm, cli, language, parse_term
 from redsem.cli import run_cli
 from references import Atom, SList, parse_sexprs, print_sexpr
 
@@ -689,8 +689,8 @@ def tree_source(depth: int) -> str:
 
 
 class TestPrintOnce:
-    """Each request prints each shared node once; its bytes are those of
-    the reference printer, which prints every node in full."""
+    """Each shared list term is printed once; the bytes are those of the
+    reference printer, which prints every node in full."""
 
     def both_printers(self, monkeypatch, capsys, engine, argv):
         # the engine runs once; its answer is printed by the CLI's printer
@@ -734,7 +734,7 @@ class TestPrintOnce:
         _, out, _ = self.both_printers(monkeypatch, capsys, "trace", argv)
         assert out.count("(node ") == {1: 2, 2: 6, 3: 52}[depth]
 
-    def test_a_shared_node_prints_once_per_scope(self, monkeypatch):
+    def test_a_shared_node_prints_once(self, monkeypatch):
         s = parse_term("((λ x x) (a b))")
         t = ListTerm((s, s, ListTerm((s,))))
         calls, real = Counter(), language.print_term
@@ -744,38 +744,30 @@ class TestPrintOnce:
             return real(u)
 
         monkeypatch.setattr(language, "print_term", counted)
-        with language._PrintScope():
-            assert language.print_term(t) == references.print_term(t)
+        assert language.print_term(t) == references.print_term(t)
         assert (calls[id(s)], calls[id(s.items[0])]) == (3, 1)
         calls.clear()
-        language.print_term(t)  # no scope: every node in full
-        assert (calls[id(s)], calls[id(s.items[0])]) == (3, 3)
+        # the same object again: its kept text, and no text built below it
+        assert language.print_term(t) == references.print_term(t)
+        assert calls == Counter({id(t): 1})
 
-    def test_a_scope_inside_an_open_one_leaves_it_open(self):
-        with language._PrintScope():
-            memo = language._printing.memo
-            with language._PrintScope():
-                assert language._printing.memo is memo
-            assert language._printing.memo is memo
-        assert language._printing.memo is None
+    def test_decompose_right_chain_100_builds_each_list_terms_text_once(
+        self, monkeypatch, capsys
+    ):
+        # the work of one request, pinned: every print_term call, and the
+        # calls that build a list term's text; the chain has 100
+        # application nodes and 6 distinct identities, which the reader
+        # shares
+        counts, real = Counter(), language.print_term
 
-    def test_requests_share_no_memo(self, capsys):
-        for argv in (
-            ["decompose", "-g", LAMBDA_FILE, "-p", "(nt E)", "-t", "((λ x x) a)"],
-            ["decompose", "-g", LAMBDA_FILE, "-p", "(nt Q)", "-t", "a"],
-            ["trace", "-g", LAMBDA_FILE, "-t", "((λ x x) (λ y y))"],
-        ):
-            run(capsys, *argv)
-            assert language._printing.memo is None
+        def counted(u):
+            counts["calls"] += 1
+            counts["built"] += isinstance(u, ListTerm) and not hasattr(u, "_text")
+            return real(u)
 
-    def test_a_node_freed_between_two_scopes_does_not_leak_its_text(self):
-        # the memo keys by id, and a freed node's id may be reused: the
-        # scope empties its memo when its block exits, so no later scope
-        # can find a freed node's text
-        with language._PrintScope():
-            memo = language._printing.memo
-            assert language.print_term(ListTerm((Literal("a"), Literal("b")))) == "(a b)"
-            assert len(memo) == 1
-        assert memo == {} and language._printing.memo is None
-        with language._PrintScope():
-            assert language.print_term(ListTerm((Literal("c"),))) == "(c)"
+        monkeypatch.setattr(language, "print_term", counted)
+        monkeypatch.setattr(cli, "print_term", counted)
+        argv = ["decompose", "-g", LAMBDA_FILE, "-p", "(nt E)"]
+        code, out, _ = run(capsys, *argv, "-t", chain_source("right", 100))
+        assert (code, out.count("\n")) == (0, 201)
+        assert counts == Counter({"calls": 10_519, "built": 106})

@@ -1002,9 +1002,10 @@ class TestDepth:
         term = CtxTerm(tail)
         pattern = InHolePat(NamePat("x", ListPat((NtPat("e"),))), HOLE_PAT)
         template = InHoleTemplate(RefTemplate("x"), ListTemplate((RefTemplate("x"),)))
-        # fill the _hash slots
+        # fill the _hash slots, and the _text slot of items
         for obj in (items, term, pattern, template):
             hash(obj)
+        assert print_term(items) == "(a)"
         for obj in (
             items,
             term,

@@ -35,6 +35,7 @@ from redsem import (
     Trace,
     UnboundTemplateVariableError,
     new_grammar,
+    print_term,
 )
 from redsem._record import record
 from redsem.language import LanguageDef
@@ -273,6 +274,8 @@ def test_the_caches_outside_the_fields_still_work():
     t = ListTerm((A, B))
     object.__setattr__(t, "_hash", 3)
     assert hash(t) == 3 and t._hash == 3 and t == ListTerm((A, B))
+    object.__setattr__(t, "_text", "(kept)")
+    assert print_term(t) == "(kept)" and t == ListTerm((A, B))
     g = Grammar((Production("e", HOLE_PAT),))
     object.__setattr__(g, "_index", "cached")
     assert g.__dict__["_index"] == "cached" and g == Grammar(g.productions)

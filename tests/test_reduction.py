@@ -7,7 +7,6 @@ from collections import Counter
 
 import pytest
 
-import redsem.language as language
 import redsem.matching as matching
 import references
 from genterms import gen_case, gen_template, gen_template_bindings
@@ -426,19 +425,18 @@ class TestSession:
             assert session.memo == memo
         assert matching._open.session is None
 
-    def test_sessions_and_print_scopes_are_kept_per_thread(self, lam):
-        # another thread holds a session and a print scope open: this
-        # thread sees neither, and its own calls, which would add to that
-        # session's memo if they joined it, leave it as it is
+    def test_sessions_are_kept_per_thread(self, lam):
+        # another thread holds a session open: this thread does not see it,
+        # and its own calls, which would add to that session's memo if they
+        # joined it, leave it as it is
         g = lam.grammar
         opened, release = threading.Event(), threading.Event()
-        memos = []  # the other thread's session memo and print memo
+        memos = []  # the other thread's session memo
 
         def hold():
-            with _Session(g), language._PrintScope():
+            with _Session(g):
                 match_decompose(g, right_chain(3), NtPat("E"))
-                print_term(right_chain(3))
-                memos.extend((matching._open.session.memo, language._printing.memo))
+                memos.append(matching._open.session.memo)
                 opened.set()
                 release.wait()
 
@@ -448,12 +446,10 @@ class TestSession:
             assert opened.wait(timeout=60)
             before = [dict(memo) for memo in memos]
             assert matching._open.session is None
-            assert language._printing.memo is None
             t = right_chain(4)
             fresh = repr(match_decompose(g, t, NtPat("E")))
-            with _Session(g), language._PrintScope():
+            with _Session(g):
                 assert repr(match_decompose(g, t, NtPat("E"))) == fresh
-                print_term(t)
             assert memos == before and all(before)
         finally:
             release.set()

@@ -4,6 +4,7 @@ import pickle
 import random
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,7 @@ from redsem import (
     TailCtx,
     enumerate_decompositions,
     plug,
+    print_term,
 )
 from redsem.reduction import InHoleTemplate, ListTemplate
 from redsem.terms import compose, subpatterns
@@ -246,6 +248,12 @@ class TestCompose:
         c1, c2 = rnd_context(s1), rnd_context(s2)
         assert context_hole_count(compose(c1, c2)) == 1
 
+    def test_a_composition_that_erases_a_tail_path_is_refused(self):
+        # a tail context whose rest is the hole has no path to a hole
+        # inside a list: composing the hole into it would leave none
+        with pytest.raises(TypeError, match="erased the tail path"):
+            compose(TailCtx(A, HOLE), HOLE)
+
 
 class TestSubpatterns:
     def test_agrees_with_the_recursive_reference(self):
@@ -404,6 +412,69 @@ class TestHashCache:
         for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
             assert all(n._hash is None for n in cached_nodes(y))
             assert y == x and hash(y) == hash(x)
+
+
+def list_nodes(x):
+    """Every list term of x, in or out of its contexts."""
+    return [n for n in cached_nodes(x) if isinstance(n, ListTerm)]
+
+
+class TestTextCache:
+    # print_term keeps a list term's text in its _text slot
+    @given(seeds)
+    def test_cache_takes_no_part_in_eq_hash_or_repr(self, s):
+        x, twin = hash_sample("ListTerm", s), hash_sample("ListTerm", s)
+        assert print_term(x) == references.print_term(x)
+        assert all(hasattr(n, "_text") for n in list_nodes(x))
+        assert x == twin and hash(x) == hash(twin) and repr(x) == repr(twin)
+        object.__setattr__(x, "_text", "(kept)")
+        assert x == twin and twin == x and hash(x) == hash(twin)
+        assert repr(x) == repr(twin) and "kept" not in repr(x)
+
+    @given(seeds)
+    @settings(max_examples=30)
+    def test_pickle_and_deepcopy_drop_the_cache(self, s):
+        x = hash_sample("ListTerm", s)
+        text = print_term(x)
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert not any(hasattr(n, "_text") for n in list_nodes(y))
+            assert y == x and print_term(y) == text
+
+    @given(seeds)
+    def test_an_equal_but_distinct_node_builds_its_own_text(self, s):
+        x, twin = hash_sample("ListTerm", s), hash_sample("ListTerm", s)
+        text = print_term(x)
+        assert not any(hasattr(n, "_text") for n in list_nodes(twin))
+        assert print_term(twin) == text
+        assert all(hasattr(n, "_text") for n in list_nodes(twin))
+
+    def test_threads_printing_one_shared_node_get_the_same_bytes(self):
+        # four threads, more than the cores of a small host, print the same
+        # fresh chain, 100 nodes deep, at once and switch often; whichever
+        # keeps a node's text last, each reads the reference printer's bytes
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in (1, 2, 3):
+                t = rnd_term(seed)
+                for k in range(100):
+                    t = ListTerm((rnd_term(seed + k, 2), t))
+                start, got = threading.Barrier(4), []
+
+                def work():
+                    start.wait(timeout=60)
+                    got.append(print_term(t))
+
+                workers = [threading.Thread(target=work) for _ in range(4)]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=60)
+                    assert not w.is_alive()
+                assert got == [references.print_term(t)] * 4
+                assert print_term(t) == got[0]
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def test_a_value_pickled_under_one_hash_seed_is_found_under_another():
