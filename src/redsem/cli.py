@@ -20,10 +20,10 @@ from .language import (
     print_term,
     to_context,
 )
-from .matching import Bindings, decompose, matches
+from .matching import Bindings, ContextDecomposition, match_decompose
 from .oracle import oracle_decompose, oracle_match
 from .reduction import step, trace
-from .terms import plug
+from .terms import CtxTerm, plug
 
 EXIT_OK = 0
 EXIT_NO_MATCH = 1
@@ -73,57 +73,92 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _printed(r) -> tuple[str, dict]:
-    """A result's line and JSON object, built from one printing of each of
-    its terms and contexts.  A match result is a Bindings, a decomposition
-    result a (context, sub-term, bindings) triple."""
-    if isinstance(r, Bindings):
-        b, split = r, None
-    else:
-        c, sub, b = r
-        split = {"context": print_context(c), "subterm": print_term(sub)}
-    texts = {var: print_term(value) for var, value in b.entries}
-    line = _bindings_text(texts)
-    if split is not None:
-        line = (
-            f"(decomposition (context {split['context']}) "
-            f"(subterm {split['subterm']}) {line})"
-        )
-    return line, {"bindings": texts, "decomposition": split}
+def _printed(c, s, b: Bindings, texts: dict) -> tuple[str, tuple | None, bool]:
+    """A result's line; the texts of its context c and sub-term s, which
+    are None for a match; and whether b binds a `CtxTerm`.  Each Bindings
+    object is printed once: `texts` keeps its variables' texts, its text,
+    that flag and the object itself under its `id`, so that no other
+    object takes that id while the table lives."""
+    entry = texts.get(id(b))
+    if entry is None:
+        printed = {var: print_term(t) for var, t in b.entries}
+        by_value = any(isinstance(t, CtxTerm) for _, t in b.entries)
+        entry = texts[id(b)] = (printed, _bindings_text(printed), by_value, b)
+    _, line, by_value, _ = entry
+    if c is None:
+        return line, None, by_value
+    split = print_context(c), print_term(s)
+    line = f"(decomposition (context {split[0]}) (subterm {split[1]}) {line})"
+    return line, split, by_value
 
 
 def _cmd_query(args) -> int:
     """`match` and `decompose`: one printed line or JSON object per
-    deduplicated result, in the order of their lines."""
-    # looked up when the command runs, so the engine can be replaced; a
-    # wrapper per command would add a frame under every engine call
-    if args.command == "match":
-        engine_fn, oracle_fn = matches, oracle_match
-    else:
-        engine_fn, oracle_fn = decompose, oracle_decompose
+    distinct result, in the order of their lines.
+
+    One pass over `match_decompose`'s raw list prints each result once
+    and keeps the first result of each line, so no freshly composed
+    context is hashed.  A result that binds a `CtxTerm`, a context value
+    or the hole atom, is told apart by its value instead: the contexts
+    that `(hole X)` and `(X hole)` give both print `(hole hole)`.
+
+    On every other result of a parsed term the line is injective.  Its
+    bindings hold sub-terms of the input, whose only `CtxTerm` is the
+    hole atom, so they print injectively.  A split plugs back to the
+    input, and plugging a `CtxTerm` composes and yields a `CtxTerm`, so a
+    split never tears a context value out of a plain list: its sub-term
+    is the hole atom only in the bare-hole split of the input `hole`.
+    Two splits at different holes of one printed context would plug one
+    sub-term text in at two `hole` tokens and both give the input's
+    text; at the first of the two tokens one reading has `hole` and the
+    other the sub-term's first token, so the sub-term would be the hole
+    atom."""
     lang = load_language(args.grammar)
     pattern = parse_pattern(args.pattern)
     check_pattern_nonterminals(lang.grammar, pattern)
     term = parse_term(args.term)
 
-    engine = engine_fn(lang.grammar, term, pattern)
+    splits = args.command == "decompose"
+    texts: dict = {}
+    seen: set = set()  # the line, or the value, of each result kept
+    kept = []  # (line, split texts, context, sub-term, bindings) per result
+    c = s = None
+    for r in match_decompose(lang.grammar, term, pattern):
+        d, b = r.decomposition, r.bindings
+        if isinstance(d, ContextDecomposition) is not splits:
+            continue
+        if splits:
+            c, s = d.context, d.subterm
+        line, split, by_value = _printed(c, s, b, texts)
+        key = (c, s, b) if by_value else line
+        if key not in seen:
+            seen.add(key)
+            kept.append((line, split, c, s, b))
+
     if args.oracle:
+        engine = {(c, s, b) if splits else b for _, _, c, s, b in kept}
+        oracle_fn = oracle_decompose if splits else oracle_match
         oracle = oracle_fn(lang.grammar, term, pattern)
         if engine != oracle:
             sides = (("engine", engine - oracle), ("oracle", oracle - engine))
             for side, only in sides:
-                for text in sorted(_printed(r)[0] for r in only):
+                values = only if splits else ((None, None, b) for b in only)
+                for text in sorted(_printed(*v, texts)[0] for v in values):
                     print(f"only-{side}: {text}", file=sys.stderr)
             return EXIT_ORACLE_DISAGREEMENT
 
-    printed = sorted(map(_printed, engine), key=itemgetter(0))
+    kept.sort(key=itemgetter(0))
     if args.format == "json":
-        results = [obj for _, obj in printed]
+        results = []
+        for _, split, _, _, b in kept:
+            if split is not None:
+                split = {"context": split[0], "subterm": split[1]}
+            results.append({"bindings": texts[id(b)][0], "decomposition": split})
         print(json.dumps({"results": results}, sort_keys=True, ensure_ascii=False))
     else:
-        for line, _ in printed:
+        for line, *_ in kept:
             print(line)
-    return EXIT_OK if engine else EXIT_NO_MATCH
+    return EXIT_OK if kept else EXIT_NO_MATCH
 
 
 def _cmd_plug(args) -> int:

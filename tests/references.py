@@ -9,7 +9,10 @@ on terms and on Grammar values: the engine checks each edge against the
 fact of the rule that made it, and the tests check those edges against
 the order itself.  The recursive printer that prints every node in full
 is the reference for the CLI's printer, which prints each shared node
-once per request.  The recursive `to_context`, which counts the holes
+once per request.  `query_output`, which prints the value sets of
+`matches` and `decompose` sorted by line, is the reference for the
+CLI's one pass over the raw list, which tells results apart by their
+lines.  The recursive `to_context`, which counts the holes
 of each item again at every level, and the pairwise grouping of equal
 right-hand sides are the references for the engine's one-pass versions.
 The s-expression tree below, built from the engine's tokens, and the
@@ -21,6 +24,7 @@ with no shared matching session, and an `apply_rule` that dedupes by
 hand are the references for the reducer's one loop.
 """
 
+import json
 import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -48,6 +52,7 @@ from redsem import (
     TailCtx,
     TemplateContextError,
     UnboundTemplateVariableError,
+    decompose,
     matches,
     new_grammar,
     plug,
@@ -180,6 +185,33 @@ def _context_elements(lc):
     if isinstance(lc, HeadCtx):
         return [print_context(lc.hole_side)] + [print_term(t) for t in lc.tail]
     return [print_term(lc.head)] + _context_elements(lc.rest)
+
+
+def query_output(command, grammar, term, pattern, fmt):
+    """The stdout and exit code of `redsem match` or `decompose`: one line
+    or JSON object per distinct value that `matches` or `decompose`
+    returns, each printed in full, in the order of the lines."""
+    printed = []
+    for r in (matches if command == "match" else decompose)(grammar, term, pattern):
+        if command == "match":
+            b, split = r, None
+        else:
+            b = r[2]
+            split = {"context": print_context(r[0]), "subterm": print_term(r[1])}
+        texts = {var: print_term(value) for var, value in b.entries}
+        line = "(bindings" + "".join(f" ({v} {t})" for v, t in texts.items()) + ")"
+        if split is not None:
+            context, subterm = split["context"], split["subterm"]
+            line = f"(decomposition (context {context}) (subterm {subterm}) {line})"
+        printed.append((line, {"bindings": texts, "decomposition": split}))
+    printed.sort(key=lambda p: p[0])
+    if fmt == "json":
+        results = [obj for _, obj in printed]
+        out = json.dumps({"results": results}, sort_keys=True, ensure_ascii=False)
+        out += "\n"
+    else:
+        out = "".join(line + "\n" for line, _ in printed)
+    return out, 0 if printed else 1
 
 
 def count_holes(t):

@@ -1,7 +1,9 @@
 import contextlib
 import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -11,9 +13,28 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import redsem
 import references
+import test_matching
 from conftest import CORPUS_FILE, LAMBDA_FILE, LAMBDA_ND_FILE, LEFTREC_FILE
-from redsem import ListTerm, cli, language, parse_term
+from genterms import gen_case
+from redsem import (
+    CtxTerm,
+    EmptyDecomposition,
+    HeadCtx,
+    InHolePat,
+    ListPat,
+    ListTerm,
+    NamePat,
+    TailCtx,
+    cli,
+    language,
+    load_language,
+    matching,
+    parse_pattern,
+    parse_term,
+    print_bindings,
+)
 from redsem.cli import run_cli
+from redsem.language import print_pattern
 from references import Atom, SList, parse_sexprs, print_sexpr
 
 
@@ -270,6 +291,22 @@ class TestDeepInput:
             assert len(proc.stderr.splitlines()) == 1
             assert proc.stderr.startswith("error: ")
 
+    def test_decompose_right_chain_300_answers(self):
+        # the CLI hashes no split: the printer's recursion sets the depth
+        source, answers = right_chain(300)
+        src = os.path.dirname(os.path.dirname(redsem.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "redsem.cli", "decompose", "-g", LAMBDA_FILE]
+            + ["-p", "(nt E)", "-t", source],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines() == answers["(nt E)"]
+        assert len(answers["(nt E)"]) == 601
+
     @pytest.mark.parametrize("n", [600, 3000])
     @pytest.mark.parametrize("shape", ["right", "left"])
     def test_chains_are_read_and_matched_at_any_depth(self, capsys, shape, n):
@@ -452,7 +489,7 @@ class TestOracleMode:
     def test_disagreement_exits_3(self, capsys, monkeypatch):
         import redsem.cli as cli
 
-        monkeypatch.setattr(cli, "matches", lambda *a, **k: set())
+        monkeypatch.setattr(cli, "match_decompose", lambda *a, **k: [])
         code, out, err = run(
             capsys,
             "match",
@@ -466,6 +503,28 @@ class TestOracleMode:
         )
         assert code == 3
         assert "only-oracle:" in err
+
+    def test_a_dropped_twin_context_exits_3(self, capsys, monkeypatch, tmp_path):
+        # the engine loses one of two distinct results that print alike:
+        # the check compares values, so the loss shows
+        path = tmp_path / "holes.sexp"
+        path.write_text(HOLES, encoding="utf-8")
+        real = cli.match_decompose
+
+        def drop_one(*args, **kwargs):
+            results = real(*args, **kwargs)
+            twins = [
+                r.bindings
+                for r in results
+                if isinstance(r.decomposition, EmptyDecomposition)
+                and print_bindings(r.bindings) == TWIN
+            ]
+            assert len(set(twins)) == 2
+            return [r for r in results if r.bindings != twins[0]]
+
+        monkeypatch.setattr(cli, "match_decompose", drop_one)
+        argv = ["match", "-g", str(path), "-p", HOLES_PATTERN, "-t", HOLES_TERM]
+        assert run(capsys, *argv, "--oracle") == (3, "", f"only-oracle: {TWIN}\n")
 
 
 LONG = "9" * 5000  # past CPython's limit on the digits int() converts
@@ -717,7 +776,9 @@ class TestPrintOnce:
         for n in range(65):
             argv = ["decompose", "-g", LAMBDA_FILE, "-p", "(nt E)"]
             argv += ["-t", chain_source(shape, n)]
-            _, out, _ = self.both_printers(monkeypatch, capsys, "decompose", argv)
+            _, out, _ = self.both_printers(
+                monkeypatch, capsys, "match_decompose", argv
+            )
             splits = 2 * n + 1 if shape == "right" else n + 2 if n else 1
             assert out.count("\n") == splits
 
@@ -751,13 +812,14 @@ class TestPrintOnce:
         assert language.print_term(t) == references.print_term(t)
         assert calls == Counter({id(t): 1})
 
+    @pytest.mark.parametrize("fmt", ["sexpr", "json"])
     def test_decompose_right_chain_100_builds_each_list_terms_text_once(
-        self, monkeypatch, capsys
+        self, monkeypatch, capsys, fmt
     ):
         # the work of one request, pinned: every print_term call, and the
         # calls that build a list term's text; the chain has 100
         # application nodes and 6 distinct identities, which the reader
-        # shares
+        # shares.  A JSON object reuses the texts of its result's line.
         counts, real = Counter(), language.print_term
 
         def counted(u):
@@ -767,7 +829,135 @@ class TestPrintOnce:
 
         monkeypatch.setattr(language, "print_term", counted)
         monkeypatch.setattr(cli, "print_term", counted)
+        argv = ["decompose", "-g", LAMBDA_FILE, "-p", "(nt E)", "--format", fmt]
+        code, out, _ = run(capsys, *argv, "-t", chain_source("right", 100))
+        results = len(json.loads(out)["results"]) if fmt == "json" else out.count("\n")
+        assert (code, results) == (0, 201)
+        assert counts == Counter({"calls": 10_519, "built": 106})
+
+    def test_decompose_right_chain_100_hashes_no_context(self, monkeypatch, capsys):
+        # the splits are told apart by their lines, so no freshly composed
+        # context is hashed
+        calls = Counter()
+        for cls in (HeadCtx, TailCtx):
+
+            def counted(self, real=cls.__hash__, name=cls.__name__):
+                calls[name] += 1
+                return real(self)
+
+            monkeypatch.setattr(cls, "__hash__", counted)
         argv = ["decompose", "-g", LAMBDA_FILE, "-p", "(nt E)"]
         code, out, _ = run(capsys, *argv, "-t", chain_source("right", 100))
         assert (code, out.count("\n")) == (0, 201)
-        assert counts == Counter({"calls": 10_519, "built": 106})
+        assert calls == Counter()
+        # the count sees a hash
+        hash(language.to_context(parse_term("(a hole)")))
+        assert calls == Counter({"TailCtx": 1, "HeadCtx": 1})
+
+
+# two distinct context values, (hole X) and (X hole) with their X made the
+# hole, that print alike: `(hole hole)`
+HOLES = (
+    "(define-language l (any hole a b X ((nt any) (nt any)))"
+    " (C hole ((nt any) (nt C)) ((nt C) (nt any))))"
+)
+HOLES_PATTERN = "(in-hole (nt C) (in-hole (name x (nt C)) X))"
+HOLES_TERM = "((hole X) (X hole))"
+TWIN = "(bindings (x (hole hole)))"
+
+
+def named_contexts(p, names):
+    """p with the context side of each in-hole named, k0, k1, ... in turn,
+    so that its results bind context values."""
+    if isinstance(p, ListPat):
+        return ListPat(tuple(named_contexts(q, names) for q in p.items))
+    if isinstance(p, NamePat):
+        return NamePat(p.var, named_contexts(p.pattern, names))
+    if isinstance(p, InHolePat):
+        context = NamePat(f"k{next(names)}", named_contexts(p.context_pat, names))
+        return InHolePat(context, named_contexts(p.hole_pat, names))
+    return p
+
+
+def language_source(g):
+    """A language file that defines the grammar g."""
+    rows = {}
+    for prod in g.productions:
+        rows.setdefault(prod.nonterminal, []).append(print_pattern(prod.pattern))
+    clauses = " ".join(f"({nt} {' '.join(rhss)})" for nt, rhss in rows.items())
+    return f"(define-language g {clauses})"
+
+
+class TestQueryOutput:
+    """`match` and `decompose` print one line per distinct result, found
+    through the lines: the bytes and exit code are those of
+    `references.query_output`, which prints the engine's value sets.  The
+    generated cases' terms hold hole atoms, and their in-hole contexts are
+    named, so that results bind context values."""
+
+    def same_as_reference(self, monkeypatch, capsys, path, pattern, term):
+        """Check both commands in both formats against the reference, and
+        return the engine's raw list, whose one run serves all four."""
+        lang = load_language(path)
+        t, p = parse_term(term), parse_pattern(pattern)
+        raw = matching.match_decompose(lang.grammar, t, p)
+        with monkeypatch.context() as m:
+            m.setattr(matching, "match_decompose", lambda *a, **k: raw)
+            m.setattr(cli, "match_decompose", lambda *a, **k: raw)
+            requests = itertools.product(("match", "decompose"), ("sexpr", "json"))
+            for command, fmt in requests:
+                want = references.query_output(command, lang.grammar, t, p, fmt)
+                argv = ["-g", path, "-p", pattern, "-t", term, "--format", fmt]
+                code, out, err = run(capsys, command, *argv)
+                assert (out, code, err) == (*want, ""), (command, fmt, pattern, term)
+        return raw
+
+    @pytest.mark.parametrize(
+        "pattern",
+        list(test_matching.CHAIN_PATTERNS.values())
+        + list(test_matching.TestExactPruning.NESTED),
+    )
+    def test_chains_0_to_64(self, monkeypatch, capsys, pattern):
+        for shape, n in itertools.product(("right", "left"), range(65)):
+            term = chain_source(shape, n)
+            self.same_as_reference(monkeypatch, capsys, LAMBDA_FILE, pattern, term)
+
+    def test_generated_cases_with_hole_atoms(self, monkeypatch, capsys, tmp_path):
+        path = str(tmp_path / "case.sexp")
+        rng, cases, by_value = random.Random(31), 0, 0
+        while cases < 1000:
+            g, t, p = gen_case(rng)
+            term = language.print_term(t)
+            if "hole" not in term:
+                continue
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(language_source(g))
+            pattern = print_pattern(named_contexts(p, itertools.count()))
+            raw = self.same_as_reference(monkeypatch, capsys, path, pattern, term)
+            by_value += any(
+                isinstance(value, CtxTerm) for r in raw for _, value in r.bindings
+            )
+            cases += 1
+        # cases whose results bind a context value or the hole atom
+        assert by_value >= 100
+
+    def test_the_text_table_keeps_each_bindings_it_printed(self):
+        # texts are found by id: a Bindings freed while the table lives
+        # could hand its id, and so its text, to a later one, such as an
+        # oracle result printed after the raw list is gone
+        texts = {}
+        b = matching.Bindings((("x", parse_term("(a b)")),))
+        line = "(bindings (x (a b)))"
+        assert cli._printed(None, None, b, texts) == (line, None, False)
+        ident = id(b)
+        del b
+        assert id(texts[ident][-1]) == ident
+
+    def test_twin_contexts_print_twice(self, monkeypatch, capsys, tmp_path):
+        path = tmp_path / "holes.sexp"
+        path.write_text(HOLES, encoding="utf-8")
+        argv = ["match", "-g", str(path), "-p", HOLES_PATTERN, "-t", HOLES_TERM]
+        code, out, err = run(capsys, *argv)
+        assert (code, err, out.splitlines().count(TWIN)) == (0, "", 2)
+        argv = (str(path), HOLES_PATTERN, HOLES_TERM)
+        self.same_as_reference(monkeypatch, capsys, *argv)
