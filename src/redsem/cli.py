@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
+import threading
 from operator import itemgetter
 
 from .errors import EngineError
@@ -92,6 +94,12 @@ def _printed(c, s, b: Bindings, texts: dict) -> tuple[str, tuple | None, bool]:
     return line, split, by_value
 
 
+def _write(lines) -> None:
+    """Write each line to stdout in one piece, after the last is built:
+    a request that fails while building them writes nothing."""
+    sys.stdout.write("".join(line + "\n" for line in lines))
+
+
 def _cmd_query(args) -> int:
     """`match` and `decompose`: one printed line or JSON object per
     distinct result, in the order of their lines.
@@ -156,8 +164,7 @@ def _cmd_query(args) -> int:
             results.append({"bindings": texts[id(b)][0], "decomposition": split})
         print(json.dumps({"results": results}, sort_keys=True, ensure_ascii=False))
     else:
-        for line, *_ in kept:
-            print(line)
+        _write(line for line, *_ in kept)
     return EXIT_OK if kept else EXIT_NO_MATCH
 
 
@@ -171,8 +178,10 @@ def _cmd_plug(args) -> int:
 def _cmd_reduce(args) -> int:
     lang = load_language(args.grammar)
     term = parse_term(args.term)
+    lines = []
     for rule_name, reduct in step(lang.grammar, list(lang.rules), term):
-        print(f"({rule_name} {print_term(reduct)})")
+        lines.append(f"({rule_name} {print_term(reduct)})")
+    _write(lines)
     return EXIT_OK
 
 
@@ -183,10 +192,12 @@ def _cmd_trace(args) -> int:
     lang = load_language(args.grammar)
     term = parse_term(args.term)
     tr = trace(lang.grammar, list(lang.rules), term, args.max_steps)
+    lines = []
     for i, (node, status) in enumerate(zip(tr.nodes, tr.statuses)):
-        print(f"(node {i} {print_term(node)} {status})")
+        lines.append(f"(node {i} {print_term(node)} {status})")
     for src, rule_name, dst in tr.edges:
-        print(f"(edge {src} {rule_name} {dst})")
+        lines.append(f"(edge {src} {rule_name} {dst})")
+    _write(lines)
     return EXIT_OK
 
 
@@ -194,11 +205,10 @@ def _cmd_check_grammar(args) -> int:
     lang = load_language(args.grammar)
     cycle = find_left_recursion(lang.grammar)
     if cycle is None:
-        print("not-left-recursive")
+        _write(["not-left-recursive"])
     else:
-        print("left-recursive")
         path = " -> ".join(print_pattern(p) for p in cycle + (cycle[0],))
-        print(f"witness: {path}")
+        _write(["left-recursive", f"witness: {path}"])
     return EXIT_OK
 
 
@@ -212,25 +222,73 @@ _COMMANDS = {
 }
 
 
+class _CollectorPause:
+    """Keeps the cyclic garbage collector off while requests are in
+    flight, and turns it back on after the last if it was on before the
+    first.  The count is kept under a lock: if each request saved and
+    restored the setting it saw, one that began while another had the
+    collector off would save "off" and could leave it off for good."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.resume = False
+
+    def __enter__(self):
+        with self.lock:
+            if not self.in_flight:
+                self.resume = gc.isenabled()
+                gc.disable()
+            self.in_flight += 1
+
+    def __exit__(self, *exc_info):
+        with self.lock:
+            self.in_flight -= 1
+            if not self.in_flight and self.resume:
+                gc.enable()
+
+
+_PAUSE = _CollectorPause()
+
+
 def run_cli(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_INPUT_ERROR if e.code else EXIT_OK
-    try:
-        return _COMMANDS[args.command](args)
-    # UnicodeEncodeError: the output has a character stdout cannot encode
-    except (EngineError, OSError, UnicodeEncodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    # the term layer and the oracle still recurse on the Python stack
-    except RecursionError:
-        print("error: input nested too deeply for this interpreter", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    """Run one request; return its exit code.
+
+    The cyclic garbage collector is off while the request runs, and is
+    turned back on when it returns or raises if it was on when it began.
+    A request builds no reference cycles outside argparse's parser, so
+    everything else it allocates is freed by reference counting, and the
+    collections that its allocations would trigger, about 45 during
+    `decompose -p '(nt E)'` on right chain 100, free nothing.  With the
+    pause none runs during the request; the parser's cycles are left to
+    the next collection after it.  Requests that overlap in threads
+    share one pause, which ends with the last of them.  A request can
+    still see the collector on mid-request, if code in another thread
+    turns it on; that costs only time.  Library calls (`match_decompose`,
+    `trace`, the oracle) do not pause: they run under the caller's
+    settings.
+    """
+    with _PAUSE:
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as e:
+            return EXIT_INPUT_ERROR if e.code else EXIT_OK
+        try:
+            return _COMMANDS[args.command](args)
+        # UnicodeEncodeError: the output has a character stdout cannot encode
+        except (EngineError, OSError, UnicodeEncodeError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+        # the term layer and the oracle still recurse on the Python stack
+        except RecursionError:
+            print(
+                "error: input nested too deeply for this interpreter", file=sys.stderr
+            )
+            return EXIT_INPUT_ERROR
+        except MemoryError:
+            print("error: out of memory", file=sys.stderr)
+            return EXIT_INPUT_ERROR
 
 
 def main() -> None:

@@ -181,14 +181,20 @@ def plug(c: Context, t: Term) -> Term:
 def compose(outer: Context, inner: Context) -> Context:
     """Replace outer's hole with inner.
 
-    Satisfies plug(compose(c1, c2), t) == plug(c1, plug(c2, t)).
+    Satisfies plug(compose(c1, c2), t) == plug(c1, plug(c2, t)).  Walks
+    outer's hole path once, then rebuilds it bottom-up around inner.
     """
-    if isinstance(outer, Hole):
-        return inner
-    if isinstance(outer, HeadCtx):
-        return HeadCtx(compose(outer.hole_side, inner), outer.tail)
-    rest = compose(outer.rest, inner)
-    if isinstance(rest, Hole):
+    path = []
+    while not isinstance(outer, Hole):
+        path.append(outer)
+        outer = outer.hole_side if isinstance(outer, HeadCtx) else outer.rest
+    # only the innermost level can be a tail context whose rest is the hole
+    if path and isinstance(inner, Hole) and not isinstance(path[-1], HeadCtx):
         raise TypeError("composition erased the tail path of a context")
-    return TailCtx(outer.head, rest)
-
+    c = inner
+    for node in reversed(path):
+        if isinstance(node, HeadCtx):
+            c = HeadCtx(c, node.tail)
+        else:
+            c = TailCtx(node.head, c)
+    return c

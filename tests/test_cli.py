@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import itertools
 import json
@@ -6,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import redsem
 import references
 import test_matching
-from conftest import CORPUS_FILE, LAMBDA_FILE, LAMBDA_ND_FILE, LEFTREC_FILE
+from conftest import CORPUS_FILE, FIXTURES, LAMBDA_FILE, LAMBDA_ND_FILE, LEFTREC_FILE
 from genterms import gen_case
 from redsem import (
     CtxTerm,
@@ -382,14 +384,15 @@ class TestCheckGrammar:
         assert run(capsys, "match", *argv) == (0, "(bindings)\n", "")
 
     # a left-recursive production as deep gets past the analyses, but its
-    # witness is printed recursively: one line, never a traceback
+    # witness is printed recursively: one line, never a traceback, and no
+    # partial answer on stdout
     def test_deep_left_recursive_production_exits_2(self, capsys, tmp_path):
         n = 3000
         deep = tmp_path / "left.sexp"
         rhs = "(in-hole hole " * n + "(nt e)" + ")" * n
         deep.write_text(f"(define-language l (e a {rhs}))", encoding="utf-8")
-        code, _, err = run(capsys, "check-grammar", "-g", str(deep))
-        assert code == 2
+        code, out, err = run(capsys, "check-grammar", "-g", str(deep))
+        assert (code, out) == (2, "")
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "Traceback" not in err
 
@@ -452,6 +455,26 @@ class TestReduceAndTrace:
         )
         code, out, err = run(capsys, "reduce", "-g", str(lang), "-t", "(a a)")
         assert (code, out, err) == (0, "(r ((b hole) a))\n(r (a (b hole)))\n", "")
+
+    def test_a_reduct_too_deep_to_print_leaves_no_partial_answer(
+        self, capsys, tmp_path
+    ):
+        # rule a's reduct prints; rule b's, one level deeper than the term,
+        # is past the printer's recursion on every supported Python: exit 2
+        # writes no line of stdout
+        lang = tmp_path / "deep.sexp"
+        lang.write_text(
+            "(define-language l (e z ((nt e) z)))\n"
+            "(rule a (name t (nt e)) z)\n"
+            "(rule b (name t (nt e)) ((ref t) z))",
+            encoding="utf-8",
+        )
+        shallow = run(capsys, "reduce", "-g", str(lang), "-t", "((z z) z)")
+        assert shallow == (0, "(a z)\n(b (((z z) z) z))\n", "")
+        term = "(" * 600 + "z" + " z)" * 600
+        code, out, err = run(capsys, "reduce", "-g", str(lang), "-t", term)
+        assert (code, out) == (2, "")
+        assert err == "error: input nested too deeply for this interpreter\n"
 
     def test_trace_rejects_negative_max_steps(self, capsys):
         argv = ("trace", "-g", LAMBDA_FILE, "-t", "((λ x x) (λ y y))", "--max-steps")
@@ -594,6 +617,8 @@ class TestDiagnostics:
         err = capsys.readouterr().err
         assert code == 2 and err.count("\n") == 1
         assert err.startswith("error: 'ascii' codec can't encode character '\\u03bb'")
+        stdout.flush()
+        assert stdout.buffer.getvalue() == b""
 
 
 def weighted(*choices):
@@ -745,6 +770,174 @@ def tree_source(depth: int) -> str:
     while len(items) > 1:
         items = [f"({a} {b})" for a, b in zip(items[::2], items[1::2])]
     return items[0]
+
+
+def raise_interrupt(args):
+    assert not gc.isenabled()
+    raise KeyboardInterrupt
+
+
+# one request per command and exit path: its argv, its exit code or the
+# exception that escapes run_cli, and the names of cli it patches
+PATHS = {
+    "match-0": (("match", "-g", LAMBDA_FILE, "-p", "(nt v)", "-t", "(λ x x)"), 0),
+    "match-1": (("match", "-g", LAMBDA_FILE, "-p", "(nt v)", "-t", "a"), 1),
+    "json": (
+        ("decompose", "-g", LAMBDA_FILE, "-p", "(nt E)", "-t", "((λ x x) a)")
+        + ("--format", "json"),
+        0,
+    ),
+    "oracle-0": (
+        ("match", "-g", LAMBDA_FILE, "-p", "(nt e)", "-t", "(λ x x)", "--oracle"),
+        0,
+    ),
+    "oracle-3": (
+        ("match", "-g", LAMBDA_FILE, "-p", "(nt v)", "-t", "(λ x x)", "--oracle"),
+        3,
+        {"match_decompose": lambda *a, **k: []},
+    ),
+    "parse-error": (("match", "-g", LAMBDA_FILE, "-p", "(nt e", "-t", "a"), 2),
+    "undefined-nt": (("match", "-g", LAMBDA_FILE, "-p", "(nt zz)", "-t", "a"), 2),
+    "missing-file": (("check-grammar", "-g", os.path.join(FIXTURES, "none.sexp")), 2),
+    "recursion": (
+        ("decompose", "-g", LAMBDA_FILE, "-p", "(nt E)")
+        + ("-t", chain_source("right", 600)),
+        2,
+    ),
+    "plug": (("plug", "-c", "(hole b)", "-t", "a"), 0),
+    "reduce": (("reduce", "-g", LAMBDA_FILE, "-t", "((λ x x) (λ y y))"), 0),
+    "trace": (("trace", "-g", LAMBDA_ND_FILE, "-t", "((λ x x) (λ y y))"), 0),
+    "check-grammar": (("check-grammar", "-g", LEFTREC_FILE), 0),
+    "interrupt": (
+        ("plug", "-c", "hole", "-t", "a"),
+        KeyboardInterrupt,
+        {"_COMMANDS": {"plug": raise_interrupt}},
+    ),
+    "help": (("match", "--help"), 0),
+    "usage": (("frobnicate",), 2),
+}
+ARGPARSE_EXITS = ("help", "usage")
+
+
+class ThreadStreams(io.TextIOBase):
+    """A text stream that keeps what each thread writes apart."""
+
+    def __init__(self):
+        self.parts = {}
+
+    def write(self, text):
+        self.parts.setdefault(threading.get_ident(), []).append(text)
+        return len(text)
+
+    def take(self):
+        return "".join(self.parts.pop(threading.get_ident(), ()))
+
+
+class TestCollectorPause:
+    """`run_cli` keeps the cyclic collector off while a request runs and
+    gives the caller back its own setting on every exit."""
+
+    def request(self, monkeypatch, name):
+        argv, code, *patches = PATHS[name]
+        for patch in patches:
+            for attr, value in patch.items():
+                monkeypatch.setattr(cli, attr, value)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            if code is KeyboardInterrupt:
+                with pytest.raises(KeyboardInterrupt):
+                    run_cli(list(argv))
+            else:
+                assert run_cli(list(argv)) == code
+
+    def test_no_collection_during_a_large_request(self, capsys):
+        source, answers = right_chain(100)
+        argv = ["decompose", "-g", LAMBDA_FILE, "-p", "(nt E)", "-t", source]
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.collect()  # no collection falls due on entry to run_cli
+        gc.callbacks.append(count)
+        try:
+            code = run_cli(argv)
+            collections = len(starts)
+        finally:
+            gc.callbacks.remove(count)
+        assert (code, collections) == (0, 0)
+        assert capsys.readouterr().out.splitlines() == answers["(nt E)"]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("name", PATHS)
+    def test_the_callers_setting_is_restored(self, monkeypatch, name, enabled):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            self.request(monkeypatch, name)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    def test_a_request_leaves_only_the_parsers_cycles(self, monkeypatch):
+        # the same garbage as a bare parser build, measured here so that
+        # the count carries across Python versions; argparse's own exits
+        # print usage and are left out
+        gc.disable()
+        try:
+            gc.collect()
+            cli._build_parser()
+            parser_only = gc.collect()
+            assert parser_only > 0
+            left = {}
+            for name in PATHS:
+                if name not in ARGPARSE_EXITS:
+                    with monkeypatch.context() as patched:
+                        self.request(patched, name)
+                    left[name] = gc.collect()
+            assert left == dict.fromkeys(left, parser_only)
+        finally:
+            gc.enable()
+
+    def test_threads_get_the_bytes_of_serial_runs(self, monkeypatch):
+        # four threads, 20 requests each, over match, decompose and trace
+        requests = [
+            ["match", "-g", LAMBDA_FILE, "-p", REDEX, "-t", right_chain(16)[0]],
+            ["decompose", "-g", LAMBDA_FILE, "-p", "(nt E)"]
+            + ["-t", chain_source("left", 16)],
+            ["trace", "-g", LAMBDA_ND_FILE, "-t", tree_source(2)],
+        ]
+        out, err = ThreadStreams(), ThreadStreams()
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+
+        def answer(argv):
+            code = run_cli(argv)
+            return code, out.take(), err.take()
+
+        serial = [answer(argv) for argv in requests]
+        assert [code for code, *_ in serial] == [0, 0, 0]
+        start, got = threading.Barrier(4), {}
+
+        def work(k):
+            start.wait(timeout=60)
+            got[k] = [answer(requests[(k + i) % 3]) for i in range(20)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+                assert not w.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert gc.isenabled()
+        for k in range(4):
+            assert got[k] == [serial[(k + i) % 3] for i in range(20)]
 
 
 class TestPrintOnce:

@@ -248,6 +248,35 @@ class TestCompose:
         c1, c2 = rnd_context(s1), rnd_context(s2)
         assert context_hole_count(compose(c1, c2)) == 1
 
+    @pytest.mark.parametrize("shape", ["head", "alternating"])
+    def test_contexts_5_000_deep(self, shape):
+        # compose keeps the hole path on the heap; the result is checked
+        # by an iterative walk, since == and repr still recurse
+        n = 5_000
+
+        def deep():
+            c = HOLE
+            for i in range(n):
+                if shape == "alternating" and i % 2:
+                    c = TailCtx(A, HeadCtx(c, (B,)))
+                else:
+                    c = HeadCtx(c, (C,))
+            return c
+
+        outer, inner = deep(), deep()
+        assert compose(HOLE, inner) is inner
+        for c2 in (HOLE, inner):
+            got, old = compose(outer, c2), outer
+            while old is not HOLE:
+                assert type(got) is type(old)
+                if isinstance(old, HeadCtx):
+                    assert got.tail is old.tail
+                    got, old = got.hole_side, old.hole_side
+                else:
+                    assert got.head is old.head
+                    got, old = got.rest, old.rest
+            assert got is c2
+
     def test_a_composition_that_erases_a_tail_path_is_refused(self):
         # a tail context whose rest is the hole has no path to a hole
         # inside a list: composing the hole into it would leave none
