@@ -342,9 +342,11 @@ class _Session:
         # (id(term), non-terminal, mask & reads, id(filter) or None) ->
         # (term, filter, results), each result a `Result` tuple
         self.memo: dict[tuple, tuple[Term, Pattern | None, list[Result]]] = {}
-        # (id(term), id(filter)) -> (term, filter, keep); keep is True while
-        # the query is being answered
-        self.queries: dict[tuple[int, int], tuple[Term, Pattern, bool]] = {}
+        # (id(term), id(filter)) -> (term, filter, results): the query's
+        # results, or None while the query is being answered
+        self.queries: dict[
+            tuple[int, int], tuple[Term, Pattern, list[Result] | None]
+        ] = {}
 
     def __enter__(self) -> None:
         if _open.session is None:
@@ -431,12 +433,24 @@ def match_decompose(
     results under a sub-grammar are among the results under the grammar.
     Hence the raw result list, order and duplicates included, is the one
     the unfiltered judgment gives.  Each query is answered once per
-    session and memoized under (term object, filter object).  A query
-    re-entered while it is still being answered answers "keep", which is
-    always sound; so each query is entered at most once per session, the
-    tuple order bounds the recursion between queries, and matching
-    terminates on every grammar.  Queries are fresh roots, not steps of
-    the judgment: the debug checks apply to every step inside them.
+    session and its results are memoized under (term object, filter
+    object).  A query re-entered while it is still being answered answers
+    "keep", which is always sound; so each query is entered at most once
+    per session, the tuple order bounds the recursion between queries, and
+    matching terminates on every grammar.  Queries are fresh roots, not
+    steps of the judgment: the debug checks apply to every step inside
+    them.
+
+    A split (c, u) that a context side yields under its hole pattern H
+    carries the sub-term of a hole leaf that asked the query (u, H).  The
+    in-hole rule's hole side ev(u, H, m, f) is that query's subproblem
+    ev(u, H, full, None) when f is None and m is the full grammar, which
+    a `current` grammar's mask never is.  Then, if the query is answered,
+    the rule reads the query's results and makes no edge; otherwise it
+    derives the hole side.  The two give the same raw list (see
+    *Sharing*), the query's steps were checked when they were derived, and
+    each split the rule builds from the results is checked where it is
+    built.
 
     *Sharing.*  A later call may answer from the memo and the queries an
     earlier call of its session left, and its raw list is still the one a
@@ -458,6 +472,12 @@ def match_decompose(
       derivation gives.  Every edge of a new derivation is still checked,
       and each subproblem's splits are checked once per session, where
       they are built.
+    - A query's results are the raw list a fresh derivation of its
+      subproblem gives: the query starts with no filter, so every filter
+      inside it is set by an in-hole pattern inside it, which by the
+      second point drops each split that a re-entered query kept.  So an
+      in-hole hole side that reads them gets the raw list its own
+      derivation, in the same session, gives.
     - The identity keys also meet equal sub-terms of one input:
       `parse_term` reads one object per distinct sub-term, so a
       subproblem on a sub-term that recurs in the input is solved and
@@ -546,10 +566,10 @@ def match_decompose(
                 key = (id(t), id(filt))
                 if key not in queries:
                     # a re-entered query finds this entry and keeps the split
-                    queries[key] = (t, filt, True)
-                    found = yield t, filt, full, None, None
-                    queries[key] = (t, filt, bool(found))
-                keep = queries[key][2]
+                    queries[key] = (t, filt, None)
+                    queries[key] = (t, filt, (yield t, filt, full, None, None))
+                found = queries[key][2]
+                keep = found is None or bool(found)
             results = [(HOLE, t, EMPTY_BINDINGS)] if keep else []
             if t == HOLE_TERM:
                 results.append(MATCH)
@@ -596,9 +616,16 @@ def match_decompose(
                 c, u, b = split
                 if c is None:
                     continue
-                # a bare-hole context consumed no input
+                # a bare-hole context consumed no input; a hole side that is
+                # an answered filter query's subproblem reads its results
                 m_hole = mask if isinstance(c, Hole) else orig
-                for rh in (yield u, p.hole_pat, m_hole, filt, split):
+                query = None
+                if filt is None and m_hole == full:
+                    query = queries.get((id(u), id(p.hole_pat)))
+                found = query and query[2]
+                if found is None:
+                    found = yield u, p.hole_pat, m_hole, filt, split
+                for rh in found:
                     merged = bindings_union(b, rh[2])
                     if merged is None:
                         continue

@@ -43,6 +43,7 @@ from redsem import (
     plug,
     print_term,
     remove_prod,
+    trace,
 )
 from redsem.matching import (
     EMPTY_BINDINGS,
@@ -469,6 +470,14 @@ def unshared_right_chain(n):
     """right_chain(n) with one object per node, as the recursive reference
     converter reads it: its equal sub-terms are not the same object."""
     return sexpr_term(parse_sexpr(right_chain_src(n)))
+
+
+def balanced_tree_src(depth):
+    """A complete application tree of 2**depth identity functions."""
+    leaves = [f"(λ {v} {v})" for v in ("xyzwfg"[i % 6] for i in range(2**depth))]
+    while len(leaves) > 1:
+        leaves = [f"({a} {b})" for a, b in zip(leaves[::2], leaves[1::2])]
+    return leaves[0]
 
 
 def left_chain(n):
@@ -1088,6 +1097,156 @@ class TestHoleDirected:
             assert set(match_decompose(g, t, p, smaller)) <= under_full
 
 
+def count_hole_sides(monkeypatch):
+    """Record the in-hole hole-side edges that the order check sees, the
+    edges whose fact is the context side's split tuple, each as its
+    (t_next, p_next, m_next, t_prev, p_prev, m_prev)."""
+    import redsem.matching as matching
+
+    real, made = matching.mask_order_decreases, []
+
+    def counted(index, fact, *edge):
+        if type(fact) is tuple:
+            made.append(edge)
+        return real(index, fact, *edge)
+
+    monkeypatch.setattr(matching, "mask_order_decreases", counted)
+    return made
+
+
+def agrees_with_oracle(g, t, p, current=None):
+    return matches(g, t, p, current=current) == oracle_match(g, t, p, current) and decompose(
+        g, t, p, current=current
+    ) == oracle_decompose(g, t, p, current)
+
+
+class TestHoleSideReuse:
+    """The in-hole rule reads its hole side from the results of the filter
+    query that derived it when the hole side is that query's subproblem:
+    the same term object and hole pattern object, no inherited filter,
+    the full grammar and a finished query.  Elsewhere it makes the edge
+    and derives the hole side, as before."""
+
+    # the redex pattern and a current grammar on right chains 4 and 16,
+    # each read with one object per node and as parse_term reads it; the
+    # oracle takes seconds on chain 16, so it checks chain 4
+    CHAINS = (
+        (unshared_right_chain(4), True),
+        (right_chain(4), True),
+        (unshared_right_chain(16), False),
+        (right_chain(16), False),
+    )
+
+    def test_redex_hole_side_is_read(self, lam, monkeypatch):
+        # 1 hole-side edge on each chain before the reuse
+        made = count_hole_sides(monkeypatch)
+        p = parse_pattern(CHAIN_PATTERNS["redex"])
+        for t, oracle in self.CHAINS:
+            got = match_decompose(lam.grammar, t, p, debug=True)
+            assert len(got) == 1 and made == []
+            assert not oracle or agrees_with_oracle(lam.grammar, t, p)
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_each_call_of_a_trace_reads_its_hole_sides(self, lam_nd, monkeypatch, depth):
+        # the 26 calls of the depth-3 trace made 4, 3, ..., 1, 0 hole-side
+        # edges before the reuse.  The trace reads only the pure matches;
+        # decompositions are checked on the depth-2 trace, as the oracle
+        # takes seconds on the depth-3 terms
+        import redsem.matching as matching
+
+        made = count_hole_sides(monkeypatch)
+        monkeypatch.setitem(matching.match_decompose.__kwdefaults__, "debug", True)
+        real, calls = matching.match_decompose, []
+
+        def recording(*args, **kwargs):
+            del made[:]
+            result = real(*args, **kwargs)
+            calls.append((args, len(made)))
+            return result
+
+        monkeypatch.setattr(matching, "match_decompose", recording)
+        trace(lam_nd.grammar, list(lam_nd.rules), parse_term(balanced_tree_src(depth)), 10)
+        monkeypatch.undo()
+        assert len(calls) == {2: 5, 3: 26}[depth]
+        for (g, t, p), edges in calls:
+            assert edges == 0
+            assert matches(g, t, p) == oracle_match(g, t, p)
+            if depth == 2:
+                assert decompose(g, t, p) == oracle_decompose(g, t, p)
+
+    def test_a_current_grammar_derives_the_hole_side(self, lam, monkeypatch):
+        # the hole side reads the original grammar, not the full index of
+        # both grammars that its filter query read
+        g, p = lam.grammar, parse_pattern(CHAIN_PATTERNS["redex"])
+        smaller = remove_prod(g, g.productions[0])
+        made = count_hole_sides(monkeypatch)
+        for t, oracle in self.CHAINS:
+            del made[:]
+            got = match_decompose(g, t, p, smaller, debug=True)
+            assert len(got) == 1 and [e[4] for e in made] == [p]
+            assert not oracle or agrees_with_oracle(g, t, p, smaller)
+
+    def test_an_inherited_filter_derives_the_hole_side(self, lam, monkeypatch):
+        # the inner in-hole is the outer one's context side, so its hole
+        # side runs under the outer hole pattern as its filter: 3 edges,
+        # as before, while the outer in-hole's 2 are read
+        g, t = lam.grammar, right_chain(3)
+        p = parse_pattern(TestExactPruning.NESTED[1])
+        made = count_hole_sides(monkeypatch)
+        got = match_decompose(g, t, p, debug=True)
+        assert len(got) == 2 and [e[4] for e in made] == [p.context_pat] * 3
+        assert agrees_with_oracle(g, t, p)
+
+    def test_a_query_still_being_answered_is_derived(self, monkeypatch):
+        # the reader reads the production's two (nt n) as one object X, so
+        # under its own hole pattern H = (in-hole hole X) the query (t, X)
+        # that H's context side asks reaches H again at the full grammar,
+        # with no filter, while (t, X) is still being answered: that hole
+        # side is derived, and the root's, once (t, X) is answered, is
+        # read (2 edges at the full grammar before the reuse, 6 in all)
+        g = new_grammar(
+            [
+                ("n", parse_pattern("(in-hole (nt n) (in-hole hole (nt n)))")),
+                ("n", parse_pattern("hole")),
+                ("n", parse_pattern("a")),
+            ]
+        )
+        h = g.productions[0].pattern.hole_pat
+        assert h.hole_pat is g.productions[0].pattern.context_pat
+        full = grammar_index(g).full
+        made = count_hole_sides(monkeypatch)
+        # raw results, as before the reuse; reading the open query as no
+        # result halves them
+        for src, raw in (("a", 4), ("(a a)", 2), ("(hole a)", 2)):
+            t = parse_term(src)
+            del made[:]
+            assert len(match_decompose(g, t, h, debug=True)) == raw
+            assert len(made) == 5
+            assert [e[:3] for e in made if e[2] == full] == [(t, h.hole_pat, full)]
+            assert agrees_with_oracle(g, t, h)
+
+    # hole-side edges per re-entry key, 869, 883, 25, 23 and 27 before the
+    # reuse.  n's in-hole productions run under a mask without their own
+    # production, so a bare-hole context's hole side is not its query's
+    # full-grammar subproblem, and under a context side they inherit its
+    # filter; the oracle agreement on these keys is TestHoleDirected's
+    REENTRY_HOLE_SIDES = {
+        ("(a a)", "(nt n)"): 131,
+        ("(a a)", "(nt m)"): 127,
+        ("a", "(in-hole (nt m) (nt n))"): 23,
+        ("a", "(nt m)"): 23,
+        ("a", "(nt n)"): 27,
+    }
+
+    @pytest.mark.parametrize("key", sorted(REENTRY_HOLE_SIDES))
+    def test_reentry_grammar_derives_hole_sides(self, monkeypatch, key):
+        g = new_grammar([(nt, parse_pattern(rhs)) for nt, rhs in REENTRY_PRODUCTIONS])
+        made = count_hole_sides(monkeypatch)
+        got = match_decompose(g, parse_term(key[0]), parse_pattern(key[1]), debug=True)
+        assert len(got) == REENTRY_RAW_COUNTS[key]
+        assert len(made) == self.REENTRY_HOLE_SIDES[key]
+
+
 def list_count(t):
     """Item count of t as a list: a list context counts the items of the
     list it plugs to, and a bare hole plugs to no list."""
@@ -1165,12 +1324,14 @@ class TestExactPruning:
     # pattern split its list into a head and a tail: 101, 145 and 83 of
     # those were tail edges, and under the redex pattern 34 more were
     # items on lists whose length differs from the pattern's, and the
-    # steps below them
-    PRUNED_EDGES = {"redex": 320, "E": 372, "e": 250}
+    # steps below them.  The redex pattern's in-hole rule reads its hole
+    # side from the filter query that derived it, not from 5 more edges
+    # (320 and 215 before)
+    PRUNED_EDGES = {"redex": 315, "E": 372, "e": 250}
     # the same calls on the chain as parse_term reads it, one object per
     # distinct sub-term: the memo, keyed by term object, solves and checks
     # each distinct (nt N) subproblem once
-    SHARED_EDGES = {"redex": 215, "E": 247, "e": 134}
+    SHARED_EDGES = {"redex": 210, "E": 247, "e": 134}
 
     @pytest.mark.parametrize("name", sorted(PRUNED_EDGES))
     def test_edge_counts_pinned(self, lam, monkeypatch, name):
