@@ -12,11 +12,11 @@ from operator import itemgetter
 from .errors import EngineError
 from .grammar import find_left_recursion
 from .language import (
-    _bindings_text,
     check_pattern_nonterminals,
     load_language,
     parse_pattern,
     parse_term,
+    print_bindings,
     print_context,
     print_pattern,
     print_term,
@@ -75,23 +75,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _printed(c, s, b: Bindings, texts: dict) -> tuple[str, tuple | None, bool]:
-    """A result's line; the texts of its context c and sub-term s, which
-    are None for a match; and whether b binds a `CtxTerm`.  Each Bindings
-    object is printed once: `texts` keeps its variables' texts, its text,
-    that flag and the object itself under its `id`, so that no other
-    object takes that id while the table lives."""
-    entry = texts.get(id(b))
-    if entry is None:
-        printed = {var: print_term(t) for var, t in b.entries}
-        by_value = any(isinstance(t, CtxTerm) for _, t in b.entries)
-        entry = texts[id(b)] = (printed, _bindings_text(printed), by_value, b)
-    _, line, by_value, _ = entry
+def _printed(c, s, b: Bindings) -> tuple[str, tuple | None]:
+    """A result's line, and the texts of its context c and sub-term s,
+    which are None for a match.  Each Bindings object keeps its text (see
+    `print_bindings`)."""
+    line = print_bindings(b)
     if c is None:
-        return line, None, by_value
+        return line, None
     split = print_context(c), print_term(s)
     line = f"(decomposition (context {split[0]}) (subterm {split[1]}) {line})"
-    return line, split, by_value
+    return line, split
 
 
 def _write(lines) -> None:
@@ -127,7 +120,6 @@ def _cmd_query(args) -> int:
     term = parse_term(args.term)
 
     splits = args.command == "decompose"
-    texts: dict = {}
     seen: set = set()  # the line, or the value, of each result kept
     kept = []  # (line, split texts, context, sub-term, bindings) per result
     c = s = None
@@ -137,7 +129,8 @@ def _cmd_query(args) -> int:
             continue
         if splits:
             c, s = d.context, d.subterm
-        line, split, by_value = _printed(c, s, b, texts)
+        line, split = _printed(c, s, b)
+        by_value = any(isinstance(v, CtxTerm) for _, v in b.entries)
         key = (c, s, b) if by_value else line
         if key not in seen:
             seen.add(key)
@@ -151,7 +144,7 @@ def _cmd_query(args) -> int:
             sides = (("engine", engine - oracle), ("oracle", oracle - engine))
             for side, only in sides:
                 values = only if splits else ((None, None, b) for b in only)
-                for text in sorted(_printed(*v, texts)[0] for v in values):
+                for text in sorted(_printed(*v)[0] for v in values):
                     print(f"only-{side}: {text}", file=sys.stderr)
             return EXIT_ORACLE_DISAGREEMENT
 
@@ -161,7 +154,8 @@ def _cmd_query(args) -> int:
         for _, split, _, _, b in kept:
             if split is not None:
                 split = {"context": split[0], "subterm": split[1]}
-            results.append({"bindings": texts[id(b)][0], "decomposition": split})
+            bindings = {var: print_term(v) for var, v in b.entries}
+            results.append({"bindings": bindings, "decomposition": split})
         print(json.dumps({"results": results}, sort_keys=True, ensure_ascii=False))
     else:
         _write(line for line, *_ in kept)

@@ -263,12 +263,17 @@ def hole_matchable(g: Grammar) -> set[Pattern]:
     Least fixed point: a hole pattern always can; a name pattern can iff
     its body can; a non-terminal can iff one of its productions can; an
     in-hole pattern can iff both components can.  Everything else cannot.
+    """
+    return _hole_matchable(_group(g.productions), _universe(g))
 
-    A counter worklist over these Horn clauses (Dowling & Gallier 1984):
+
+def _hole_matchable(groups: Groups, universe: dict[Pattern, None]) -> set[Pattern]:
+    """`hole_matchable` from the grammar's `_group` and `_universe`.
+
+    A counter worklist over its Horn clauses (Dowling & Gallier 1984):
     each pattern counts the premises it still waits on, and each pattern
     found matchable lowers the counts of the patterns waiting on it.
     """
-    groups, universe = _group(g.productions), _universe(g)
     pending: dict[Pattern, int] = {}
     waiting: dict[Pattern, list[Pattern]] = {}
     for p in universe:
@@ -300,7 +305,8 @@ def find_left_recursion(g: Grammar) -> tuple[Pattern, ...] | None:
     depth-first search from each sub-pattern not yet reached closes: the
     search path from the target of the first edge back into it.
     """
-    groups, matchable = _group(g.productions), hole_matchable(g)
+    groups, universe = _group(g.productions), _universe(g)
+    matchable = _hole_matchable(groups, universe)
 
     def successors(p: Pattern) -> Iterable[Pattern]:
         if isinstance(p, NtPat):
@@ -311,7 +317,7 @@ def find_left_recursion(g: Grammar) -> tuple[Pattern, ...] | None:
 
     # the position of each pattern on the search path, -1 once left
     where: dict[Pattern, int] = {}
-    for root in _universe(g):
+    for root in universe:
         if root in where:
             continue
         where[root], path, work = 0, [root], [iter(successors(root))]

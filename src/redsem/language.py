@@ -355,14 +355,20 @@ def print_pattern(p: Pattern) -> str:
     return f"(in-hole {print_pattern(p.context_pat)} {print_pattern(p.hole_pat)})"
 
 
+_keep_bindings_text = Bindings._text.__set__
+
+
 def print_bindings(b: Bindings) -> str:
-    return _bindings_text({var: print_term(value) for var, value in b.entries})
-
-
-def _bindings_text(printed: dict[str, str]) -> str:
-    """`print_bindings` from each variable's already printed term."""
-    pairs = "".join(f" ({var} {text})" for var, text in printed.items())
-    return f"(bindings{pairs})"
+    """The text of b, kept in its ``_text`` slot as `print_term` keeps a
+    list term's, so each Bindings object is printed once."""
+    try:
+        return b._text
+    except AttributeError:
+        pass
+    pairs = "".join(f" ({var} {print_term(value)})" for var, value in b.entries)
+    text = f"(bindings{pairs})"
+    _keep_bindings_text(b, text)
+    return text
 
 
 @record

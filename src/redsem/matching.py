@@ -50,9 +50,14 @@ class SoundnessCheckError(EngineError):
 
 @record
 class Bindings:
-    """Finite map from pattern variables to terms, sorted by variable."""
+    """Finite map from pattern variables to terms, sorted by variable.
 
-    __slots__ = ("entries",)
+    Its ``_text`` slot, left unset when it is built, is where
+    `redsem.language.print_bindings` keeps its printed text, as
+    `redsem.language.print_term` keeps a list term's: it takes no part
+    in equality, hash or repr, and pickle and copy drop it."""
+
+    __slots__ = ("entries", "_text")
     entries: tuple[tuple[str, Term], ...]
 
     def get(self, var: str) -> Term | None:
@@ -319,34 +324,31 @@ def bind_name(
 
 
 class _Session:
-    """The memo of non-terminal subproblems and the table of filter queries
-    that `match_decompose` calls on one grammar object share.
+    """The one table of subproblems that `match_decompose` calls on one
+    grammar object share: non-terminal subproblems and filter queries.
 
     A call answers from the session open for its grammar object when it
     has no ``current`` grammar and its ``debug`` is the session's, which
     the first call to join fixes; any other call starts with its own
-    empty memo and table.  ``with _Session(grammar):`` opens a session
-    until the block exits, unless one is already open, which the block
-    then leaves as it is: a `step` inside a `trace` uses the trace's.  An
-    open session is kept per thread: a block runs synchronously, so the
-    calls that see it are the block's own.  The memo and the table hold
-    every object whose ``id`` is in one of their keys, and are emptied
-    when the block that opened them exits, by return or by raise.
+    empty table.  ``with _Session(grammar):`` opens a session until the
+    block exits, unless one is already open, which the block then leaves
+    as it is: a `step` inside a `trace` uses the trace's.  An open
+    session is kept per thread: a block runs synchronously, so the calls
+    that see it are the block's own.  The table holds every object whose
+    ``id`` is in one of its keys, and is emptied when the block that
+    opened it exits, by return or by raise.
     """
 
-    __slots__ = ("grammar", "debug", "memo", "queries")
+    __slots__ = ("grammar", "debug", "memo")
 
     def __init__(self, grammar: Grammar):
         self.grammar = grammar
         self.debug: bool | None = None
-        # (id(term), non-terminal, mask & reads, id(filter) or None) ->
-        # (term, filter, results), each result a `Result` tuple
-        self.memo: dict[tuple, tuple[Term, Pattern | None, list[Result]]] = {}
-        # (id(term), id(filter)) -> (term, filter, results): the query's
-        # results, or None while the query is being answered
-        self.queries: dict[
-            tuple[int, int], tuple[Term, Pattern, list[Result] | None]
-        ] = {}
+        # an (nt N) subproblem under (id(term), N, mask & reads, id(filter)
+        # or None), and a filter query under (id(term), id(filter)), each ->
+        # (term, filter, results), each result a `Result` tuple; a query's
+        # results are None while it is being answered
+        self.memo: dict[tuple, tuple[Term, Pattern | None, list | None]] = {}
 
     def __enter__(self) -> None:
         if _open.session is None:
@@ -356,7 +358,6 @@ class _Session:
         if _open.session is self:
             _open.session = None
         self.memo.clear()
-        self.queries.clear()
 
 
 class _Open(threading.local):
@@ -434,9 +435,10 @@ def match_decompose(
     Hence the raw result list, order and duplicates included, is the one
     the unfiltered judgment gives.  Each query is answered once per
     session and its results are memoized under (term object, filter
-    object).  A query re-entered while it is still being answered answers
-    "keep", which is always sound; so each query is entered at most once
-    per session, the tuple order bounds the recursion between queries, and
+    object), in the table that holds the non-terminal subproblems.  A
+    query re-entered while it is still being answered answers "keep",
+    which is always sound; so each query is entered at most once per
+    session, the tuple order bounds the recursion between queries, and
     matching terminates on every grammar.  Queries are fresh roots, not
     steps of the judgment: the debug checks apply to every step inside
     them.
@@ -452,9 +454,9 @@ def match_decompose(
     each split the rule builds from the results is checked where it is
     built.
 
-    *Sharing.*  A later call may answer from the memo and the queries an
-    earlier call of its session left, and its raw list is still the one a
-    fresh call derives.  The memo holds each subproblem's results as
+    *Sharing.*  A later call may answer from the table an earlier call of
+    its session left, and its raw list is still the one a fresh call
+    derives.  The table holds each subproblem's and query's results as
     `Result` tuples, which every call reads and none changes; a call
     builds its own `MatchResult` records for the list it returns:
 
@@ -543,10 +545,10 @@ def match_decompose(
         or session.grammar is not grammar
         or session.debug not in (None, debug)
     ):
-        memo, queries = {}, {}  # see `_Session` for their keys
+        memo = {}  # see `_Session` for its keys
     else:
         session.debug = debug
-        memo, queries = session.memo, session.queries
+        memo = session.memo
     full = index.full
 
     def ev(
@@ -564,11 +566,11 @@ def match_decompose(
             keep = True
             if filt is not None:
                 key = (id(t), id(filt))
-                if key not in queries:
+                if key not in memo:
                     # a re-entered query finds this entry and keeps the split
-                    queries[key] = (t, filt, None)
-                    queries[key] = (t, filt, (yield t, filt, full, None, None))
-                found = queries[key][2]
+                    memo[key] = (t, filt, None)
+                    memo[key] = (t, filt, (yield t, filt, full, None, None))
+                found = memo[key][2]
                 keep = found is None or bool(found)
             results = [(HOLE, t, EMPTY_BINDINGS)] if keep else []
             if t == HOLE_TERM:
@@ -621,7 +623,7 @@ def match_decompose(
                 m_hole = mask if isinstance(c, Hole) else orig
                 query = None
                 if filt is None and m_hole == full:
-                    query = queries.get((id(u), id(p.hole_pat)))
+                    query = memo.get((id(u), id(p.hole_pat)))
                 found = query and query[2]
                 if found is None:
                     found = yield u, p.hole_pat, m_hole, filt, split
@@ -709,7 +711,6 @@ def match_decompose(
         # memoized results and the suspended steps
         waiting.clear()
         memo.clear()
-        queries.clear()
         raise
     return [
         MatchResult(

@@ -188,11 +188,6 @@ class Trace:
     statuses: list[str]
     edges: list[tuple[int, str, int]]
 
-    def __init__(self, nodes=None, statuses=None, edges=None) -> None:
-        object.__setattr__(self, "nodes", [] if nodes is None else nodes)
-        object.__setattr__(self, "statuses", [] if statuses is None else statuses)
-        object.__setattr__(self, "edges", [] if edges is None else edges)
-
 
 def trace(grammar: Grammar, rules: list[Rule], term: Term, max_steps: int) -> Trace:
     """Expand the reduction graph from term, at most max_steps layers deep.

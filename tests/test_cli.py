@@ -1134,18 +1134,6 @@ class TestQueryOutput:
         # cases whose results bind a context value or the hole atom
         assert by_value >= 100
 
-    def test_the_text_table_keeps_each_bindings_it_printed(self):
-        # texts are found by id: a Bindings freed while the table lives
-        # could hand its id, and so its text, to a later one, such as an
-        # oracle result printed after the raw list is gone
-        texts = {}
-        b = matching.Bindings((("x", parse_term("(a b)")),))
-        line = "(bindings (x (a b)))"
-        assert cli._printed(None, None, b, texts) == (line, None, False)
-        ident = id(b)
-        del b
-        assert id(texts[ident][-1]) == ident
-
     def test_twin_contexts_print_twice(self, monkeypatch, capsys, tmp_path):
         path = tmp_path / "holes.sexp"
         path.write_text(HOLES, encoding="utf-8")

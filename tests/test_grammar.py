@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from redsem import (
     productions_of,
     remove_prod,
 )
+import redsem.grammar
 from redsem.grammar import GrammarIndex, grammar_index
 from references import (
     grammar_entries,
@@ -273,6 +275,20 @@ class TestGrammarIndex:
         hole_matchable(g)
         find_left_recursion(g)
         assert "_index" not in g.__dict__
+
+    def test_find_left_recursion_groups_the_productions_once(self, lam, monkeypatch):
+        # one grouping and one set of sub-patterns per call, which the
+        # hole-matchable analysis inside it reads too
+        calls = Counter()
+        for name in ("_group", "_universe"):
+
+            def counted(arg, real=getattr(redsem.grammar, name), name=name):
+                calls[name] += 1
+                return real(arg)
+
+            monkeypatch.setattr(redsem.grammar, name, counted)
+        assert find_left_recursion(lam.grammar) is None
+        assert calls == Counter({"_group": 1, "_universe": 1})
 
     def test_reads_and_filtered_are_exact(self):
         # a superset of reads would still pass the read-set lemma test of

@@ -124,6 +124,29 @@ class TestPrintTerm:
         b = Bindings((("x", Literal(False)), ("y", ListTerm((HOLE_TERM, Literal(3))))))
         assert print_bindings(b) == "(bindings (x #f) (y (hole 3)))"
 
+    def test_bindings_keep_their_text(self, monkeypatch):
+        # print_bindings keeps a Bindings' text in its _text slot, as
+        # print_term keeps a list term's: a second call prints no term
+        calls, real = Counter(), redsem.language.print_term
+
+        def counted(t):
+            calls[t] += 1
+            return real(t)
+
+        u = ListTerm((Literal("a"), Literal("b")))
+        print_term(u)  # u keeps its own text
+        monkeypatch.setattr(redsem.language, "print_term", counted)
+        b = Bindings((("x", u), ("y", Literal(3))))
+        assert print_bindings(b) == "(bindings (x (a b)) (y 3))"
+        assert sum(calls.values()) == 2
+        assert print_bindings(b) == "(bindings (x (a b)) (y 3))"
+        assert sum(calls.values()) == 2
+        # an equal but distinct Bindings builds its own text
+        twin = Bindings(b.entries)
+        assert not hasattr(twin, "_text")
+        assert print_bindings(twin) == print_bindings(b)
+        assert calls == Counter({u: 2, Literal(3): 2})
+
     def test_context_prints_as_surface_list(self):
         c = CtxTerm(TailCtx(Literal("a"), HeadCtx(HOLE, (Literal("b"),))))
         assert print_term(c) == "(a hole b)"

@@ -35,6 +35,7 @@ from redsem import (
     Trace,
     UnboundTemplateVariableError,
     new_grammar,
+    print_bindings,
     print_term,
 )
 from redsem._record import record
@@ -185,13 +186,12 @@ def test_classes_without_fields_are_all_equal():
 
 
 def test_a_trace_grows_its_lists_in_place_and_is_unhashable():
-    tr, other = Trace(), Trace()
-    assert (tr.nodes, tr.statuses, tr.edges) == ([], [], [])
-    assert {id(tr.nodes), id(tr.statuses), id(tr.edges)}.isdisjoint(
-        {id(other.nodes), id(other.statuses), id(other.edges)}
-    )
+    # the fields have no defaults: `trace` passes all three
+    with pytest.raises(TypeError, match=r"Trace\.__init__"):
+        Trace()
+    tr, other = Trace([], [], []), Trace([], [], [])
     tr.nodes.append(A)
-    assert tr == Trace(nodes=[A]) and tr != other
+    assert tr == Trace([A], [], []) and tr != other and other.nodes == []
     tr.statuses.append("pending")
     tr.edges.append((0, "r", 0))
     assert tr == Trace([A], ["pending"], [(0, "r", 0)])
@@ -281,6 +281,18 @@ def test_the_caches_outside_the_fields_still_work():
     assert g.__dict__["_index"] == "cached" and g == Grammar(g.productions)
 
 
+def test_a_bindings_text_takes_no_part_in_eq_hash_or_repr():
+    # print_bindings keeps a Bindings' text in its _text slot
+    b, twin = Bindings((("x", A),)), Bindings((("x", A),))
+    object.__setattr__(b, "_text", "(kept)")
+    assert print_bindings(b) == "(kept)"
+    assert b == twin and twin == b and hash(b) == hash(twin)
+    assert repr(b) == repr(twin) and "kept" not in repr(b)
+    for y in (pickle.loads(pickle.dumps(b)), copy.deepcopy(b)):
+        assert not hasattr(y, "_text") and y == b
+        assert print_bindings(y) == "(bindings (x a))"
+
+
 def test_importing_the_engine_generates_and_loads_no_code_tools():
     # `site` imports typing on some installs, so run without it
     proc = subprocess.run(
@@ -306,3 +318,12 @@ def test_no_engine_source_runs_generated_code():
             with open(os.path.join(SRC, "redsem", name), encoding="utf-8") as f:
                 text = f.read()
             assert "exec(" not in text and "eval(" not in text, name
+
+
+def test_only_the_matcher_session_keys_a_table_by_id():
+    # a table keyed by id must hold each key's object alive, so the engine
+    # keeps one: the matcher session's (`matching._Session`)
+    for name in sorted(os.listdir(os.path.join(SRC, "redsem"))):
+        if name.endswith(".py") and name != "matching.py":
+            with open(os.path.join(SRC, "redsem", name), encoding="utf-8") as f:
+                assert "id(" not in f.read(), name

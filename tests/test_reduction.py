@@ -375,7 +375,7 @@ class TestSession:
         # reachable from n through the in-hole's hole side.  That in-hole
         # production has removed itself from the mask of its own context
         # side, which finds no split, so no hole pattern is reached under
-        # F and no filter query holds it: only the memo entry does
+        # F and no filter query holds it: only the (nt n) entry does
         rhs = [parse_pattern("(in-hole (nt n) hole)"), LitPat(A)]
         g = new_grammar([("n", q) for q in rhs])
         session = _Session(g)
@@ -383,7 +383,8 @@ class TestSession:
             p = parse_pattern("(in-hole (nt n) b)")
             assert match_decompose(g, A, p) == []
             filt, filt_id = weakref.ref(p.hole_pat), id(p.hole_pat)
-            assert all(f is not filt() for _, f, _ in session.queries.values())
+            queries = [v for k, v in session.memo.items() if len(k) == 2]
+            assert all(f is not filt() for _, f, _ in queries)
             del p
             gc.collect()
             assert filt() is not None  # its id cannot be reused
