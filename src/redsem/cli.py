@@ -75,6 +75,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# what a command returns: its exit code, and its stdout and stderr lines
+_Reply = tuple[int, list[str], list[str]]
+
+
 def _printed(c, s, b: Bindings) -> tuple[str, tuple | None]:
     """A result's line, and the texts of its context c and sub-term s,
     which are None for a match.  Each Bindings object keeps its text (see
@@ -87,15 +91,9 @@ def _printed(c, s, b: Bindings) -> tuple[str, tuple | None]:
     return line, split
 
 
-def _write(lines) -> None:
-    """Write each line to stdout in one piece, after the last is built:
-    a request that fails while building them writes nothing."""
-    sys.stdout.write("".join(line + "\n" for line in lines))
-
-
-def _cmd_query(args) -> int:
-    """`match` and `decompose`: one printed line or JSON object per
-    distinct result, in the order of their lines.
+def _cmd_query(args) -> _Reply:
+    """`match` and `decompose`: one line per distinct result, in the
+    order of the lines, or one JSON object that holds the results.
 
     One pass over `match_decompose`'s raw list prints each result once
     and keeps the first result of each line, so no freshly composed
@@ -141,14 +139,14 @@ def _cmd_query(args) -> int:
         oracle_fn = oracle_decompose if splits else oracle_match
         oracle = oracle_fn(lang.grammar, term, pattern)
         if engine != oracle:
-            sides = (("engine", engine - oracle), ("oracle", oracle - engine))
-            for side, only in sides:
+            err = []
+            for side, only in ("engine", engine - oracle), ("oracle", oracle - engine):
                 values = only if splits else ((None, None, b) for b in only)
-                for text in sorted(_printed(*v)[0] for v in values):
-                    print(f"only-{side}: {text}", file=sys.stderr)
-            return EXIT_ORACLE_DISAGREEMENT
+                err += sorted(f"only-{side}: {_printed(*v)[0]}" for v in values)
+            return EXIT_ORACLE_DISAGREEMENT, [], err
 
     kept.sort(key=itemgetter(0))
+    lines = [line for line, *_ in kept]
     if args.format == "json":
         results = []
         for _, split, _, _, b in kept:
@@ -156,33 +154,28 @@ def _cmd_query(args) -> int:
                 split = {"context": split[0], "subterm": split[1]}
             bindings = {var: print_term(v) for var, v in b.entries}
             results.append({"bindings": bindings, "decomposition": split})
-        print(json.dumps({"results": results}, sort_keys=True, ensure_ascii=False))
-    else:
-        _write(line for line, *_ in kept)
-    return EXIT_OK if kept else EXIT_NO_MATCH
+        lines = [json.dumps({"results": results}, sort_keys=True, ensure_ascii=False)]
+    return EXIT_OK if kept else EXIT_NO_MATCH, lines, []
 
 
-def _cmd_plug(args) -> int:
+def _cmd_plug(args) -> _Reply:
     context = to_context(parse_term(args.context))
     term = parse_term(args.term)
-    print(print_term(plug(context, term)))
-    return EXIT_OK
+    return EXIT_OK, [print_term(plug(context, term))], []
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> _Reply:
     lang = load_language(args.grammar)
     term = parse_term(args.term)
     lines = []
     for rule_name, reduct in step(lang.grammar, list(lang.rules), term):
         lines.append(f"({rule_name} {print_term(reduct)})")
-    _write(lines)
-    return EXIT_OK
+    return EXIT_OK, lines, []
 
 
-def _cmd_trace(args) -> int:
+def _cmd_trace(args) -> _Reply:
     if args.max_steps < 0:
-        print("error: --max-steps must be non-negative", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise EngineError("--max-steps must be non-negative")
     lang = load_language(args.grammar)
     term = parse_term(args.term)
     tr = trace(lang.grammar, list(lang.rules), term, args.max_steps)
@@ -191,19 +184,16 @@ def _cmd_trace(args) -> int:
         lines.append(f"(node {i} {print_term(node)} {status})")
     for src, rule_name, dst in tr.edges:
         lines.append(f"(edge {src} {rule_name} {dst})")
-    _write(lines)
-    return EXIT_OK
+    return EXIT_OK, lines, []
 
 
-def _cmd_check_grammar(args) -> int:
+def _cmd_check_grammar(args) -> _Reply:
     lang = load_language(args.grammar)
     cycle = find_left_recursion(lang.grammar)
     if cycle is None:
-        _write(["not-left-recursive"])
-    else:
-        path = " -> ".join(print_pattern(p) for p in cycle + (cycle[0],))
-        _write(["left-recursive", f"witness: {path}"])
-    return EXIT_OK
+        return EXIT_OK, ["not-left-recursive"], []
+    path = " -> ".join(print_pattern(p) for p in cycle + (cycle[0],))
+    return EXIT_OK, ["left-recursive", f"witness: {path}"], []
 
 
 _COMMANDS = {
@@ -248,6 +238,13 @@ _PAUSE = _CollectorPause()
 def run_cli(argv: list[str] | None = None) -> int:
     """Run one request; return its exit code.
 
+    This is the CLI's one writer.  A command returns its exit code and
+    its stdout and stderr lines and writes nothing; `run_cli` then writes
+    each stream once, in a single `write`.  So a request that fails
+    writes nothing to stdout, nor does one whose output stdout cannot
+    encode: a text stream encodes the whole text before it writes any of
+    it.  Each failure becomes one `error:` line on stderr and exit 2.
+
     The cyclic garbage collector is off while the request runs, and is
     turned back on when it returns or raises if it was on when it began.
     A request builds no reference cycles outside argparse's parser, so
@@ -269,20 +266,20 @@ def run_cli(argv: list[str] | None = None) -> int:
         except SystemExit as e:
             return EXIT_INPUT_ERROR if e.code else EXIT_OK
         try:
-            return _COMMANDS[args.command](args)
+            code, out, err = _COMMANDS[args.command](args)
+            sys.stdout.write("".join(line + "\n" for line in out))
         # UnicodeEncodeError: the output has a character stdout cannot encode
         except (EngineError, OSError, UnicodeEncodeError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+            code, err = EXIT_INPUT_ERROR, [f"error: {e}"]
         # the term layer and the oracle still recurse on the Python stack
         except RecursionError:
-            print(
-                "error: input nested too deeply for this interpreter", file=sys.stderr
-            )
-            return EXIT_INPUT_ERROR
+            err = ["error: input nested too deeply for this interpreter"]
+            code = EXIT_INPUT_ERROR
         except MemoryError:
-            print("error: out of memory", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+            code, err = EXIT_INPUT_ERROR, ["error: out of memory"]
+        if err:  # a request that succeeds runs even with stderr closed
+            sys.stderr.write("".join(line + "\n" for line in err))
+        return code
 
 
 def main() -> None:

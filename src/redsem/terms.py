@@ -182,15 +182,19 @@ def compose(outer: Context, inner: Context) -> Context:
     """Replace outer's hole with inner.
 
     Satisfies plug(compose(c1, c2), t) == plug(c1, plug(c2, t)).  Walks
-    outer's hole path once, then rebuilds it bottom-up around inner.
+    outer's hole path once, then rebuilds it bottom-up around inner,
+    unless inner is the very hole that ends the path: then outer itself
+    is the composition.
     """
-    path = []
-    while not isinstance(outer, Hole):
-        path.append(outer)
-        outer = outer.hole_side if isinstance(outer, HeadCtx) else outer.rest
+    path, c = [], outer
+    while not isinstance(c, Hole):
+        path.append(c)
+        c = c.hole_side if isinstance(c, HeadCtx) else c.rest
     # only the innermost level can be a tail context whose rest is the hole
     if path and isinstance(inner, Hole) and not isinstance(path[-1], HeadCtx):
         raise TypeError("composition erased the tail path of a context")
+    if inner is c:
+        return outer
     c = inner
     for node in reversed(path):
         if isinstance(node, HeadCtx):

@@ -796,6 +796,12 @@ PATHS = {
         3,
         {"match_decompose": lambda *a, **k: []},
     ),
+    "oracle-3-lines": (
+        ("decompose", "-g", LAMBDA_FILE, "-p", "(nt E)", "-t", "((λ x x) a)")
+        + ("--oracle",),
+        3,
+        {"match_decompose": lambda *a, **k: []},
+    ),
     "parse-error": (("match", "-g", LAMBDA_FILE, "-p", "(nt e", "-t", "a"), 2),
     "undefined-nt": (("match", "-g", LAMBDA_FILE, "-p", "(nt zz)", "-t", "a"), 2),
     "missing-file": (("check-grammar", "-g", os.path.join(FIXTURES, "none.sexp")), 2),
@@ -819,6 +825,32 @@ PATHS = {
 ARGPARSE_EXITS = ("help", "usage")
 
 
+class Writes(io.StringIO):
+    """A text stream that counts its write calls."""
+
+    calls = 0
+
+    def write(self, text):
+        self.calls += 1
+        return super().write(text)
+
+
+def request(monkeypatch, name):
+    """Run PATHS[name] with its patches; return its stdout and stderr."""
+    argv, code, *patches = PATHS[name]
+    for patch in patches:
+        for attr, value in patch.items():
+            monkeypatch.setattr(cli, attr, value)
+    out, err = Writes(), Writes()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if code is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                run_cli(list(argv))
+        else:
+            assert run_cli(list(argv)) == code
+    return out, err
+
+
 class ThreadStreams(io.TextIOBase):
     """A text stream that keeps what each thread writes apart."""
 
@@ -836,19 +868,6 @@ class ThreadStreams(io.TextIOBase):
 class TestCollectorPause:
     """`run_cli` keeps the cyclic collector off while a request runs and
     gives the caller back its own setting on every exit."""
-
-    def request(self, monkeypatch, name):
-        argv, code, *patches = PATHS[name]
-        for patch in patches:
-            for attr, value in patch.items():
-                monkeypatch.setattr(cli, attr, value)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            if code is KeyboardInterrupt:
-                with pytest.raises(KeyboardInterrupt):
-                    run_cli(list(argv))
-            else:
-                assert run_cli(list(argv)) == code
 
     def test_no_collection_during_a_large_request(self, capsys):
         source, answers = right_chain(100)
@@ -875,7 +894,7 @@ class TestCollectorPause:
     def test_the_callers_setting_is_restored(self, monkeypatch, name, enabled):
         (gc.enable if enabled else gc.disable)()
         try:
-            self.request(monkeypatch, name)
+            request(monkeypatch, name)
             assert gc.isenabled() is enabled
         finally:
             gc.enable()
@@ -894,7 +913,7 @@ class TestCollectorPause:
             for name in PATHS:
                 if name not in ARGPARSE_EXITS:
                     with monkeypatch.context() as patched:
-                        self.request(patched, name)
+                        request(patched, name)
                     left[name] = gc.collect()
             assert left == dict.fromkeys(left, parser_only)
         finally:
@@ -938,6 +957,22 @@ class TestCollectorPause:
         assert gc.isenabled()
         for k in range(4):
             assert got[k] == [serial[(k + i) % 3] for i in range(20)]
+
+
+class TestOneWriter:
+    """`run_cli` is the CLI's one writer: a request writes stdout in at
+    most one call, stderr in one call only when it has text for it, and
+    text to at most one of the two."""
+
+    @pytest.mark.parametrize(
+        "name", [name for name in PATHS if name not in ARGPARSE_EXITS]
+    )
+    def test_each_stream_is_written_at_most_once(self, monkeypatch, name):
+        out, err = request(monkeypatch, name)
+        assert out.calls <= 1 and err.calls == (err.getvalue() != "")
+        assert not (out.getvalue() and err.getvalue())
+        if name == "oracle-3-lines":
+            assert err.getvalue().count("\n") == 2
 
 
 class TestPrintOnce:

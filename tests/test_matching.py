@@ -1479,3 +1479,22 @@ def test_cli_decomposes_right_chain_200():
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert len(proc.stdout.splitlines()) == 401  # 2n + 1 splits
+
+
+def test_cli_finds_the_redex_of_right_chain_200():
+    # the redex's E binding, a freshly built context, is hashed: by the
+    # CLI's dedup key under `match`, by the `matches` set under `reduce`;
+    # the first hash of a context recurses a frame per level, so both
+    # commands exit 2 from not far past 200 (see ROADMAP item 4)
+    def chain(k, inner):
+        return "((λ x x) " * k + inner + ")" * k
+
+    n = 200
+    bindings = f"(E {chain(n - 1, 'hole')}) (a (λ y y)) (f (λ x x))"
+    term = chain(n, "(λ y y)")
+    for argv, want in [
+        (["match", "-p", CHAIN_PATTERNS["redex"]], f"(bindings {bindings})\n"),
+        (["reduce"], f"(beta {chain(n - 1, '(λ y y)')})\n"),
+    ]:
+        proc = run_fresh("-m", "redsem.cli", *argv, "-g", LAMBDA_FILE, "-t", term)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")

@@ -18,6 +18,7 @@ from redsem import (
     HOLE_TERM,
     CtxTerm,
     HeadCtx,
+    Hole,
     InHolePat,
     ListPat,
     ListTerm,
@@ -229,8 +230,14 @@ class TestCompose:
         assert compose(HOLE, c) == c
 
     def test_hole_right_identity(self):
+        # composing a context with the hole object that ends its path
+        # returns the context itself; an equal but distinct hole is
+        # put in its place, since the in-hole check compares by identity
         c = TailCtx(A, HeadCtx(HOLE, ()))
-        assert compose(c, HOLE) == c
+        assert compose(c, HOLE) is c
+        other = Hole()
+        got = compose(c, other)
+        assert got == c and got is not c and got.rest.hole_side is other
 
     def test_nested(self):
         got = compose(HeadCtx(HOLE, (B,)), HeadCtx(HOLE, ()))
@@ -277,11 +284,15 @@ class TestCompose:
                     got, old = got.rest, old.rest
             assert got is c2
 
-    def test_a_composition_that_erases_a_tail_path_is_refused(self):
+    @pytest.mark.parametrize(
+        "outer", [TailCtx(A, HOLE), HeadCtx(TailCtx(A, HOLE), (B,))]
+    )
+    def test_a_composition_that_erases_a_tail_path_is_refused(self, outer):
         # a tail context whose rest is the hole has no path to a hole
-        # inside a list: composing the hole into it would leave none
+        # inside a list: composing the hole into it would leave none, even
+        # when the hole is the one that already ends its path
         with pytest.raises(TypeError, match="erased the tail path"):
-            compose(TailCtx(A, HOLE), HOLE)
+            compose(outer, HOLE)
 
 
 class TestSubpatterns:
