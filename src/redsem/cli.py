@@ -81,8 +81,7 @@ _Reply = tuple[int, list[str], list[str]]
 
 def _printed(c, s, b: Bindings) -> tuple[str, tuple | None]:
     """A result's line, and the texts of its context c and sub-term s,
-    which are None for a match.  Each Bindings object keeps its text (see
-    `print_bindings`)."""
+    which are None for a match."""
     line = print_bindings(b)
     if c is None:
         return line, None
@@ -99,7 +98,9 @@ def _cmd_query(args) -> _Reply:
     and keeps the first result of each line, so no freshly composed
     context is hashed.  A result that binds a `CtxTerm`, a context value
     or the hole atom, is told apart by its value instead: the contexts
-    that `(hole X)` and `(X hole)` give both print `(hole hole)`.
+    that `(hole X)` and `(X hole)` give both print `(hole hole)`.  Equal
+    results have equal lines, so its value is compared, by `==`, only
+    with the results of its line that bind a `CtxTerm` too.
 
     On every other result of a parsed term the line is injective.  Its
     bindings hold sub-terms of the input, whose only `CtxTerm` is the
@@ -118,7 +119,8 @@ def _cmd_query(args) -> _Reply:
     term = parse_term(args.term)
 
     splits = args.command == "decompose"
-    seen: set = set()  # the line, or the value, of each result kept
+    # the results kept under each line, split by whether they bind a CtxTerm
+    by_line: dict[tuple[str, bool], list] = {}
     kept = []  # (line, split texts, context, sub-term, bindings) per result
     c = s = None
     for r in match_decompose(lang.grammar, term, pattern):
@@ -129,10 +131,11 @@ def _cmd_query(args) -> _Reply:
             c, s = d.context, d.subterm
         line, split = _printed(c, s, b)
         by_value = any(isinstance(v, CtxTerm) for _, v in b.entries)
-        key = (c, s, b) if by_value else line
-        if key not in seen:
-            seen.add(key)
-            kept.append((line, split, c, s, b))
+        same = by_line.setdefault((line, by_value), [])
+        if same and (not by_value or (c, s, b) in same):
+            continue
+        same.append((c, s, b))
+        kept.append((line, split, c, s, b))
 
     if args.oracle:
         engine = {(c, s, b) if splits else b for _, _, c, s, b in kept}

@@ -21,15 +21,7 @@ from ._record import record
 from .errors import EngineError
 from .grammar import Grammar, Production, new_grammar
 from .matching import Bindings
-from .reduction import (
-    HoleTemplate,
-    InHoleTemplate,
-    ListTemplate,
-    LitTemplate,
-    RefTemplate,
-    Rule,
-    Template,
-)
+from .reduction import RefTemplate, Rule, Template
 from .terms import (
     HOLE,
     HOLE_PAT,
@@ -176,11 +168,12 @@ _PATTERN_FORMS = {
     "in-hole": ("(in-hole pc ph)", "", InHolePat),
 }
 _PATTERN = (HOLE_PAT, LitPat, ListPat, "pattern", _PATTERN_FORMS)
+# a template reads into pattern nodes, plus `(ref x)`, its one node of its own
 _TEMPLATE_FORMS = {
     "ref": ("(ref x)", "x", RefTemplate),
-    "in-hole": ("(in-hole c t)", "", InHoleTemplate),
+    "in-hole": ("(in-hole c t)", "", InHolePat),
 }
-_TEMPLATE = (HoleTemplate(), LitTemplate, ListTemplate, "template", _TEMPLATE_FORMS)
+_TEMPLATE = (HOLE_PAT, LitPat, ListPat, "template", _TEMPLATE_FORMS)
 
 
 def _read(
@@ -355,20 +348,9 @@ def print_pattern(p: Pattern) -> str:
     return f"(in-hole {print_pattern(p.context_pat)} {print_pattern(p.hole_pat)})"
 
 
-_keep_bindings_text = Bindings._text.__set__
-
-
 def print_bindings(b: Bindings) -> str:
-    """The text of b, kept in its ``_text`` slot as `print_term` keeps a
-    list term's, so each Bindings object is printed once."""
-    try:
-        return b._text
-    except AttributeError:
-        pass
     pairs = "".join(f" ({var} {print_term(value)})" for var, value in b.entries)
-    text = f"(bindings{pairs})"
-    _keep_bindings_text(b, text)
-    return text
+    return f"(bindings{pairs})"
 
 
 @record

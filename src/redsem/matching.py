@@ -50,14 +50,9 @@ class SoundnessCheckError(EngineError):
 
 @record
 class Bindings:
-    """Finite map from pattern variables to terms, sorted by variable.
+    """Finite map from pattern variables to terms, sorted by variable."""
 
-    Its ``_text`` slot, left unset when it is built, is where
-    `redsem.language.print_bindings` keeps its printed text, as
-    `redsem.language.print_term` keeps a list term's: it takes no part
-    in equality, hash or repr, and pickle and copy drop it."""
-
-    __slots__ = ("entries", "_text")
+    __slots__ = ("entries",)
     entries: tuple[tuple[str, Term], ...]
 
     def get(self, var: str) -> Term | None:

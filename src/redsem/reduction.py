@@ -8,15 +8,19 @@ inside evaluation contexts without a substitution function.
 
 from __future__ import annotations
 
+from . import matching
 from ._record import record
 from .errors import EngineError
 from .grammar import Grammar
-from .matching import Bindings, _Session, matches
+from .matching import Bindings, EmptyDecomposition, _Session
 from .terms import (
-    HOLE,
+    HOLE_TERM,
     CtxTerm,
+    HolePat,
+    InHolePat,
+    ListPat,
     ListTerm,
-    Literal,
+    LitPat,
     NamePat,
     Pattern,
     Term,
@@ -34,52 +38,19 @@ class TemplateContextError(EngineError):
 
 
 @record
-class LitTemplate:
-    lit: Literal
-
-
-@record
-class HoleTemplate:
-    """Instantiates to a bare hole context term."""
-
-
-@record
-class ListTemplate:
-    __slots__ = ("items", "_hash")
-    items: tuple["Template", ...]
-
-
-@record
 class RefTemplate:
     """Instantiates to the term bound to the variable."""
 
     var: str
 
 
-@record
-class InHoleTemplate:
-    """Plugs the instantiated body into the instantiated context."""
-
-    __slots__ = ("context", "body", "_hash")
-    context: "Template"
-    body: "Template"
-
-
-Template = LitTemplate | HoleTemplate | ListTemplate | RefTemplate | InHoleTemplate
+# A template is read into the pattern nodes, plus `RefTemplate` (see
+# `instantiate`); the reader alone decides which nodes a template holds.
+Template = LitPat | HolePat | ListPat | RefTemplate | InHolePat
 
 
 def template_vars(tpl: Template) -> set[str]:
-    out: set[str] = set()
-    todo = [tpl]
-    while todo:
-        tpl = todo.pop()
-        if isinstance(tpl, RefTemplate):
-            out.add(tpl.var)
-        elif isinstance(tpl, ListTemplate):
-            todo += tpl.items
-        elif isinstance(tpl, InHoleTemplate):
-            todo += (tpl.context, tpl.body)
-    return out
+    return {q.var for q in subpatterns(tpl) if isinstance(q, RefTemplate)}
 
 
 def pattern_binding_vars(p: Pattern) -> set[str]:
@@ -110,14 +81,14 @@ _CHECK, _PLUG = object(), object()  # the steps of an in-hole after its parts
 def instantiate(tpl: Template, bindings: Bindings) -> Term:
     """Build the term a template denotes under the given bindings, on an
     explicit stack.  An in-hole's context is built and checked before its
-    body is built, so the first fault in that order is the one raised, at
-    any depth."""
+    hole side is built, so the first fault in that order is the one
+    raised, at any depth."""
     done: list[Term] = []  # the terms built, innermost last
     # templates to build, and steps: a list's length, `_CHECK` or `_PLUG`
     todo: list = [tpl]
     while todo:
         tpl = todo.pop()
-        if isinstance(tpl, LitTemplate):
+        if isinstance(tpl, LitPat):
             done.append(tpl.lit)
         elif isinstance(tpl, RefTemplate):
             value = bindings.get(tpl.var)
@@ -126,12 +97,12 @@ def instantiate(tpl: Template, bindings: Bindings) -> Term:
                     f"template variable {tpl.var!r} is unbound"
                 )
             done.append(value)
-        elif isinstance(tpl, ListTemplate):
+        elif isinstance(tpl, ListPat):
             todo += (len(tpl.items), *reversed(tpl.items))
-        elif isinstance(tpl, InHoleTemplate):
-            todo += (_PLUG, tpl.body, _CHECK, tpl.context)
-        elif isinstance(tpl, HoleTemplate):
-            done.append(CtxTerm(HOLE))
+        elif isinstance(tpl, InHolePat):
+            todo += (_PLUG, tpl.hole_pat, _CHECK, tpl.context_pat)
+        elif isinstance(tpl, HolePat):
+            done.append(HOLE_TERM)
         elif tpl is _CHECK:
             if not isinstance(done[-1], CtxTerm):
                 raise TemplateContextError(
@@ -149,11 +120,24 @@ def instantiate(tpl: Template, bindings: Bindings) -> Term:
 
 
 def apply_rule(grammar: Grammar, rule: Rule, term: Term) -> list[Term]:
-    """All reducts of term under one rule, deduplicated, deterministic."""
-    bindings = matches(grammar, term, rule.lhs)
-    if len(bindings) > 1:  # a set of one needs no order, nor its repr
-        bindings = sorted(bindings, key=repr)
-    return list(dict.fromkeys([instantiate(rule.rhs, b) for b in bindings]))
+    """All reducts of term under one rule, deduplicated, deterministic: in
+    the order of the texts (reprs) of their distinct bindings.
+
+    The matches are told apart by their text, not by a set: `repr` is
+    injective and agrees with `==`, and a set would hash each match's
+    freshly built contexts, which recurses a frame per level.  One match
+    needs no text."""
+    found = [
+        r.bindings
+        for r in matching.match_decompose(grammar, term, rule.lhs)
+        if isinstance(r.decomposition, EmptyDecomposition)
+    ]
+    if len(found) > 1:
+        by_text: dict[str, Bindings] = {}
+        for b in found:
+            by_text.setdefault(repr(b), b)
+        found = [by_text[text] for text in sorted(by_text)]
+    return list(dict.fromkeys([instantiate(rule.rhs, b) for b in found]))
 
 
 def step(grammar: Grammar, rules: list[Rule], term: Term) -> list[tuple[str, Term]]:

@@ -93,19 +93,21 @@ HOLE_TERM = CtxTerm(HOLE)
 
 @record
 class LitPat:
-    """Matches exactly one literal."""
+    """Matches exactly one literal; as a template, instantiates to it."""
 
     lit: Literal
 
 
 @record
 class HolePat:
-    """Matches the hole context; decomposes any term trivially."""
+    """Matches the hole context; decomposes any term trivially.  As a
+    template, instantiates to the bare hole context term."""
 
 
 @record
 class ListPat:
-    """Matches a list of terms element-wise."""
+    """Matches a list of terms element-wise; as a template, instantiates
+    to the list of its items' terms."""
 
     __slots__ = ("items", "_hash")
     items: tuple["Pattern", ...]
@@ -129,7 +131,9 @@ class NtPat:
 
 @record
 class InHolePat:
-    """Matches terms decomposable into a context and a focused sub-term."""
+    """Matches terms decomposable into a context and a focused sub-term.
+    As a template, plugs the term of its hole side into the context its
+    context side instantiates to."""
 
     __slots__ = ("context_pat", "hole_pat", "_hash")
     context_pat: "Pattern"
@@ -142,7 +146,9 @@ HOLE_PAT = HolePat()
 
 
 def subpatterns(p: Pattern) -> Iterator[Pattern]:
-    """Yield p and every pattern nested inside it, in pre-order."""
+    """Yield p and every pattern nested inside it, in pre-order.  A
+    template is read into the same nodes, so this walks templates too; a
+    node it does not know, such as a template's reference, is a leaf."""
     todo = [p]
     while todo:
         p = todo.pop()

@@ -29,14 +29,7 @@ from redsem import (
     new_grammar,
     productions_of,
 )
-from redsem.reduction import (
-    HoleTemplate,
-    InHoleTemplate,
-    ListTemplate,
-    LitTemplate,
-    RefTemplate,
-    Template,
-)
+from redsem.reduction import RefTemplate, Template
 from redsem.terms import Context, ListContext, Pattern, Term
 
 LITERALS = (Literal("a"), Literal("b"), Literal("c"), Literal(0), Literal(1), Literal(True))
@@ -250,21 +243,21 @@ def gen_template(rng: random.Random, depth: int = 4) -> Template:
     if depth <= 0 or roll < 0.35:
         leaf = rng.random()
         if leaf < 0.4:
-            return LitTemplate(rng.choice(LITERALS))
+            return LitPat(rng.choice(LITERALS))
         if leaf < 0.55:
-            return HoleTemplate()
+            return HOLE_PAT
         return RefTemplate(rng.choice(TEMPLATE_VARS))
     if roll < 0.65:
         width = rng.randint(0, 3)
-        return ListTemplate(tuple(gen_template(rng, depth - 1) for _ in range(width)))
+        return ListPat(tuple(gen_template(rng, depth - 1) for _ in range(width)))
     slot = rng.random()
     if slot < 0.3:
         context: Template = RefTemplate("E")
     elif slot < 0.45:
-        context = HoleTemplate()
+        context = HOLE_PAT
     else:
         context = gen_template(rng, depth - 1)
-    return InHoleTemplate(context, gen_template(rng, depth - 1))
+    return InHolePat(context, gen_template(rng, depth - 1))
 
 
 def gen_template_bindings(rng: random.Random) -> Bindings:

@@ -73,10 +73,6 @@ from redsem.reduction import (
     NORMAL_FORM,
     REDUCED,
     Rule,
-    HoleTemplate,
-    InHoleTemplate,
-    ListTemplate,
-    LitTemplate,
     RefTemplate,
     Trace,
 )
@@ -282,9 +278,9 @@ def subpatterns(p):
 
 def instantiate(tpl, bindings):
     """The term a template denotes under the given bindings."""
-    if isinstance(tpl, LitTemplate):
+    if isinstance(tpl, LitPat):
         return tpl.lit
-    if isinstance(tpl, HoleTemplate):
+    if isinstance(tpl, HolePat):
         return CtxTerm(HOLE)
     if isinstance(tpl, RefTemplate):
         value = bindings.get(tpl.var)
@@ -293,14 +289,14 @@ def instantiate(tpl, bindings):
                 f"template variable {tpl.var!r} is unbound"
             )
         return value
-    if isinstance(tpl, ListTemplate):
+    if isinstance(tpl, ListPat):
         return ListTerm(tuple(instantiate(item, bindings) for item in tpl.items))
-    ctx_term = instantiate(tpl.context, bindings)
+    ctx_term = instantiate(tpl.context_pat, bindings)
     if not isinstance(ctx_term, CtxTerm):
         raise TemplateContextError(
             "the context slot of an in-hole template must instantiate to a context"
         )
-    return plug(ctx_term.context, instantiate(tpl.body, bindings))
+    return plug(ctx_term.context, instantiate(tpl.hole_pat, bindings))
 
 
 def apply_rule(grammar, rule, term):
@@ -488,12 +484,12 @@ def sexpr_template(e):
     """The template an s-expression tree reads as."""
     if isinstance(e, Atom):
         if e.text == "hole":
-            return HoleTemplate()
+            return HOLE_PAT
         if e.text in ("ref", "in-hole"):
             raise ParseError(
                 f"reserved word {e.text!r} cannot be a literal template", e.line, e.col
             )
-        return LitTemplate(atom_literal(e))
+        return LitPat(atom_literal(e))
     if e.items and isinstance(e.items[0], Atom):
         head = e.items[0].text
         if head == "ref":
@@ -501,8 +497,8 @@ def sexpr_template(e):
             return RefTemplate(var.text)
         if head == "in-hole":
             c, t = arguments(e, "(in-hole c t)")
-            return InHoleTemplate(sexpr_template(c), sexpr_template(t))
-    return ListTemplate(tuple(sexpr_template(item) for item in e.items))
+            return InHolePat(sexpr_template(c), sexpr_template(t))
+    return ListPat(tuple(sexpr_template(item) for item in e.items))
 
 
 def sexpr_language(forms):

@@ -1065,7 +1065,9 @@ class TestPrintOnce:
 
     def test_decompose_right_chain_100_hashes_no_context(self, monkeypatch, capsys):
         # the splits are told apart by their lines, so no freshly composed
-        # context is hashed
+        # context is hashed; nor is the redex's E binding, which `match`
+        # compares only with results of its own line, and a rule's matches
+        # by their text
         calls = Counter()
         for cls in (HeadCtx, TailCtx):
 
@@ -1074,10 +1076,15 @@ class TestPrintOnce:
                 return real(self)
 
             monkeypatch.setattr(cls, "__hash__", counted)
-        argv = ["decompose", "-g", LAMBDA_FILE, "-p", "(nt E)"]
-        code, out, _ = run(capsys, *argv, "-t", chain_source("right", 100))
-        assert (code, out.count("\n")) == (0, 201)
-        assert calls == Counter()
+        right = chain_source("right", 100)
+        wrapped = "((λ x x) " * 100 + "(λ y y)" + ")" * 100
+        for argv, lines in [
+            (["decompose", "-p", "(nt E)", "-t", right], 201),
+            (["match", "-p", REDEX, "-t", right], 1),
+            (["reduce", "-t", wrapped], 1),
+        ]:
+            code, out, _ = run(capsys, *argv, "-g", LAMBDA_FILE)
+            assert (code, out.count("\n"), calls) == (0, lines, Counter())
         # the count sees a hash
         hash(language.to_context(parse_term("(a hole)")))
         assert calls == Counter({"TailCtx": 1, "HeadCtx": 1})

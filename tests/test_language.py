@@ -40,13 +40,7 @@ from redsem import (
     print_term,
 )
 from redsem.language import parse_language, parse_template, print_pattern, to_context
-from redsem.reduction import (
-    HoleTemplate,
-    InHoleTemplate,
-    ListTemplate,
-    LitTemplate,
-    RefTemplate,
-)
+from redsem.reduction import RefTemplate
 from test_cli import chain_source
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -123,29 +117,6 @@ class TestPrintTerm:
         assert print_bindings(Bindings(())) == "(bindings)"
         b = Bindings((("x", Literal(False)), ("y", ListTerm((HOLE_TERM, Literal(3))))))
         assert print_bindings(b) == "(bindings (x #f) (y (hole 3)))"
-
-    def test_bindings_keep_their_text(self, monkeypatch):
-        # print_bindings keeps a Bindings' text in its _text slot, as
-        # print_term keeps a list term's: a second call prints no term
-        calls, real = Counter(), redsem.language.print_term
-
-        def counted(t):
-            calls[t] += 1
-            return real(t)
-
-        u = ListTerm((Literal("a"), Literal("b")))
-        print_term(u)  # u keeps its own text
-        monkeypatch.setattr(redsem.language, "print_term", counted)
-        b = Bindings((("x", u), ("y", Literal(3))))
-        assert print_bindings(b) == "(bindings (x (a b)) (y 3))"
-        assert sum(calls.values()) == 2
-        assert print_bindings(b) == "(bindings (x (a b)) (y 3))"
-        assert sum(calls.values()) == 2
-        # an equal but distinct Bindings builds its own text
-        twin = Bindings(b.entries)
-        assert not hasattr(twin, "_text")
-        assert print_bindings(twin) == print_bindings(b)
-        assert calls == Counter({u: 2, Literal(3): 2})
 
     def test_context_prints_as_surface_list(self):
         c = CtxTerm(TailCtx(Literal("a"), HeadCtx(HOLE, (Literal("b"),))))
@@ -256,8 +227,7 @@ import sys
 from redsem import HOLE_PAT, InHolePat, ListPat, ListTerm, Literal, LitPat
 from redsem import NamePat, NtPat
 from redsem.language import parse_pattern, parse_template, parse_term
-from redsem.reduction import HoleTemplate, InHoleTemplate, ListTemplate
-from redsem.reduction import LitTemplate, RefTemplate
+from redsem.reduction import RefTemplate
 
 assert sys.getrecursionlimit() == 1000
 n = 10_000
@@ -274,10 +244,10 @@ cases = [  # reader, text, class of each level, index down, other part, leaf
     (parse_pattern, left, ListPat, 0, LitPat(a), LitPat(b)),
     (parse_pattern, name, NamePat, 1, "q", NtPat("e")),
     (parse_pattern, in_hole, InHolePat, 0, NtPat("e"), HOLE_PAT),
-    (parse_template, right, ListTemplate, 1, LitTemplate(a), LitTemplate(b)),
-    (parse_template, left, ListTemplate, 0, LitTemplate(a), LitTemplate(b)),
-    (parse_template, right_tpl, InHoleTemplate, 1, E, x),
-    (parse_template, left_tpl, InHoleTemplate, 0, x, HoleTemplate()),
+    (parse_template, right, ListPat, 1, LitPat(a), LitPat(b)),
+    (parse_template, left, ListPat, 0, LitPat(a), LitPat(b)),
+    (parse_template, right_tpl, InHolePat, 1, E, x),
+    (parse_template, left_tpl, InHolePat, 0, x, HOLE_PAT),
 ]
 for parse, text, cls, down, other, leaf in cases:
     v, levels = parse(text), 0
@@ -456,14 +426,12 @@ def subtrees(v):
     while todo:
         v = todo.pop()
         yield v
-        if isinstance(v, (ListTerm, ListPat, ListTemplate)):
+        if isinstance(v, (ListTerm, ListPat)):
             todo += v.items
         elif isinstance(v, NamePat):
             todo.append(v.pattern)
         elif isinstance(v, InHolePat):
             todo += (v.context_pat, v.hole_pat)
-        elif isinstance(v, InHoleTemplate):
-            todo += (v.context, v.body)
 
 
 # A fresh interpreter at the default recursion limit reads a list term
@@ -602,10 +570,10 @@ class TestParseTemplate:
         assert parse_template("(ref x)") == RefTemplate("x")
 
     def test_atoms(self):
-        assert parse_template("hole") == HoleTemplate()
-        assert parse_template("a") == LitTemplate(Literal("a"))
-        assert parse_template("-3") == LitTemplate(Literal(-3))
-        assert parse_template("#f") == LitTemplate(Literal(False))
+        assert parse_template("hole") == HOLE_PAT
+        assert parse_template("a") == LitPat(Literal("a"))
+        assert parse_template("-3") == LitPat(Literal(-3))
+        assert parse_template("#f") == LitPat(Literal(False))
         for word in ("ref", "in-hole"):
             with pytest.raises(ParseError) as e:
                 parse_template(f"(a\n {word})")
@@ -615,8 +583,8 @@ class TestParseTemplate:
 
     def test_plain_list(self):
         got = parse_template("(a hole (ref x) ())")
-        want = (LitTemplate(Literal("a")), HoleTemplate(), RefTemplate("x"))
-        assert got == ListTemplate((*want, ListTemplate(())))
+        want = (LitPat(Literal("a")), HOLE_PAT, RefTemplate("x"))
+        assert got == ListPat((*want, ListPat(())))
 
     def test_ref_reads_its_arguments_as_the_other_forms_do(self):
         for src, message in (
@@ -632,7 +600,14 @@ class TestParseTemplate:
 
     def test_in_hole(self):
         got = parse_template("(in-hole (ref E) (ref a))")
-        assert got == InHoleTemplate(RefTemplate("E"), RefTemplate("a"))
+        assert got == InHolePat(RefTemplate("E"), RefTemplate("a"))
+
+    def test_a_template_is_read_into_pattern_nodes(self):
+        # both sides of a rule share one syntax tree: `(ref x)` is the one
+        # node a template has of its own
+        got = parse_template("(in-hole (ref E) (a hole 1))")
+        items = (LitPat(Literal("a")), HOLE_PAT, LitPat(Literal(1)))
+        assert got == InHolePat(RefTemplate("E"), ListPat(items))
 
 
 GRAMMAR_CLAUSE = "each grammar clause must be (<nonterminal> <pattern> ...)"
@@ -670,7 +645,7 @@ class TestLanguageFiles:
         assert str(e.value) == "rule 'r' uses unbound template variable(s): b, c"
         rule = "(rule r (name a (nt e)) ((ref a)))"
         lang = parse_language(f"(define-language l (e a)) {rule}")
-        assert lang.rules[0].rhs == ListTemplate((RefTemplate("a"),))
+        assert lang.rules[0].rhs == ListPat((RefTemplate("a"),))
 
     def test_a_non_symbol_ref_fails_at_parse_with_its_position(self):
         src = "(define-language l (e a))\n(rule r (name a (nt e)) (ref 5))"
@@ -748,8 +723,8 @@ SPLICES += ("(ref 7)", "rule", "(rule r a a)", "define-language", "#t", "9" * 50
 # production and a rule's right-hand side each nested 10,000 deep.
 DEEP_LANGUAGE = """
 import sys
-from redsem import ListPat, Literal, LitPat, NtPat, load_language
-from redsem.reduction import HoleTemplate, InHoleTemplate, RefTemplate
+from redsem import HOLE_PAT, InHolePat, ListPat, Literal, LitPat, NtPat, load_language
+from redsem.reduction import RefTemplate
 
 assert sys.getrecursionlimit() == 1000
 n, path = 10_000, sys.argv[1]
@@ -764,9 +739,9 @@ while type(p) is ListPat:
     p, levels = p.items[1], levels + 1
 print("production", levels, p == NtPat("e"))
 t, levels = lang.rules[0].rhs, 0
-while type(t) is InHoleTemplate:
-    assert t.context == HoleTemplate()
-    t, levels = t.body, levels + 1
+while type(t) is InHolePat:
+    assert t.context_pat == HOLE_PAT
+    t, levels = t.hole_pat, levels + 1
 print("rule", levels, t == RefTemplate("q"))
 """
 

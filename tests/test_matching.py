@@ -56,7 +56,7 @@ from redsem.matching import (
     grammar_index,
     select,
 )
-from redsem.reduction import InHoleTemplate, ListTemplate, RefTemplate
+from redsem.reduction import RefTemplate
 from redsem.terms import compose, subpatterns
 from references import (
     Problem,
@@ -1010,7 +1010,7 @@ class TestDepth:
         items, tail = ListTerm((A,)), TailCtx(A, ctx)
         term = CtxTerm(tail)
         pattern = InHolePat(NamePat("x", ListPat((NtPat("e"),))), HOLE_PAT)
-        template = InHoleTemplate(RefTemplate("x"), ListTemplate((RefTemplate("x"),)))
+        template = InHolePat(RefTemplate("x"), ListPat((RefTemplate("x"),)))
         # fill the _hash slots, and the _text slot of items
         for obj in (items, term, pattern, template):
             hash(obj)
@@ -1024,7 +1024,7 @@ class TestDepth:
             pattern.context_pat,
             pattern.context_pat.pattern,
             template,
-            template.body,
+            template.hole_pat,
             Bindings((("x", A),)),
             ContextDecomposition(ctx, B),
             MatchResult(ContextDecomposition(ctx, B), EMPTY_BINDINGS),
@@ -1482,10 +1482,8 @@ def test_cli_decomposes_right_chain_200():
 
 
 def test_cli_finds_the_redex_of_right_chain_200():
-    # the redex's E binding, a freshly built context, is hashed: by the
-    # CLI's dedup key under `match`, by the `matches` set under `reduce`;
-    # the first hash of a context recurses a frame per level, so both
-    # commands exit 2 from not far past 200 (see ROADMAP item 4)
+    # a fresh interpreter at its default recursion limit; the redex's E
+    # binding is a freshly built context 199 levels deep
     def chain(k, inner):
         return "((λ x x) " * k + inner + ")" * k
 
@@ -1498,3 +1496,33 @@ def test_cli_finds_the_redex_of_right_chain_200():
     ]:
         proc = run_fresh("-m", "redsem.cli", *argv, "-g", LAMBDA_FILE, "-t", term)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+
+
+def test_cli_answers_the_redex_and_a_trace_300_deep():
+    # the CLI compares the redex's E binding only with results of its own
+    # line, and a rule tells its matches apart by their text, so neither
+    # hashes that context; from a little past 300 the printer, which still
+    # recurses, bounds the depth
+    def chain(k, inner):
+        return "((λ x x) " * k + inner + ")" * k
+
+    def levels(k, n):  # right chain n's levels k to n around (λ x x)
+        src = "(λ x x)"
+        for i in range(k, n + 1):
+            src = "((λ {0} {0}) {1})".format("xyzwfg"[i % 6], src)
+        return src
+
+    n = 300
+    term = chain(n, "(λ y y)")
+    bindings = f"(bindings (E {chain(n - 1, 'hole')}) (a (λ y y)) (f (λ x x)))"
+    statuses = ("reduced", "reduced", "cutoff")
+    trace = [f"(node {k} {levels(k + 1, n)} {statuses[k]})" for k in range(3)]
+    trace += ["(edge 0 beta 1)", "(edge 1 beta 2)"]
+    for argv, want in [
+        (["match", "-p", CHAIN_PATTERNS["redex"], "-t", term], [bindings]),
+        (["reduce", "-t", term], [f"(beta {chain(n - 1, '(λ y y)')})"]),
+        (["trace", "--max-steps", "2", "-t", levels(1, n)], trace),
+    ]:
+        proc = run_fresh("-m", "redsem.cli", *argv, "-g", LAMBDA_FILE)
+        got = (proc.returncode, proc.stdout.splitlines(), proc.stderr)
+        assert got == (0, want, "")

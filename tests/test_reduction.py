@@ -12,8 +12,11 @@ import references
 from genterms import gen_case, gen_template, gen_template_bindings
 from redsem import (
     HOLE,
+    HOLE_PAT,
     CtxTerm,
     HeadCtx,
+    InHolePat,
+    ListPat,
     ListTerm,
     Literal,
     LitPat,
@@ -48,10 +51,6 @@ from redsem.reduction import (
     CYCLE,
     NORMAL_FORM,
     REDUCED,
-    HoleTemplate,
-    InHoleTemplate,
-    ListTemplate,
-    LitTemplate,
     RefTemplate,
     Rule,
     apply_rule,
@@ -72,7 +71,7 @@ class TestInstantiate:
         assert instantiate(RefTemplate("x"), bnd(x=A)) == A
 
     def test_plug_into_bound_context(self):
-        tpl = InHoleTemplate(RefTemplate("E"), LitTemplate(B))
+        tpl = InHolePat(RefTemplate("E"), LitPat(B))
         b = bnd(E=CtxTerm(HeadCtx(HOLE, (C,))))
         assert instantiate(tpl, b) == ListTerm((B, C))
 
@@ -81,12 +80,12 @@ class TestInstantiate:
             instantiate(RefTemplate("y"), bnd(x=A))
 
     def test_non_context_in_hole_raises(self):
-        tpl = InHoleTemplate(LitTemplate(A), LitTemplate(B))
+        tpl = InHolePat(LitPat(A), LitPat(B))
         with pytest.raises(TemplateContextError):
             instantiate(tpl, bnd())
 
     def test_hole_and_list(self):
-        tpl = ListTemplate((HoleTemplate(), LitTemplate(A)))
+        tpl = ListPat((HOLE_PAT, LitPat(A)))
         assert instantiate(tpl, bnd()) == ListTerm((CtxTerm(HOLE), A))
 
     def test_agrees_with_the_recursive_definition(self):
@@ -124,11 +123,11 @@ class TestRule:
 
 class TestApplyRule:
     def test_literal_rewrite(self):
-        r = Rule("r", LitPat(A), LitTemplate(B))
+        r = Rule("r", LitPat(A), LitPat(B))
         assert apply_rule(EMPTY_G, r, A) == [B]
 
     def test_no_match_no_results(self):
-        r = Rule("r", LitPat(A), LitTemplate(B))
+        r = Rule("r", LitPat(A), LitPat(B))
         assert apply_rule(EMPTY_G, r, C) == []
 
     def test_beta_on_identity_redex(self, lam):
@@ -196,8 +195,8 @@ class TestStep:
         assert got == [("beta", parse_term("(λ y y)"))]
 
     def test_two_applicable_rules_both_tagged(self):
-        r1 = Rule("r1", LitPat(A), LitTemplate(B))
-        r2 = Rule("r2", LitPat(A), LitTemplate(C))
+        r1 = Rule("r1", LitPat(A), LitPat(B))
+        r2 = Rule("r2", LitPat(A), LitPat(C))
         assert step(EMPTY_G, [r1, r2], A) == [("r1", B), ("r2", C)]
 
     def test_monotone_in_rules(self, lam):
@@ -252,7 +251,7 @@ class TestTrace:
                 )
 
     def test_cycle_detected_on_revisit(self):
-        r = Rule("spin", LitPat(A), LitTemplate(A))
+        r = Rule("spin", LitPat(A), LitPat(A))
         tr = trace(EMPTY_G, [r], A, 5)
         assert tr.nodes == [A, A]
         assert tr.statuses == [REDUCED, CYCLE]
