@@ -203,6 +203,26 @@ class TestModuleEntryPoint:
 REDEX = "(in-hole (name E (nt E)) ((name f (nt v)) (name a (nt v))))"
 
 
+ND_TERM = "(((λ x x) (λ y y)) ((λ z z) (λ w w)))"
+ND_REDUCTS = """\
+(beta ((λ y y) ((λ z z) (λ w w))))
+(beta (((λ x x) (λ y y)) (λ w w)))
+"""
+ND_TRACE = """\
+(node 0 (((λ x x) (λ y y)) ((λ z z) (λ w w))) reduced)
+(node 1 ((λ y y) ((λ z z) (λ w w))) reduced)
+(node 2 (((λ x x) (λ y y)) (λ w w)) reduced)
+(node 3 ((λ y y) (λ w w)) reduced)
+(node 4 ((λ y y) (λ w w)) cycle)
+(node 5 (λ w w) normal-form)
+(edge 0 beta 1)
+(edge 0 beta 2)
+(edge 1 beta 3)
+(edge 2 beta 4)
+(edge 3 beta 5)
+"""
+
+
 class TestHashSeedIndependence:
     # results are sets; the output order rests on sorting alone
     @pytest.mark.parametrize(
@@ -230,6 +250,27 @@ class TestHashSeedIndependence:
         ]
         assert outs[0] == outs[1]
         assert outs[0].count("bindings") > 1
+
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [(["reduce"], ND_REDUCTS), (["trace", "--max-steps", "3"], ND_TRACE)],
+        ids=["reduce", "trace"],
+    )
+    def test_a_rules_matches_are_ordered_alike_under_two_hash_seeds(self, argv, want):
+        # both redexes are reached under lambda_nd.sexp, and a rule orders
+        # its matches by their text: the left redex's E binding first
+        src = os.path.dirname(os.path.dirname(redsem.__file__))
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "redsem.cli", *argv, "-g", LAMBDA_ND_FILE]
+                + ["-t", ND_TERM],
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                timeout=60,
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
 
 
 def right_chain(n: int) -> tuple[str, dict[str, list[str]]]:

@@ -609,6 +609,31 @@ class TestParseTemplate:
         items = (LitPat(Literal("a")), HOLE_PAT, LitPat(Literal(1)))
         assert got == InHolePat(RefTemplate("E"), ListPat(items))
 
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "a",
+            "-3",
+            "#f",
+            "hole",
+            "()",
+            "(a hole b)",
+            "(in-hole hole a)",
+            "(in-hole (a hole) (b (c hole)))",
+        ],
+    )
+    def test_a_template_without_ref_reads_as_the_same_pattern(self, src):
+        assert parse_template(src) == parse_pattern(src)
+
+    @pytest.mark.parametrize("src", ["(nt e)", "(name x a)"])
+    def test_pattern_keywords_are_literals_in_a_template(self, src):
+        # a template reads `nt` and `name` as symbols: its list of literals
+        # instantiates to the list term of the same text
+        words = [Literal(word) for word in src[1:-1].split()]
+        got = parse_template(src)
+        assert got == ListPat(tuple(LitPat(w) for w in words))
+        assert got != parse_pattern(src)
+
 
 GRAMMAR_CLAUSE = "each grammar clause must be (<nonterminal> <pattern> ...)"
 RULE_FORM = "each rule must be (rule <name> <lhs> <rhs>)"

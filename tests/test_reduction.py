@@ -23,6 +23,7 @@ from redsem import (
     NamePat,
     NtPat,
     SoundnessCheckError,
+    TailCtx,
     TemplateContextError,
     UnboundTemplateVariableError,
     match_decompose,
@@ -34,7 +35,7 @@ from redsem import (
     step,
     trace,
 )
-from redsem.language import print_pattern
+from redsem.language import parse_template, print_pattern
 from redsem.matching import Bindings, _Session
 from test_matching import (
     REENTRY_PRODUCTIONS,
@@ -88,6 +89,30 @@ class TestInstantiate:
         tpl = ListPat((HOLE_PAT, LitPat(A)))
         assert instantiate(tpl, bnd()) == ListTerm((CtxTerm(HOLE), A))
 
+    @pytest.mark.parametrize(
+        "src, want",
+        [
+            ("(in-hole hole a)", "a"),
+            ("(in-hole (ref E) (in-hole (ref E) c))", "((c b) b)"),
+            ("(in-hole (in-hole (ref E) (ref E)) c)", "((c b) b)"),
+            ("(in-hole (ref E) hole)", "(hole b)"),
+            ("(in-hole (b hole) a)", TemplateContextError),
+        ],
+    )
+    def test_in_hole_plugs_its_hole_side_into_its_context_side(self, src, want):
+        # E is the context (hole b); a list template that holds a hole
+        # builds a list term, not a context
+        b = bnd(E=CtxTerm(HeadCtx(HOLE, (B,))))
+        tpl = parse_template(src)
+        if want is TemplateContextError:
+            for build in (instantiate, references.instantiate):
+                with pytest.raises(TemplateContextError):
+                    build(tpl, b)
+        else:
+            got = instantiate(tpl, b)
+            assert print_term(got) == want
+            assert got == references.instantiate(tpl, b)
+
     def test_agrees_with_the_recursive_definition(self):
         def outcome(build, tpl, b):
             try:
@@ -110,6 +135,21 @@ class TestInstantiate:
         assert counts[UnboundTemplateVariableError, True] >= 300
         # a context fault raised although an unbound variable lies later
         assert counts[TemplateContextError, True] >= 100
+
+
+class TestTemplateVars:
+    @pytest.mark.parametrize(
+        "src, want",
+        [
+            ("a", set()),
+            ("hole", set()),
+            ("(ref x)", {"x"}),
+            ("(a (ref x) ((ref y) (ref x)))", {"x", "y"}),
+            ("(in-hole (in-hole (ref E) (ref F)) (b (ref c)))", {"E", "F", "c"}),
+        ],
+    )
+    def test_the_variables_a_template_refers_to(self, src, want):
+        assert template_vars(parse_template(src)) == want
 
 
 class TestRule:
@@ -146,6 +186,23 @@ class TestApplyRule:
         assert got == [parse_term("((λ y y) ((λ z z) (λ w w)))")] and printed == []
         assert len(apply_rule(lam_nd.grammar, lam_nd.rules[0], t)) == 2
         assert len(printed) >= 2
+
+    def test_tells_matches_apart_without_hashing_a_context(self, lam_nd, monkeypatch):
+        # two redexes, each under 30 wrappers: each match binds E to a
+        # freshly built context, and none of them is hashed
+        calls = Counter()
+        for cls in (HeadCtx, TailCtx):
+
+            def counted(self, real=cls.__hash__, name=cls.__name__):
+                calls[name] += 1
+                return real(self)
+
+            monkeypatch.setattr(cls, "__hash__", counted)
+        wrapped = "((λ x x) " * 30 + "(λ y y)" + ")" * 30
+        t = parse_term(f"({wrapped} {wrapped})")
+        got = apply_rule(lam_nd.grammar, lam_nd.rules[0], t)
+        assert (len(got), calls) == (2, Counter())
+        assert got == references.apply_rule(lam_nd.grammar, lam_nd.rules[0], t)
 
     def test_results_are_closed_terms(self, lam):
         from redsem.terms import CtxTerm as Ctx, Hole as H, ListTerm as L
