@@ -11,14 +11,19 @@ a frozen dataclass:
 - ``__setattr__`` and ``__delattr__`` raise AttributeError, and pickle
   and copy rebuild an instance from its fields.
 
-A class with ``__slots__`` sets each field through its slot's own member
-descriptor (``Cls.field.__set__``), which skips the attribute lookup of
-``object.__setattr__``; a class without slots uses the latter.  A slot
-named ``_hash`` outside the fields caches the hash: ``__init__`` sets it
-to None and the first ``__hash__`` fills it with the hash of the fields
-tuple, the value an uncached hash returns.  It takes no part in
-equality or repr, and pickle and copy, which rebuild from the fields,
-drop it.
+`record` rebuilds the class, as ``dataclass(slots=True)`` does, so that
+every instance is slotted and has no ``__dict__``: the new class's
+``__slots__`` is its fields, then the cache slots its body declares in
+``__slots__``, then ``__weakref__``, so that a value can be weakly
+referenced.  A body lists only its caches there, never a field.  Each
+field is set through its slot's own member descriptor
+(``Cls.field.__set__``), which skips the attribute lookup of
+``object.__setattr__``.  A cache slot named ``_hash`` caches the hash:
+``__init__`` sets it to None and the first ``__hash__`` fills it with
+the hash of the fields tuple, the value an uncached hash returns.  Any
+other cache slot is left unset, for the code that owns it to fill.  A
+cache takes no part in equality or repr, and pickle and copy, which
+rebuild from the fields, drop it.
 
 A method the class body defines is kept, and ``__match_args__`` is the
 field list.  Each method is a template below, for its number of fields,
@@ -26,31 +31,14 @@ with the placeholder names ``_0``, ``_1`` and ``_2`` renamed to the
 field names in a copy of its code object: it reads the fields as
 attributes, as generated code would, takes them as keywords, and making
 the class compiles nothing.  The templates take up to three fields, or
-two in slots; `record` raises TypeError for a class with more.
+two with a ``_hash`` cache; `record` raises TypeError for a class with
+more.
 """
 
 from types import FunctionType
 
-_set = object.__setattr__
 
-
-def _inits(k0=None, k1=None, k2=None):
-    def init1(self, _0):
-        _set(self, k0, _0)
-
-    def init2(self, _0, _1):
-        _set(self, k0, _0)
-        _set(self, k1, _1)
-
-    def init3(self, _0, _1, _2):
-        _set(self, k0, _0)
-        _set(self, k1, _1)
-        _set(self, k2, _2)
-
-    return None, init1, init2, init3
-
-
-def _slot_inits(s0=None, s1=None):
+def _slot_inits(s0=None, s1=None, s2=None):
     """Initializers that set each field through its slot's setter."""
 
     def init1(self, _0):
@@ -60,7 +48,12 @@ def _slot_inits(s0=None, s1=None):
         s0(self, _0)
         s1(self, _1)
 
-    return None, init1, init2
+    def init3(self, _0, _1, _2):
+        s0(self, _0)
+        s1(self, _1)
+        s2(self, _2)
+
+    return None, init1, init2, init3
 
 
 def _cached_inits(clear, s0=None, s1=None):
@@ -181,28 +174,30 @@ def _renamed(template, fields):
 
 
 def record(cls):
-    """Give cls the methods the module docstring lists."""
+    """A slotted copy of cls with the methods the module docstring lists."""
     fields = tuple(cls.__annotations__)
-    slots = cls.__dict__.get("__slots__", ())
+    caches = cls.__dict__.get("__slots__", ())
     # the text before each field's value: "Name(" and "field=", or ", field="
     labels = [f"{', ' if i else ''}{k}=" for i, k in enumerate(fields)] or [""]
     labels[0] = f"{cls.__qualname__}({labels[0]}"
-    if len(fields) > (2 if slots else 3):
+    cached = "_hash" in caches
+    if len(fields) > (2 if cached else 3):
         raise TypeError(
             f"no record template for {cls.__qualname__}: {len(fields)} fields"
-            + (" in slots" if slots else "")
+            + (" with _hash" if cached else "")
         )
-    hashes = _HASHES
-    if not slots:
-        inits = _inits(*fields)
+    # rebuilt, as dataclass(slots=True) does: a class's slots are fixed
+    # when it is made
+    slots = fields + caches + ("__weakref__",)
+    body = {k: v for k, v in vars(cls).items() if k not in (*slots, "__dict__")}
+    body["__slots__"], body["__qualname__"] = slots, cls.__qualname__
+    cls = type(cls.__name__, cls.__bases__, body)
+    setters = [cls.__dict__[k].__set__ for k in fields]
+    if cached:
+        keep = cls._hash.__set__
+        inits, hashes = _cached_inits(keep, *setters), _cached_hashes(keep)
     else:
-        setters = [cls.__dict__[k].__set__ for k in fields]
-        if "_hash" in slots:
-            keep = cls.__dict__["_hash"].__set__
-            inits = _cached_inits(keep, *setters)
-            hashes = _cached_hashes(keep)
-        else:
-            inits = _slot_inits(*setters)
+        inits, hashes = _slot_inits(*setters), _HASHES
     made = {
         "__eq__": _renamed(_EQS[len(fields)], fields),
         "__hash__": _renamed(hashes[len(fields)], fields),

@@ -23,6 +23,7 @@ class Production:
 
 @record
 class Grammar:
+    __slots__ = ("_index",)  # see `grammar_index`
     productions: tuple[Production, ...]
 
     def __len__(self) -> int:
@@ -245,11 +246,17 @@ class GrammarIndex(dict):
         return value[root]
 
 
+_keep_index = Grammar._index.__set__
+
+
 def grammar_index(g: Grammar) -> GrammarIndex:
-    """The index of g, built once and cached on the grammar object."""
-    if "_index" not in g.__dict__:
-        object.__setattr__(g, "_index", GrammarIndex(g.productions))
-    return g.__dict__["_index"]
+    """The index of g, built once and kept in its ``_index`` slot, which
+    its constructor leaves unset."""
+    try:
+        return g._index
+    except AttributeError:
+        _keep_index(g, GrammarIndex(g.productions))
+        return g._index
 
 
 def _universe(g: Grammar) -> dict[Pattern, None]:

@@ -334,7 +334,9 @@ def to_context(t: Term) -> Context:
     return ctx
 
 
-def print_pattern(p: Pattern) -> str:
+def print_pattern(p: Pattern | Template) -> str:
+    """The text of p, a pattern or a template; `parse_pattern` or
+    `parse_template` reads it back as p."""
     if isinstance(p, LitPat):
         return print_literal(p.lit)
     if isinstance(p, HolePat):
@@ -345,6 +347,8 @@ def print_pattern(p: Pattern) -> str:
         return f"(name {p.var} {print_pattern(p.pattern)})"
     if isinstance(p, NtPat):
         return f"(nt {p.name})"
+    if isinstance(p, RefTemplate):
+        return f"(ref {p.var})"
     return f"(in-hole {print_pattern(p.context_pat)} {print_pattern(p.hole_pat)})"
 
 

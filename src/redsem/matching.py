@@ -52,7 +52,6 @@ class SoundnessCheckError(EngineError):
 class Bindings:
     """Finite map from pattern variables to terms, sorted by variable."""
 
-    __slots__ = ("entries",)
     entries: tuple[tuple[str, Term], ...]
 
     def get(self, var: str) -> Term | None:
@@ -93,7 +92,6 @@ class EmptyDecomposition:
 class ContextDecomposition:
     """The term was split into a context and the sub-term in its hole."""
 
-    __slots__ = ("context", "subterm")
     context: Context
     subterm: Term
 
@@ -105,7 +103,6 @@ EMPTY_DECOMPOSITION = EmptyDecomposition()
 
 @record
 class MatchResult:
-    __slots__ = ("decomposition", "bindings")
     decomposition: Decomposition
     bindings: Bindings
 

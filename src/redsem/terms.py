@@ -3,14 +3,16 @@
 Terms are literals, lists of terms, or embedded contexts.  A context is a
 term with exactly one hole; every list node of a context carries a tag
 (head/tail) pointing toward the hole, so plugging and decomposition can
-follow a path instead of searching.  List and context nodes, and the
-list, name and in-hole patterns, cache their hash in a ``_hash`` slot
-outside their fields (see `redsem._record`): the engine shares sub-terms
-by identity, so a shared node is hashed once, and a node built after its
-parts is hashed in time in its arity.  A list term also has a ``_text``
-slot, left unset when it is built, where `redsem.language.print_term`
-keeps its printed text; like ``_hash``, it takes no part in equality,
-hash or repr, and pickle and copy drop it.
+follow a path instead of searching.  Every class here is a slotted
+record (see `redsem._record`): its slots are its fields, the caches its
+body declares in ``__slots__``, and ``__weakref__``.  List and context
+nodes, and the list, name and in-hole patterns, declare a ``_hash``
+cache: the engine shares sub-terms by identity, so a shared node is
+hashed once, and a node built after its parts is hashed in time in its
+arity.  A list term also declares ``_text``, left unset when it is
+built, where `redsem.language.print_term` keeps its printed text; like
+``_hash``, it takes no part in equality, hash or repr, and pickle and
+copy drop it.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class Literal:
 class ListTerm:
     """A list of zero or more terms."""
 
-    __slots__ = ("items", "_hash", "_text")
+    __slots__ = ("_hash", "_text")
     items: tuple["Term", ...]
 
 
@@ -56,7 +58,7 @@ class ListTerm:
 class CtxTerm:
     """A context embedded in term position."""
 
-    __slots__ = ("context", "_hash")
+    __slots__ = ("_hash",)
     context: "Context"
 
 
@@ -69,7 +71,7 @@ class Hole:
 class HeadCtx:
     """List context whose hole lies inside the head element."""
 
-    __slots__ = ("hole_side", "tail", "_hash")
+    __slots__ = ("_hash",)
     hole_side: "Context"
     tail: tuple["Term", ...]
 
@@ -78,7 +80,7 @@ class HeadCtx:
 class TailCtx:
     """List context whose hole lies somewhere in the tail."""
 
-    __slots__ = ("head", "rest", "_hash")
+    __slots__ = ("_hash",)
     head: "Term"
     rest: "ListContext"
 
@@ -109,7 +111,7 @@ class ListPat:
     """Matches a list of terms element-wise; as a template, instantiates
     to the list of its items' terms."""
 
-    __slots__ = ("items", "_hash")
+    __slots__ = ("_hash",)
     items: tuple["Pattern", ...]
 
 
@@ -117,7 +119,7 @@ class ListPat:
 class NamePat:
     """Matches the sub-pattern and binds the matched value to a variable."""
 
-    __slots__ = ("var", "pattern", "_hash")
+    __slots__ = ("_hash",)
     var: str
     pattern: "Pattern"
 
@@ -135,7 +137,7 @@ class InHolePat:
     As a template, plugs the term of its hole side into the context its
     context side instantiates to."""
 
-    __slots__ = ("context_pat", "hole_pat", "_hash")
+    __slots__ = ("_hash",)
     context_pat: "Pattern"
     hole_pat: "Pattern"
 

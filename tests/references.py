@@ -183,10 +183,11 @@ def _context_elements(lc):
     return [print_term(lc.head)] + _context_elements(lc.rest)
 
 
-def query_output(command, grammar, term, pattern, fmt):
-    """The stdout and exit code of `redsem match` or `decompose`: one line
-    or JSON object per distinct value that `matches` or `decompose`
-    returns, each printed in full, in the order of the lines."""
+def query_output(command, grammar, term, pattern):
+    """The stdout and exit code of `redsem match` or `decompose`, by
+    format: one line or JSON object per distinct value that `matches` or
+    `decompose` returns, each printed in full, in the order of the lines.
+    The values are printed once, for both formats."""
     printed = []
     for r in (matches if command == "match" else decompose)(grammar, term, pattern):
         if command == "match":
@@ -201,13 +202,13 @@ def query_output(command, grammar, term, pattern, fmt):
             line = f"(decomposition (context {context}) (subterm {subterm}) {line})"
         printed.append((line, {"bindings": texts, "decomposition": split}))
     printed.sort(key=lambda p: p[0])
-    if fmt == "json":
-        results = [obj for _, obj in printed]
-        out = json.dumps({"results": results}, sort_keys=True, ensure_ascii=False)
-        out += "\n"
-    else:
-        out = "".join(line + "\n" for line, _ in printed)
-    return out, 0 if printed else 1
+    results = [obj for _, obj in printed]
+    out = json.dumps({"results": results}, sort_keys=True, ensure_ascii=False)
+    code = 0 if printed else 1
+    return {
+        "sexpr": ("".join(line + "\n" for line, _ in printed), code),
+        "json": (out + "\n", code),
+    }
 
 
 def count_holes(t):

@@ -274,7 +274,7 @@ class TestGrammarIndex:
         g = new_grammar(lam.grammar.productions)
         hole_matchable(g)
         find_left_recursion(g)
-        assert "_index" not in g.__dict__
+        assert not hasattr(g, "_index")
 
     def test_find_left_recursion_groups_the_productions_once(self, lam, monkeypatch):
         # one grouping and one set of sub-patterns per call, which the

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import redsem
 import references
-from genterms import gen_case, gen_reader_text, gen_term
+from genterms import gen_case, gen_pattern, gen_reader_text, gen_template, gen_term
 from references import parse_sexpr, parse_sexprs, read_language, read_outcome
 from redsem import (
     HOLE,
@@ -568,6 +568,16 @@ class TestParsePattern:
 class TestParseTemplate:
     def test_ref(self):
         assert parse_template("(ref x)") == RefTemplate("x")
+
+    @given(seeds)
+    @settings(max_examples=100)
+    def test_patterns_and_templates_round_trip_through_print_pattern(self, seed):
+        # one printer for the one tree that both readers build
+        rng = random.Random(seed)
+        p = gen_pattern(rng, 4, ("n1", "n2"))
+        assert parse_pattern(print_pattern(p)) == p
+        t = gen_template(rng)
+        assert parse_template(print_pattern(t)) == t
 
     def test_atoms(self):
         assert parse_template("hole") == HOLE_PAT

@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+import weakref
 from types import MemberDescriptorType
 
 import pytest
@@ -89,6 +90,32 @@ def test_every_class_is_covered():
     }
     assert classes == {type(x) for x in FROZEN + [TRACE]}
     assert len(classes) == 22
+
+
+# the slots each class declares besides its fields
+CACHES = {ListTerm: ("_hash", "_text"), Grammar: ("_index",)}
+CACHES.update(
+    dict.fromkeys([CtxTerm, HeadCtx, TailCtx, ListPat, NamePat, InHolePat], ("_hash",))
+)
+
+
+@pytest.mark.parametrize("x", FROZEN + [TRACE], ids=lambda x: type(x).__name__)
+def test_every_record_is_slotted_and_weakly_referable(x):
+    cls = type(x)
+    assert cls.__slots__ == cls.__match_args__ + CACHES.get(cls, ()) + ("__weakref__",)
+    assert not hasattr(x, "__dict__")
+    assert weakref.ref(x)() is x
+
+
+def test_a_record_with_only_annotations_gets_slots():
+    @record
+    class Pair:
+        a: int
+        b: int
+
+    p = Pair(1, 2)
+    assert Pair.__slots__ == ("a", "b", "__weakref__") and not hasattr(p, "__dict__")
+    assert repr(p).endswith(".<locals>.Pair(a=1, b=2)")
 
 
 def test_no_field_has_a_class_attribute_default():
@@ -224,11 +251,11 @@ def test_constructors_take_the_fields_in_order():
 
 def test_a_shape_with_no_template_is_a_type_error():
     no_template = r"^no record template for \S*\b"
-    with pytest.raises(TypeError, match=no_template + "Three: 3 fields in slots$"):
+    with pytest.raises(TypeError, match=no_template + "Three: 3 fields with _hash$"):
 
         @record
         class Three:
-            __slots__ = ("a", "b", "c")
+            __slots__ = ("_hash",)
             a: int
             b: int
             c: int
@@ -244,11 +271,20 @@ def test_a_shape_with_no_template_is_a_type_error():
 
     @record
     class Two:
-        __slots__ = ("a", "b", "_hash")
+        __slots__ = ("_hash",)
         a: int
         b: int
 
     assert Two(1, 2) == Two(1, 2) and hash(Two(1, 2)) == hash((1, 2))
+
+    @record
+    class Three:
+        a: int
+        b: int
+        c: int
+
+    three = Three(1, 2, 3)
+    assert three == Three(c=3, b=2, a=1) and hash(three) == hash((1, 2, 3))
 
 
 def test_record_takes_no_options():
@@ -266,7 +302,7 @@ def test_the_caches_outside_the_fields_still_work():
     assert print_term(t) == "(kept)" and t == ListTerm((A, B))
     g = Grammar((Production("e", HOLE_PAT),))
     object.__setattr__(g, "_index", "cached")
-    assert g.__dict__["_index"] == "cached" and g == Grammar(g.productions)
+    assert g._index == "cached" and g == Grammar(g.productions)
 
 
 def test_importing_the_engine_generates_and_loads_no_code_tools():
