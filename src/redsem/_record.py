@@ -17,13 +17,21 @@ every instance is slotted and has no ``__dict__``: the new class's
 ``__slots__``, then ``__weakref__``, so that a value can be weakly
 referenced.  A body lists only its caches there, never a field.  Each
 field is set through its slot's own member descriptor
-(``Cls.field.__set__``), which skips the attribute lookup of
-``object.__setattr__``.  A cache slot named ``_hash`` caches the hash:
-``__init__`` sets it to None and the first ``__hash__`` fills it with
-the hash of the fields tuple, the value an uncached hash returns.  Any
-other cache slot is left unset, for the code that owns it to fill.  A
-cache takes no part in equality or repr, and pickle and copy, which
-rebuild from the fields, drop it.
+(``Cls.field.__set__``), which skips the name lookup a generic
+``setattr`` makes on every call.  A body that checks its arguments does
+so in ``__new__``, which ends with ``object.__new__(cls)``, not ``super()``,
+whose ``__class__`` cell names the class before the rebuild; the
+generated ``__init__`` then sets the fields, and pickle and copy, which
+call the class, check again.
+
+A cache slot named ``_hash`` caches the hash: ``__init__`` sets it to
+None and the first ``__hash__``, the one wrapper `_cached`, fills it
+with the hash of the fields tuple, the value an uncached hash returns.
+It starts as None rather than unset because an unset slot raises
+AttributeError when read, and catching that on every node's first hash
+slows reduction.  Any other cache slot starts unset until the code that
+owns it fills it.  A cache takes no part in equality or repr, and pickle
+and copy, which rebuild from the fields, drop it.
 
 A method the class body defines is kept, and ``__match_args__`` is the
 field list.  Each method is a template below, for its number of fields,
@@ -111,28 +119,31 @@ def _hash3(self):
     return hash((self._0, self._1, self._2))
 
 
+def _fields1(self):
+    return (self._0,)
+
+
+def _fields2(self):
+    return self._0, self._1
+
+
 _EQS = _eq0, _eq1, _eq2, _eq3
 _HASHES = _hash0, _hash1, _hash2, _hash3
+_FIELDS = None, _fields1, _fields2
 
 
-def _cached_hashes(keep):
-    """Hashes that fill the ``_hash`` slot with `keep` on first use."""
+def _cached(keep, fields):
+    """A hash that fills the empty ``_hash`` slot with `keep` on first use:
+    the hash of the tuple `fields` returns, which is built before `hash`
+    recurses into the fields, so that a nested value's first hash takes
+    one frame a level, as an uncached one does."""
 
-    def hash1(self):
-        h = self._hash
-        if h is None:
-            h = hash((self._0,))
-            keep(self, h)
-        return h
+    def cached_hash(self):
+        if self._hash is None:
+            keep(self, hash(fields(self)))
+        return self._hash
 
-    def hash2(self):
-        h = self._hash
-        if h is None:
-            h = hash((self._0, self._1))
-            keep(self, h)
-        return h
-
-    return None, hash1, hash2
+    return cached_hash
 
 
 def _reprs(l0, l1=None, l2=None):
@@ -163,14 +174,16 @@ def _by_fields(self):
     return self.__class__, tuple([getattr(self, k) for k in self.__match_args__])
 
 
-def _renamed(template, fields):
+def _renamed(template, fields, name):
+    """A copy of template named `name`, its placeholders renamed to fields."""
     names = {f"_{i}": k for i, k in enumerate(fields)}
     code = template.__code__
     code = code.replace(
+        co_name=name,
         co_names=tuple([names.get(n, n) for n in code.co_names]),
         co_varnames=tuple([names.get(n, n) for n in code.co_varnames]),
     )
-    return FunctionType(code, template.__globals__, None, None, template.__closure__)
+    return FunctionType(code, template.__globals__, name, None, template.__closure__)
 
 
 def record(cls):
@@ -180,12 +193,10 @@ def record(cls):
     # the text before each field's value: "Name(" and "field=", or ", field="
     labels = [f"{', ' if i else ''}{k}=" for i, k in enumerate(fields)] or [""]
     labels[0] = f"{cls.__qualname__}({labels[0]}"
-    cached = "_hash" in caches
-    if len(fields) > (2 if cached else 3):
-        raise TypeError(
-            f"no record template for {cls.__qualname__}: {len(fields)} fields"
-            + (" with _hash" if cached else "")
-        )
+    n, cached = len(fields), "_hash" in caches
+    if n > (2 if cached else 3):
+        shape = f"{n} fields" + (" with _hash" if cached else "")
+        raise TypeError(f"no record template for {cls.__qualname__}: {shape}")
     # rebuilt, as dataclass(slots=True) does: a class's slots are fixed
     # when it is made
     slots = fields + caches + ("__weakref__",)
@@ -193,23 +204,22 @@ def record(cls):
     body["__slots__"], body["__qualname__"] = slots, cls.__qualname__
     cls = type(cls.__name__, cls.__bases__, body)
     setters = [cls.__dict__[k].__set__ for k in fields]
+    made = {
+        "__init__": _slot_inits(*setters)[n],
+        "__eq__": _EQS[n],
+        "__hash__": _HASHES[n],
+        "__repr__": _reprs(*labels)[n],
+    }
     if cached:
         keep = cls._hash.__set__
-        inits, hashes = _cached_inits(keep, *setters), _cached_hashes(keep)
-    else:
-        inits, hashes = _slot_inits(*setters), _HASHES
-    made = {
-        "__eq__": _renamed(_EQS[len(fields)], fields),
-        "__hash__": _renamed(hashes[len(fields)], fields),
-        "__repr__": _renamed(_reprs(*labels)[len(fields)], fields),
-    }
-    if fields:
-        made["__init__"] = _renamed(inits[len(fields)], fields)
+        made["__init__"] = _cached_inits(keep, *setters)[n]
+        made["__hash__"] = _cached(keep, _renamed(_FIELDS[n], fields, "fields"))
     for name, method in made.items():
-        if cls.__dict__.get(name) is None:
+        # a body's own method is kept; a record with no fields keeps
+        # object's __init__
+        if method and cls.__dict__.get(name) is None:
             # named for tracebacks and profiles
-            method.__code__ = method.__code__.replace(co_name=name)
-            method.__name__ = name
+            method = _renamed(method, fields, name)
             method.__qualname__ = f"{cls.__qualname__}.{name}"
             setattr(cls, name, method)
     cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_del

@@ -197,26 +197,16 @@ class GrammarIndex(dict):
         they begin; an edge back into `open_` merges every component from
         its target's on.  A component closes after every component it
         reaches, with the union of its members' values and of theirs.  A
-        root whose every edge leads to itself or to a closed non-terminal,
-        the common case in a small grammar, closes with no search.
+        root whose every edge leads to itself or to a closed non-terminal
+        is a search of one step.
         """
         value = self._closed[kind]
         if root in value:
             return value[root]
         own, walk = (0 if kind == 1 else 3), self._walked
-        w = walk(root)
-        union = w[own]
-        for succ in w[kind]:
-            if succ != root:
-                if succ not in value:
-                    break
-                union |= value[succ]
-        else:  # every edge out of root is closed: no search is needed
-            value[root] = union
-            return union
         where = {root: 0}  # position in open_
         open_, starts = [root], [0]
-        work = [(root, iter(w[kind]))]
+        work = [(root, iter(walk(root)[kind]))]
         while work:
             nt, todo = work[-1]
             for succ in todo:

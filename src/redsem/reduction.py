@@ -63,16 +63,14 @@ class Rule:
     lhs: Pattern
     rhs: Template
 
-    def __init__(self, name: str, lhs: Pattern, rhs: Template) -> None:
+    def __new__(cls, name: str, lhs: Pattern, rhs: Template) -> Rule:
         free = template_vars(rhs) - pattern_binding_vars(lhs)
         if free:
             raise UnboundTemplateVariableError(
                 f"rule {name!r} uses unbound template variable(s): "
                 + ", ".join(sorted(free))
             )
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
+        return object.__new__(cls)
 
 
 _CHECK, _PLUG = object(), object()  # the steps of an in-hole after its parts

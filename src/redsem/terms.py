@@ -7,10 +7,11 @@ follow a path instead of searching.  Every class here is a slotted
 record (see `redsem._record`): its slots are its fields, the caches its
 body declares in ``__slots__``, and ``__weakref__``.  List and context
 nodes, and the list, name and in-hole patterns, declare a ``_hash``
-cache: the engine shares sub-terms by identity, so a shared node is
-hashed once, and a node built after its parts is hashed in time in its
-arity.  A list term also declares ``_text``, left unset when it is
-built, where `redsem.language.print_term` keeps its printed text; like
+cache, None when a node is built and filled by its first hash: the
+engine shares sub-terms by identity, so a shared node is hashed once,
+and a node built after its parts is hashed in time in its arity.  A list
+term also declares ``_text``, which starts unset until
+`redsem.language.print_term` fills it with the term's printed text; like
 ``_hash``, it takes no part in equality, hash or repr, and pickle and
 copy drop it.
 """

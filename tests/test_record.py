@@ -219,9 +219,10 @@ def test_rule_checks_its_template_by_position_and_by_keyword(lam):
         Rule("r", NamePat("x", HOLE_PAT), RefTemplate("y"))
     with pytest.raises(UnboundTemplateVariableError, match="variable.*: y"):
         Rule(rhs=RefTemplate("y"), lhs=NamePat("x", HOLE_PAT), name="r")
-    with pytest.raises(TypeError, match=r"Rule\.__init__"):
+    # the check runs in Rule.__new__, before record's __init__ sets the fields
+    with pytest.raises(TypeError, match=r"Rule\.__new__"):
         Rule("r", NamePat("x", HOLE_PAT))
-    with pytest.raises(TypeError, match=r"Rule\.__init__"):
+    with pytest.raises(TypeError, match=r"Rule\.__new__"):
         Rule("r", NamePat("x", HOLE_PAT), RefTemplate("x"), None)
     with pytest.raises(AttributeError):
         RULE.rhs = RefTemplate("y")
@@ -232,6 +233,13 @@ def test_rule_checks_its_template_by_position_and_by_keyword(lam):
         assert rule.__reduce__() == (Rule, (rule.name, rule.lhs, rule.rhs))
         for twin in (pickle.loads(pickle.dumps(rule)), copy.deepcopy(rule)):
             assert twin == rule and twin is not rule and repr(twin) == repr(rule)
+
+    class Forged:
+        def __reduce__(self):
+            return Rule, ("r", NamePat("x", HOLE_PAT), RefTemplate("y"))
+
+    with pytest.raises(UnboundTemplateVariableError, match="variable.*: y"):
+        pickle.loads(pickle.dumps(Forged()))
 
 
 def test_constructors_take_the_fields_in_order():
@@ -330,6 +338,15 @@ def test_no_engine_source_runs_generated_code():
             with open(os.path.join(SRC, "redsem", name), encoding="utf-8") as f:
                 text = f.read()
             assert "exec(" not in text and "eval(" not in text, name
+
+
+def test_no_engine_source_calls_object_setattr():
+    # every field is set by record's generated __init__, and every cache
+    # through its slot's setter
+    for name in sorted(os.listdir(os.path.join(SRC, "redsem"))):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, "redsem", name), encoding="utf-8") as f:
+                assert "object.__setattr__" not in f.read(), name
 
 
 def test_only_the_matcher_session_keys_a_table_by_id():

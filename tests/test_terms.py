@@ -447,6 +447,41 @@ class TestHashCache:
             assert y == x and hash(y) == hash(x)
 
 
+# a fresh value 450 levels deep; the first hash of each node recurses
+# into its fields
+DEEP_HASH = """
+import sys
+from redsem import HOLE_PAT, ListTerm, Literal, NamePat
+assert sys.getrecursionlimit() == 1000
+a = Literal("a")
+t, p = a, HOLE_PAT
+for _ in range(450):
+    t, p = ListTerm((t, a)), NamePat("q", p)
+for v in (t, p):
+    assert v._hash is None
+    h = hash(v)
+    assert h == v._hash == hash(tuple([getattr(v, k) for k in v.__match_args__]))
+print("hashed")
+"""
+
+
+def test_a_first_hash_takes_one_frame_a_level():
+    # `_record._cached` builds the fields tuple before it hashes it, so a
+    # nested value's first hash goes as deep as an uncached one: 497
+    # levels on 3.10 and 3.11, where calling a template that hashes would
+    # stop it at 331
+    src = os.path.dirname(os.path.dirname(redsem.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", DEEP_HASH],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "hashed\n"
+
+
 def list_nodes(x):
     """Every list term of x, in or out of its contexts."""
     return [n for n in cached_nodes(x) if isinstance(n, ListTerm)]
