@@ -1,13 +1,16 @@
 """Brute-force ground truth for matching and decomposition.
 
-Transcribes the two mutually inductive judgment systems directly: every
-candidate split of the input term is enumerated exhaustively and checked
-rule by rule, with none of the engine's select/combine machinery; each
-rule is written once, in `_Search`.  This keeps the oracle independent of
-the matcher so that agreement between the two is a meaningful check.
-The generalized search ends by production removal alone, as the
-judgment does; the ungeneralized one stops where it re-enters a goal.
-Exponential; intended for desk-scale inputs.
+Transcribes the two mutually inductive judgment systems directly, rule
+by rule, with none of the engine's select/combine machinery; each rule is
+written once, in `_Search`.  Each rule's existential is enumerated
+exhaustively: the in-hole matching rule tries every split of the input
+term, and the in-hole decomposition rule every factorization
+``c = c1 ∘ c2`` of the split's context, as the rule's side condition
+states it.  This keeps the oracle independent of the matcher so that
+agreement between the two is a meaningful check.  The generalized search
+ends by production removal alone, as the judgment does; the ungeneralized
+one stops where it re-enters a goal.  Exponential; intended for
+desk-scale inputs.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .terms import (
     Pattern,
     TailCtx,
     Term,
-    compose,
+    plug,
 )
 
 
@@ -100,7 +103,9 @@ def _list_splits(items: tuple[Term, ...]) -> list[tuple[ListContext, Term]]:
 
 
 def _context_cuts(lc: ListContext) -> list[tuple[ListContext, Context]]:
-    """Nontrivial (outer, inner) pairs with compose(outer, inner) == lc."""
+    """Every (outer, inner) pair with compose(outer, inner) == lc whose
+    outer is not the bare hole: one cut at each head level of lc's hole
+    path, outermost first."""
     if isinstance(lc, HeadCtx):
         cuts: list[tuple[Context, Context]] = [(HOLE, lc.hole_side)]
         if not isinstance(lc.hole_side, Hole):
@@ -146,6 +151,10 @@ class _Search:
     The search is deterministic, so a re-entered goal loops forever; and a
     chain of steps that consume no input keeps its term and meets only
     finitely many patterns and splits, so every such loop re-enters a goal.
+    The in-hole decomposition rule asks for the context side only at the
+    factorizations of its goal's context, never at a split of the term
+    that no factorization gives, so the search stops only on goals that
+    the rule's own existential reaches.
     """
 
     def __init__(self, original: Grammar, current: Grammar, removal: bool = True):
@@ -261,26 +270,38 @@ class _Search:
     def _decomp_inhole(
         self, t: Term, c: Context, sub: Term, p: InHolePat, mask: int
     ) -> set[Bindings]:
+        """The in-hole rule: t = c[sub] against (in-hole Pc Ph) when
+        c = c1 ∘ c2, t = c1[t_mid] against Pc and t_mid = c2[sub] against Ph.
+
+        The rule's existential ranges over the factorizations of c: the
+        bare hole with c, then a cut at each head level of c's hole path,
+        outermost first (`_context_cuts`), with t_mid = plug(c2, sub).  So
+        a goal costs O(depth of c) factorizations, where trying every split
+        (c1, t_mid) of t and every split (c2, t_inner) of t_mid costs their
+        product.  The two give the same pairs, by this lemma: every goal
+        `decomp` is asked has plug(c, sub) == t (its callers take (c, sub)
+        from `enumerate_decompositions`, peel one list level off such a
+        goal, or build it from a factorization as below), and the splits
+        of a term are exactly the pairs that plug back to it.
+        Then a factorization gives plug(c1, t_mid) == plug(c, sub) == t, a
+        split of t, and (c2, sub), a split of t_mid; and two splits with
+        compose(c1, c2) == c and t_inner == sub have
+        t_mid == plug(c2, t_inner) == plug(c2, sub).
+        """
+        factorizations = [(HOLE, c)]
+        if not isinstance(c, Hole):
+            factorizations.extend(_context_cuts(c))
         out: set[Bindings] = set()
-        for c_outer, t_mid in enumerate_decompositions(t):
-            bcs = self.decomp(t, c_outer, t_mid, p.context_pat, mask)
-            if not bcs:
-                continue
-            # a bare-hole context consumed no input: the nested split is the
+        for c1, c2 in factorizations:
+            # a bare-hole c1 consumed no input: the nested split is the
             # whole split, under the current grammar state
-            if isinstance(c_outer, Hole):
-                splits, m = ((c, sub),), mask
+            if isinstance(c1, Hole):
+                t_mid, m = t, mask
             else:
-                splits = (
-                    (c_inner, t_inner)
-                    for c_inner, t_inner in enumerate_decompositions(t_mid)
-                    if compose(c_outer, c_inner) == c and t_inner == sub
-                )
-                m = self.original
-            bhs: set[Bindings] = set()
-            for c_inner, t_inner in splits:
-                bhs |= self.decomp(t_mid, c_inner, t_inner, p.hole_pat, m)
-            out |= _cross(bcs, bhs)
+                t_mid, m = plug(c2, sub), self.original
+            bcs = self.decomp(t, c1, t_mid, p.context_pat, mask)
+            if bcs:
+                out |= _cross(bcs, self.decomp(t_mid, c2, sub, p.hole_pat, m))
         return out
 
 

@@ -28,6 +28,7 @@ from redsem import (
     is_left_recursive,
     new_grammar,
     productions_of,
+    remove_prod,
 )
 from redsem.reduction import RefTemplate, Template
 from redsem.terms import Context, ListContext, Pattern, Term
@@ -199,6 +200,26 @@ def gen_grammar(rng: random.Random, max_attempts: int = 50) -> Grammar:
     return new_grammar([Production("n1", LitPat(Literal("a")))])
 
 
+def maybe_left_recursive_grammar(rng: random.Random) -> Grammar:
+    """A random grammar of 1-3 non-terminals; unlike `gen_grammar`, it
+    keeps the left-recursive ones."""
+    nts = NONTERMINALS[: rng.randint(1, 3)]
+    prods = []
+    for nt in nts:
+        for _ in range(rng.randint(1, 3)):
+            roll = rng.random()
+            if roll < 0.1:
+                rhs: Pattern = NtPat(rng.choice(nts))
+            elif roll < 0.15:
+                rhs = NamePat(rng.choice(VARS), NtPat(rng.choice(nts)))
+            elif roll < 0.25:
+                rhs = InHolePat(NtPat(rng.choice(nts)), NtPat(rng.choice(nts)))
+            else:
+                rhs = gen_pattern(rng, 2, nts)
+            prods.append((nt, rhs))
+    return new_grammar(prods)
+
+
 def _gen_context_grammar(rng: random.Random) -> Grammar:
     """Evaluation-context style: a hole production plus recursive list shapes.
 
@@ -230,6 +251,34 @@ def gen_case(rng: random.Random) -> tuple[Grammar, Term, Pattern]:
     else:
         p = gen_pattern(rng, rng.randint(1, 4), nts)
     return g, t, p
+
+
+def oracle_case(
+    rng: random.Random,
+) -> tuple[Grammar, Term, Pattern, Grammar | None]:
+    """A case to compare two statements of the oracle on: a third each of
+    `gen_case`'s, of a grammar that may be left recursive with a random
+    term and pattern, and of a term with a pattern abstracted from it.
+    The last item is a current grammar one production short in about 30%
+    of the cases, and None in the others."""
+    roll = rng.random()
+    if roll < 1 / 3:
+        g, t, p = gen_case(rng)
+    elif roll < 2 / 3:
+        g = maybe_left_recursive_grammar(rng)
+        nts = tuple(sorted({prod.nonterminal for prod in g.productions}))
+        t = gen_term(rng, rng.randint(1, 4))
+        p = gen_pattern(rng, rng.randint(1, 4), nts)
+    else:
+        g = gen_grammar(rng)
+        nts = tuple(sorted({prod.nonterminal for prod in g.productions}))
+        ctx_nts = tuple(n for n in nts if NtPat(n) in hole_matchable(g))
+        t = gen_term(rng, rng.randint(1, 4))
+        p = abstract_pattern(rng, t, nts, ctx_nts)
+    current = None
+    if len(g) and rng.random() < 0.3:
+        current = remove_prod(g, rng.choice(g.productions))
+    return g, t, p, current
 
 
 TEMPLATE_VARS = ("E", "x", "y")  # in sorted order, as Bindings keeps them

@@ -21,7 +21,10 @@ syntax, are the references for the reader's one loop over its tables,
 and the recursive `subpatterns` and `instantiate` for the engine's
 loops.  A `trace` that steps its last frontier again in a second pass,
 with no shared matching session, and an `apply_rule` that dedupes by
-hand are the references for the reducer's one loop.
+hand are the references for the reducer's one loop.  The oracle's search
+with an in-hole decomposition rule that generates every pair of splits
+and keeps those whose contexts compose to the goal's is the reference
+for the oracle's rule, which walks the factorizations of the context.
 """
 
 import json
@@ -53,6 +56,7 @@ from redsem import (
     TemplateContextError,
     UnboundTemplateVariableError,
     decompose,
+    enumerate_decompositions,
     matches,
     new_grammar,
     plug,
@@ -67,6 +71,7 @@ from redsem.language import (
     _tokens,
     print_literal,
 )
+from redsem.oracle import _cross, _Search
 from redsem.reduction import (
     CUTOFF,
     CYCLE,
@@ -76,6 +81,7 @@ from redsem.reduction import (
     RefTemplate,
     Trace,
 )
+from redsem.terms import compose
 
 
 def immediate_subterms(t):
@@ -816,3 +822,50 @@ def reference_order(nxt, prev):
             prev.grammar, prod
         )
     return False
+
+
+class FilteredInHoleSearch(_Search):
+    """The oracle's search, with the in-hole decomposition rule as generate
+    and filter: every split (c1, t_mid) of t, and for c1 other than the
+    bare hole every split (c2, t_inner) of t_mid, kept when
+    compose(c1, c2) == c and t_inner == sub."""
+
+    def _decomp_inhole(self, t, c, sub, p, mask):
+        out = set()
+        for c_outer, t_mid in enumerate_decompositions(t):
+            bcs = self.decomp(t, c_outer, t_mid, p.context_pat, mask)
+            if not bcs:
+                continue
+            if isinstance(c_outer, Hole):
+                splits, m = ((c, sub),), mask
+            else:
+                splits = (
+                    (c_inner, t_inner)
+                    for c_inner, t_inner in enumerate_decompositions(t_mid)
+                    if compose(c_outer, c_inner) == c and t_inner == sub
+                )
+                m = self.original
+            bhs = set()
+            for c_inner, t_inner in splits:
+                bhs |= self.decomp(t_mid, c_inner, t_inner, p.hole_pat, m)
+            out |= _cross(bcs, bhs)
+        return out
+
+
+def filtered_oracle_match(grammar, term, pattern, current=None):
+    search = FilteredInHoleSearch(grammar, grammar if current is None else current)
+    return search.match(term, pattern, search.current)
+
+
+def filtered_oracle_decompose(grammar, term, pattern, current=None):
+    search = FilteredInHoleSearch(grammar, grammar if current is None else current)
+    return {
+        (c, sub, b)
+        for c, sub in enumerate_decompositions(term)
+        for b in search.decomp(term, c, sub, pattern, search.current)
+    }
+
+
+def filtered_oracle_match_original(grammar, term, pattern):
+    search = FilteredInHoleSearch(grammar, grammar, removal=False)
+    return search.match(term, pattern, search.current)

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genterms import NONTERMINALS, VARS, gen_case, gen_grammar, gen_pattern
+from genterms import NONTERMINALS, gen_case, gen_grammar, maybe_left_recursive_grammar
 from redsem import (
     HOLE_PAT,
     Bindings,
@@ -44,26 +44,6 @@ seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
 def rnd_grammar(seed):
     return gen_grammar(random.Random(seed))
-
-
-def maybe_left_recursive_grammar(rng):
-    """A random grammar of 1-3 non-terminals; unlike `gen_grammar`, it
-    keeps the left-recursive ones."""
-    nts = NONTERMINALS[: rng.randint(1, 3)]
-    prods = []
-    for nt in nts:
-        for _ in range(rng.randint(1, 3)):
-            roll = rng.random()
-            if roll < 0.1:
-                rhs = NtPat(rng.choice(nts))
-            elif roll < 0.15:
-                rhs = NamePat(rng.choice(VARS), NtPat(rng.choice(nts)))
-            elif roll < 0.25:
-                rhs = InHolePat(NtPat(rng.choice(nts)), NtPat(rng.choice(nts)))
-            else:
-                rhs = gen_pattern(rng, 2, nts)
-            prods.append((nt, rhs))
-    return new_grammar(prods)
 
 
 class TestConstruction:

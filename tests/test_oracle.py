@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import redsem.oracle
-from genterms import gen_case, gen_term
+from check_oracle_reference import SLICE, disagreements
+from genterms import gen_case, gen_term, oracle_case
 from redsem import (
     HOLE,
     HOLE_PAT,
@@ -178,6 +179,16 @@ class TestOracleDecompose:
     def test_literals_never_split(self):
         assert oracle_decompose(EMPTY_G, A, LitPat(A)) == set()
 
+    @pytest.mark.parametrize(
+        "pattern", ["(in-hole hole ((hole)))", "(in-hole (hole) (hole))", "(in-hole ((hole)) hole)"]
+    )
+    def test_an_in_hole_cuts_its_context_at_every_level(self, pattern):
+        # ((a)) splits at a along a two-level context, which each pattern
+        # cuts at another level: above it, in the middle and below it
+        t, p = parse_term("((a))"), parse_pattern(pattern)
+        split = (HeadCtx(HeadCtx(HOLE, ()), ()), A, EMPTY_BINDINGS)
+        assert oracle_decompose(EMPTY_G, t, p) == decompose(EMPTY_G, t, p) == {split}
+
     @given(seeds)
     @settings(max_examples=60, deadline=None)
     def test_subterm_characterization(self, seed):
@@ -258,6 +269,15 @@ class TestGrammarWeakening:
             ("a", "(nt m)", set(), set()),
             # consuming input restores the original grammar
             ("(a)", "((nt m))", {EMPTY_BINDINGS}, {(HeadCtx(HOLE, ()), A, EMPTY_BINDINGS)}),
+            # and so does an in-hole's context side, for its hole side:
+            # (nt m) decomposes a at the bare hole by m -> hole, which only
+            # the original grammar has
+            (
+                "(a)",
+                "(in-hole (hole) (nt m))",
+                {EMPTY_BINDINGS},
+                {(HeadCtx(HOLE, ()), A, EMPTY_BINDINGS)},
+            ),
         ],
     )
     def test_an_empty_current_grammar_is_a_grammar(self, term, pattern, matched, splits):
@@ -278,3 +298,83 @@ class TestGrammarWeakening:
         smaller = remove_prod(g, rng.choice(g.productions))
         assert is_subgrammar(smaller, g)
         assert oracle_match(g, t, p, smaller) <= oracle_match(g, t, p, g)
+
+
+class TestInHoleFactorizations:
+    """The in-hole decomposition rule walks the factorizations of its
+    goal's context, where its generate-and-filter reference tries every
+    pair of splits (tests/check_oracle_reference.py)."""
+
+    @pytest.mark.parametrize("seed", range(SLICE))
+    def test_agrees_with_the_generate_and_filter_rule(self, seed):
+        assert list(disagreements(seed)) == []
+
+    def test_every_decomposition_goal_plugs_back(self, monkeypatch):
+        # the premise that makes the factorizations exact
+        decomp, goals = redsem.oracle._Search.decomp, []
+
+        def checked(search, t, c, sub, p, mask):
+            goals.append(plug(c, sub) == t)
+            return decomp(search, t, c, sub, p, mask)
+
+        monkeypatch.setattr(redsem.oracle._Search, "decomp", checked)
+        rng = random.Random(39)
+        for _ in range(1_000):
+            g, t, p, current = oracle_case(rng)
+            oracle_match(g, t, p, current)
+            oracle_decompose(g, t, p, current)
+        assert len(goals) > 5_000 and all(goals)
+
+    # the two cases of the benchmark's seed-606 corpus stream on which the
+    # generate-and-filter rule cost most: 6,498 and 5,382 calls of
+    # enumerate_decompositions, 25,022 and 12,903 of decomp
+    HEAVY = [
+        (
+            [
+                ("n1", "a"),
+                ("n1", "(name x 0)"),
+                ("n2", "(in-hole (nt n1) hole)"),
+                ("n2", "(in-hole (in-hole (nt n1) b) (nt n1))"),
+                ("n2", "(hole)"),
+            ],
+            "((#t hole) hole (((#t b a) #t (c c b)) c (1 0)))",
+            "(nt n2)",
+            (18, 1_093),
+        ),
+        (
+            [
+                ("n1", "b"),
+                ("n2", "c"),
+                ("n2", "(in-hole ((nt n3)) hole)"),
+                ("n3", "hole"),
+                ("n3", "(in-hole ((nt n1) #t a) (#t (nt n1)))"),
+            ],
+            "(((b (0 c c) a) (hole #t)) ((() #t) (() hole (c)) hole) ((()) a))",
+            "(name x (name y (nt n2)))",
+            (313, 1_076),
+        ),
+    ]
+
+    @pytest.mark.parametrize("productions, term, pattern, calls", HEAVY, ids=["n2", "n3"])
+    def test_calls_on_the_heaviest_corpus_cases(
+        self, monkeypatch, productions, term, pattern, calls
+    ):
+        # calls counted through the module's names, recursive ones too
+        counts = {"enumerate_decompositions": 0, "decomp": 0}
+        splits, decomp = redsem.oracle.enumerate_decompositions, redsem.oracle._Search.decomp
+
+        def counted_splits(t):
+            counts["enumerate_decompositions"] += 1
+            return splits(t)
+
+        def counted_decomp(search, *goal):
+            counts["decomp"] += 1
+            return decomp(search, *goal)
+
+        monkeypatch.setattr(redsem.oracle, "enumerate_decompositions", counted_splits)
+        monkeypatch.setattr(redsem.oracle._Search, "decomp", counted_decomp)
+        g = new_grammar([(nt, parse_pattern(rhs)) for nt, rhs in productions])
+        t, p = parse_term(term), parse_pattern(pattern)
+        assert oracle_decompose(g, t, p) == set()
+        assert tuple(counts.values()) == calls
+        assert decompose(g, t, p) == set()
