@@ -4,9 +4,9 @@
 a frozen dataclass:
 
 - ``__init__`` takes every field in order, by position or by keyword;
-- ``__eq__`` compares the field tuples of two instances of the same
-  class, and returns NotImplemented for any other operand; ``__hash__``
-  hashes the field tuple;
+- ``__eq__`` compares the fields of two instances of the same class,
+  and returns NotImplemented for any other operand; ``__hash__`` hashes
+  the fields;
 - ``__repr__`` is ``Name(field=value, ...)``;
 - ``__setattr__`` and ``__delattr__`` raise AttributeError, and pickle
   and copy rebuild an instance from its fields.
@@ -24,9 +24,15 @@ whose ``__class__`` cell names the class before the rebuild; the
 generated ``__init__`` then sets the fields, and pickle and copy, which
 call the class, check again.
 
+Equality and hashing read the fields through one getter per class,
+``operator.attrgetter(*fields)``, or a function that returns ``()`` for
+a class with none.  A record's hash is the hash of the getter's value:
+of the field itself for one field, and of the tuple of the fields for
+none, two or three.
+
 A cache slot named ``_hash`` caches the hash: ``__init__`` sets it to
 None and the first ``__hash__``, the one wrapper `_cached`, fills it
-with the hash of the fields tuple, the value an uncached hash returns.
+with the hash of the getter's value, the value an uncached hash returns.
 It starts as None rather than unset because an unset slot raises
 AttributeError when read, and catching that on every node's first hash
 slows reduction.  Any other cache slot starts unset until the code that
@@ -34,15 +40,19 @@ owns it fills it.  A cache takes no part in equality or repr, and pickle
 and copy, which rebuild from the fields, drop it.
 
 A method the class body defines is kept, and ``__match_args__`` is the
-field list.  Each method is a template below, for its number of fields,
-with the placeholder names ``_0``, ``_1`` and ``_2`` renamed to the
-field names in a copy of its code object: it reads the fields as
-attributes, as generated code would, takes them as keywords, and making
-the class compiles nothing.  The templates take up to three fields, or
-two with a ``_hash`` cache; `record` raises TypeError for a class with
-more.
+field list.  ``__init__`` and ``__repr__`` are templates below, for
+their number of fields, with the placeholder names ``_0``, ``_1`` and
+``_2`` renamed to the field names in a copy of their code object: they
+read the fields as attributes, as generated code would, and making the
+class compiles nothing.  These two keep a template per field count
+because named parameters give keyword construction, the signature and
+the TypeError texts, and because a template's f-string is a faster repr
+than a format string over the getter; equality and hashing need
+neither.  The templates take up to three fields, or two with a
+``_hash`` cache; `record` raises TypeError for a class with more.
 """
 
+from operator import attrgetter
 from types import FunctionType
 
 
@@ -79,68 +89,35 @@ def _cached_inits(clear, s0=None, s1=None):
     return None, init1, init2
 
 
-def _eq0(self, other):
-    if other.__class__ is self.__class__:
-        return True
-    return NotImplemented
+def _no_fields(self):
+    return ()
 
 
-def _eq1(self, other):
-    if other.__class__ is self.__class__:
-        return (self._0,) == (other._0,)
-    return NotImplemented
+def _eq(get):
+    def eq(self, other):
+        if other.__class__ is self.__class__:
+            return get(self) == get(other)
+        return NotImplemented
+
+    return eq
 
 
-def _eq2(self, other):
-    if other.__class__ is self.__class__:
-        return (self._0, self._1) == (other._0, other._1)
-    return NotImplemented
+def _hash(get):
+    def hash_(self):
+        return hash(get(self))
+
+    return hash_
 
 
-def _eq3(self, other):
-    if other.__class__ is self.__class__:
-        return (self._0, self._1, self._2) == (other._0, other._1, other._2)
-    return NotImplemented
-
-
-def _hash0(self):
-    return hash(())
-
-
-def _hash1(self):
-    return hash((self._0,))
-
-
-def _hash2(self):
-    return hash((self._0, self._1))
-
-
-def _hash3(self):
-    return hash((self._0, self._1, self._2))
-
-
-def _fields1(self):
-    return (self._0,)
-
-
-def _fields2(self):
-    return self._0, self._1
-
-
-_EQS = _eq0, _eq1, _eq2, _eq3
-_HASHES = _hash0, _hash1, _hash2, _hash3
-_FIELDS = None, _fields1, _fields2
-
-
-def _cached(keep, fields):
+def _cached(keep, get):
     """A hash that fills the empty ``_hash`` slot with `keep` on first use:
-    the hash of the tuple `fields` returns, which is built before `hash`
-    recurses into the fields, so that a nested value's first hash takes
-    one frame a level, as an uncached one does."""
+    the hash of what `get` returns, which is read before `hash` recurses
+    into the fields, so that a nested value's first hash takes one frame a
+    level, as an uncached one does."""
 
     def cached_hash(self):
         if self._hash is None:
-            keep(self, hash(fields(self)))
+            keep(self, hash(get(self)))
         return self._hash
 
     return cached_hash
@@ -204,16 +181,17 @@ def record(cls):
     body["__slots__"], body["__qualname__"] = slots, cls.__qualname__
     cls = type(cls.__name__, cls.__bases__, body)
     setters = [cls.__dict__[k].__set__ for k in fields]
+    get = attrgetter(*fields) if fields else _no_fields
     made = {
         "__init__": _slot_inits(*setters)[n],
-        "__eq__": _EQS[n],
-        "__hash__": _HASHES[n],
+        "__eq__": _eq(get),
+        "__hash__": _hash(get),
         "__repr__": _reprs(*labels)[n],
     }
     if cached:
         keep = cls._hash.__set__
         made["__init__"] = _cached_inits(keep, *setters)[n]
-        made["__hash__"] = _cached(keep, _renamed(_FIELDS[n], fields, "fields"))
+        made["__hash__"] = _cached(keep, get)
     for name, method in made.items():
         # a body's own method is kept; a record with no fields keeps
         # object's __init__

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import threading
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -422,11 +423,11 @@ class TestHashCache:
         assert [hash(n) for n in nodes] == [hash(n) for n in twins]
 
     @given(seeds)
-    def test_hash_is_the_hash_of_the_fields_tuple(self, kind, s):
+    def test_hash_is_the_hash_of_the_field_getter(self, kind, s):
         for node in cached_nodes(hash_sample(kind, s)):
-            fields = tuple([getattr(node, k) for k in node.__match_args__])
-            assert hash(node) == hash(fields)
-            assert node._hash == hash(fields)
+            got = attrgetter(*node.__match_args__)(node)
+            assert hash(node) == hash(got)
+            assert node._hash == hash(got)
 
     @given(seeds)
     def test_cache_takes_no_part_in_eq_or_repr(self, kind, s):
@@ -451,6 +452,7 @@ class TestHashCache:
 # into its fields
 DEEP_HASH = """
 import sys
+from operator import attrgetter
 from redsem import HOLE_PAT, ListTerm, Literal, NamePat
 assert sys.getrecursionlimit() == 1000
 a = Literal("a")
@@ -460,16 +462,16 @@ for _ in range(450):
 for v in (t, p):
     assert v._hash is None
     h = hash(v)
-    assert h == v._hash == hash(tuple([getattr(v, k) for k in v.__match_args__]))
+    assert h == v._hash == hash(attrgetter(*v.__match_args__)(v))
 print("hashed")
 """
 
 
 def test_a_first_hash_takes_one_frame_a_level():
-    # `_record._cached` builds the fields tuple before it hashes it, so a
-    # nested value's first hash goes as deep as an uncached one: 497
-    # levels on 3.10 and 3.11, where calling a template that hashes would
-    # stop it at 331
+    # `_record._cached` reads the fields through its getter before it
+    # hashes them, so a nested value's first hash goes as deep as an
+    # uncached one: 497 levels on 3.10 and 3.11, where calling a template
+    # that hashes would stop it at 331
     src = os.path.dirname(os.path.dirname(redsem.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", DEEP_HASH],
@@ -480,6 +482,40 @@ def test_a_first_hash_takes_one_frame_a_level():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "hashed\n"
+
+
+# two left-nested chains 310 deep, built separately, so that `==` walks
+# every level rather than stopping at a shared node
+DEEP_EQ = """
+import sys
+from redsem import ListTerm, Literal
+assert sys.getrecursionlimit() == 1000
+
+def chain(innermost):
+    t = Literal(innermost)
+    for _ in range(310):
+        t = ListTerm((t, Literal("b")))
+    return t
+
+x, twin, other = chain("a"), chain("a"), chain("c")
+print(x.items[0] is twin.items[0], x == twin, twin == x, x == other, x != other)
+"""
+
+
+def test_equality_of_deep_values_takes_one_comparison_a_level():
+    # a one-field record compares its field itself, not the 1-tuple of it:
+    # `==` first fails at 332 levels on 3.10 and 3.11 and at 374 on 3.12,
+    # where wrapping each side in a tuple stopped it at 249 and 300
+    src = os.path.dirname(os.path.dirname(redsem.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", DEEP_EQ],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False True True False True\n"
 
 
 def list_nodes(x):
