@@ -38,7 +38,6 @@ from .matching import (
     ContextDecomposition,
     EmptyDecomposition,
     MatchResult,
-    MeasureViolationError,
     SoundnessCheckError,
     decompose,
     match_decompose,

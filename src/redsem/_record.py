@@ -28,7 +28,9 @@ Equality and hashing read the fields through one getter per class,
 ``operator.attrgetter(*fields)``, or a function that returns ``()`` for
 a class with none.  A record's hash is the hash of the getter's value:
 of the field itself for one field, and of the tuple of the fields for
-none, two or three.
+none, two or three.  ``==`` compares the two values by identity first,
+as a tuple compares its items, so a field both sides share calls no
+``__eq__``.
 
 A cache slot named ``_hash`` caches the hash: ``__init__`` sets it to
 None and the first ``__hash__``, the one wrapper `_cached`, fills it
@@ -96,7 +98,8 @@ def _no_fields(self):
 def _eq(get):
     def eq(self, other):
         if other.__class__ is self.__class__:
-            return get(self) == get(other)
+            x, y = get(self), get(other)
+            return x is y or x == y
         return NotImplemented
 
     return eq

@@ -4,10 +4,10 @@ The engine answers, for a term, a pattern, and a grammar: which bindings
 make the pattern match the term, and which (context, sub-term) splits of
 the term the pattern describes.  Recursion is justified by a lexicographic
 order (consume input first; otherwise consume pattern structure or grammar
-productions) and, when debug checks are on, every recursive edge is
-checked against the one-level fact of the rule that made it, which puts
-the edge below its parent in that order.  The order is well founded, so
-matching terminates on every grammar, left-recursive ones included.
+productions): `child` makes every recursive edge from the one-level fact
+of the rule that made it, and that fact puts the edge below its parent
+in the order.  The order is well founded, so matching terminates on
+every grammar, left-recursive ones included.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ from .terms import (
     Term,
     compose,
 )
-
-
-class MeasureViolationError(EngineError):
-    """A recursive matching call failed to decrease the tuple order."""
 
 
 class SoundnessCheckError(EngineError):
@@ -129,73 +125,45 @@ def _list_count(t: Term) -> int | None:
     return None  # a bare hole
 
 
-def _is_item(sub: Term, t: Term, i: int) -> bool:
-    """True iff sub is item i of t as the list rule flattens t, by
-    identity (the hole side is a fresh term over the context's own hole
-    side).  The walk is bounded by i, a position of the list pattern."""
-    if isinstance(t, ListTerm):
-        return t.items[i] is sub
-    c = t.context
-    while i and isinstance(c, TailCtx):
-        c, i = c.rest, i - 1
-    if isinstance(c, TailCtx):
-        return c.head is sub
-    if i == 0:
-        return isinstance(sub, CtxTerm) and sub.context is c.hole_side
-    return c.tail[i - 1] is sub
-
-
 # the fact of a name body's edge and of an in-hole context side's edge
 SAME_TERM = "same term"
 
 
-def mask_order_decreases(
-    index: GrammarIndex,
-    fact: object,
-    t_next: Term,
-    p_next: Pattern,
-    m_next: int,
-    t_prev: Term,
-    p_prev: Pattern,
-    m_prev: int,
-) -> bool:
-    """True iff the edge from (t_prev, p_prev, m_prev) to (t_next, p_next,
-    m_next) is the one named by fact, the one-level fact of the rule that
-    made it, which puts it strictly below in the matching tuple order,
-    grammars given as masks of index.  Objects are compared by identity,
-    in O(1) in the size of the terms:
+def child(
+    t: Term, p: Pattern, m: int, fact: object, orig: int
+) -> tuple[Term, Pattern, int]:
+    """The goal of an edge from (t, p, m), built from fact, the one-level
+    fact of the rule that makes the edge; grammars are masks, and orig is
+    the original grammar's.  Every edge of the judgment is made here, and
+    each kind of fact puts the goal strictly below (t, p, m) in the
+    matching tuple order:
 
-    - *List item* (fact: position i): t_next is item i of t_prev's
-      flattening (`_is_item`), a proper sub-term, under item i of p_prev.
-    - *In-hole hole side* (fact: the context side's split tuple): t_next
-      is the split's sub-term under the hole pattern; unless the split's
-      context is a bare hole, that is a proper sub-term, as the split is
-      checked where it is built, else the term and mask are unchanged.
-    - *Production* (fact: entry j): t_next is t_prev under the j-th
-      right-hand side of the non-terminal, and m_next is m_prev with the
-      lowest live bit of that entry's ``same`` cleared.
-    - *Name body, in-hole context side* (fact: `SAME_TERM`): the term and
-      mask are unchanged under the name body or the context pattern.
+    - *List item* (fact: position i and t's items as the list rule
+      flattens them): item i, a proper sub-term of t, under item i of p
+      and the original grammar.
+    - *Production* (fact: an entry ``(bit, rhs, same, shape)`` of the
+      non-terminal p whose bit m holds): t under rhs, with the lowest live
+      bit of ``same`` cleared, which removes the production as
+      `remove_prod` does.  The term is kept and the grammar shrinks.
+    - *Name body, in-hole context side* (fact: `SAME_TERM`): t under the
+      name body or the context pattern, with the mask kept.
+    - *In-hole hole side* (fact: the context side's split (c, u, b) of t):
+      u under the hole pattern.  After a bare hole, u is t and the mask
+      is kept; otherwise u is a proper sub-term of t, as every split is
+      sound (see *Inductive checks* in `match_decompose`), under the
+      original grammar.
     """
-    if isinstance(p_prev, ListPat):
-        return p_next is p_prev.items[fact] and _is_item(t_next, t_prev, fact)
-    if isinstance(p_prev, NtPat):
-        _, component, same, _ = index[p_prev.name][0][fact]
-        live = m_prev & same
-        if not live:
-            return False
-        m_prev ^= live & -live
-    elif isinstance(p_prev, NamePat):
-        component = p_prev.pattern
-    elif not isinstance(p_prev, InHolePat):
-        return False
-    elif fact is SAME_TERM:
-        component = p_prev.context_pat
-    else:
-        component = p_prev.hole_pat
-        if p_next is component and not isinstance(fact[0], Hole):
-            return t_next is fact[1]
-    return p_next is component and t_next is t_prev and m_next == m_prev
+    if isinstance(p, ListPat):
+        i, items = fact
+        return items[i], p.items[i], orig
+    if isinstance(p, NtPat):
+        _, rhs, same, _ = fact
+        live = m & same
+        return t, rhs, m ^ (live & -live)
+    if fact is SAME_TERM:
+        return t, p.pattern if isinstance(p, NamePat) else p.context_pat, m
+    c, u, _ = fact
+    return u, p.hole_pat, m if isinstance(c, Hole) else orig
 
 
 _LIST_SPLIT_ERROR = "list split is not built from its input's pieces"
@@ -371,15 +339,14 @@ def match_decompose(
 
     Non-terminals are interpreted against `current` until input is
     consumed, then against the original grammar.  The result list is
-    deterministic and may contain duplicates.  With debug checks on,
-    every recursive edge is checked against the fact of the rule that
-    made it, which puts it below its parent in the tuple order (see *Edge
-    checks* below), and each split is checked where it is built against
-    the one-level equation of the rule that built it, which by induction
-    makes every returned split plug back to the term (see *Inductive
-    checks*).  The steps of the judgment run on a work stack, not on the
-    Python stack, so the depth of the recursion is bounded by memory
-    alone.
+    deterministic and may contain duplicates.  Every recursive edge is
+    made by `child` from the fact of the rule that made it, which puts it
+    below its parent in the tuple order.  With debug checks on, each
+    split is checked where it is built against the one-level equation of
+    the rule that built it, which by induction makes every returned split
+    plug back to the term (see *Inductive checks*).  The steps of the
+    judgment run on a work stack, not on the Python stack, so the depth of
+    the recursion is bounded by memory alone.
 
     Each distinct non-terminal subproblem is solved, and checked, once per
     session: its results are memoized under a key that holds only what the
@@ -406,9 +373,8 @@ def match_decompose(
       item.
 
     Neither lemma changes a result, so the raw list, order and duplicates
-    included, is the one the plain judgment gives.  Every edge still made
-    is checked against the tuple order, and every split still produced
-    is checked where it is built.
+    included, is the one the plain judgment gives, and every split still
+    produced is checked where it is built.
 
     Decomposition is hole-directed.  An in-hole pattern evaluates its
     context pattern with its own hole pattern as the *filter*, and its
@@ -432,8 +398,8 @@ def match_decompose(
     which is always sound; so each query is entered at most once per
     session, the tuple order bounds the recursion between queries, and
     matching terminates on every grammar.  Queries are fresh roots, not
-    steps of the judgment: the debug checks apply to every step inside
-    them.
+    edges of the judgment: the tuple order bounds the steps inside each,
+    and the debug checks apply to every split built inside them.
 
     A split (c, u) that a context side yields under its hole pattern H
     carries the sub-term of a hole leaf that asked the query (u, H).  The
@@ -442,9 +408,9 @@ def match_decompose(
     a `current` grammar's mask never is.  Then, if the query is answered,
     the rule reads the query's results and makes no edge; otherwise it
     derives the hole side.  The two give the same raw list (see
-    *Sharing*), the query's steps were checked when they were derived, and
-    each split the rule builds from the results is checked where it is
-    built.
+    *Sharing*), the query's splits were checked when they were derived,
+    and each split the rule builds from the results is checked where it
+    is built.
 
     *Sharing.*  A later call may answer from the table an earlier call of
     its session left, and its raw list is still the one a fresh call
@@ -463,9 +429,8 @@ def match_decompose(
       has no result, so that rule drops it, in the call that hits the
       entry as in the call that made it.
     - So a hit from an earlier call gives the call the raw list a fresh
-      derivation gives.  Every edge of a new derivation is still checked,
-      and each subproblem's splits are checked once per session, where
-      they are built.
+      derivation gives, and each subproblem's splits are checked once per
+      session, where they are built.
     - A query's results are the raw list a fresh derivation of its
       subproblem gives: the query starts with no filter, so every filter
       inside it is set by an in-hole pattern inside it, which by the
@@ -516,12 +481,6 @@ def match_decompose(
     nothing is plugged back to show it: the one-level checks are the
     whole check.  `plug` itself is tested apart from the matcher, on
     every split of the acceptance corpus (acceptance criterion 2).
-
-    *Edge checks.*  Each edge carries the one-level fact of the rule that
-    made it, and `mask_order_decreases`, looked up once per checked edge,
-    compares the edge with that fact by identity: no scan of t and no
-    structural comparison.  Each fact puts the edge below its parent in
-    the tuple order, the in-hole hole side's through its checked split.
     """
     # a current grammar is the second half of an index of both grammars:
     # its bits start live, and consuming input resets to the first half's
@@ -548,11 +507,12 @@ def match_decompose(
     ) -> Generator[tuple, list[Result], list[Result]]:
         """One step of the judgment on (t, p, mask) under filter filt.
 
-        A generator: it yields each recursion edge as the sub-query
-        ``(t2, p2, m2, f2, fact)``, is sent that query's results, and
-        returns its own.  fact is the one-level fact of the rule that made
-        the edge (see `mask_order_decreases`), or None for a filter query,
-        a fresh root that the tuple order does not bound.
+        A generator: it yields each recursion edge as ``(fact, f2)``, the
+        one-level fact of the rule that makes it, from which `child` builds
+        the goal, and the goal's filter; it is sent the goal's results and
+        returns its own.  A filter query yields ``(None, filt)``: a fresh
+        root on (t, filt) under the full grammar and no filter, which the
+        tuple order does not bound.
         """
         if isinstance(p, HolePat):
             keep = True
@@ -561,7 +521,7 @@ def match_decompose(
                 if key not in memo:
                     # a re-entered query finds this entry and keeps the split
                     memo[key] = (t, filt, None)
-                    memo[key] = (t, filt, (yield t, filt, full, None, None))
+                    memo[key] = (t, filt, (yield None, filt))
                 found = memo[key][2]
                 keep = found is None or bool(found)
             results = [(HOLE, t, EMPTY_BINDINGS)] if keep else []
@@ -578,7 +538,7 @@ def match_decompose(
         # same term unchanged, so they have no equation of their own
         if isinstance(p, NamePat):
             results = []
-            for c, s, b in (yield t, p.pattern, mask, filt, SAME_TERM):
+            for c, s, b in (yield SAME_TERM, filt):
                 extended = bind_name(p.var, t, c, b)
                 if extended is not None:
                     results.append((c, s, extended))
@@ -594,10 +554,10 @@ def match_decompose(
                 return hit[2]
             results = []
             shape = t if isinstance(t, Literal) else _list_count(t)
-            for j, (bit, rhs, same, fit) in enumerate(entries):
+            for entry in entries:
+                bit, _, _, fit = entry
                 if mask & bit and (fit is None or fit == shape):
-                    live = mask & same
-                    for r in (yield t, rhs, mask ^ (live & -live), filt, j):
+                    for r in (yield entry, filt):
                         if r[2].entries:
                             r = r[0], r[1], EMPTY_BINDINGS
                         results.append(r)
@@ -606,19 +566,19 @@ def match_decompose(
 
         if isinstance(p, InHolePat):
             results = []
-            for split in (yield t, p.context_pat, mask, p.hole_pat, SAME_TERM):
+            for split in (yield SAME_TERM, p.hole_pat):
                 c, u, b = split
                 if c is None:
                     continue
-                # a bare-hole context consumed no input; a hole side that is
-                # an answered filter query's subproblem reads its results
+                # a hole side that is an answered filter query's subproblem
+                # reads its results; its mask is the one `child` gives it
                 m_hole = mask if isinstance(c, Hole) else orig
                 query = None
                 if filt is None and m_hole == full:
                     query = memo.get((id(u), id(p.hole_pat)))
                 found = query and query[2]
                 if found is None:
-                    found = yield u, p.hole_pat, m_hole, filt, split
+                    found = yield split, filt
                 for rh in found:
                     merged = bindings_union(b, rh[2])
                     if merged is None:
@@ -648,8 +608,8 @@ def match_decompose(
             tail = c.tail
         items += tail
         found = []
-        for i, q in enumerate(p.items):
-            r = yield items[i], q, orig, filt, i
+        for i in range(len(items)):
+            r = yield (i, items), filt
             if not r:
                 return []
             found.append(r)
@@ -671,14 +631,15 @@ def match_decompose(
         return results
 
     # The suspended steps wait on a list, each under the (t, p, mask) it
-    # runs on, so the depth of a query costs heap, not Python stack.
+    # runs on, so the depth of a query costs heap, not Python stack; each
+    # edge's goal is built from the running step's own.
     waiting: list[tuple] = []
     t, p, m = term, pattern, start
     step, sent = ev(t, p, m, None), None
     try:
         while True:
             try:
-                t2, p2, m2, f2, fact = step.send(sent)
+                fact, f = step.send(sent)
             except StopIteration as done:
                 if not waiting:
                     results = done.value
@@ -686,17 +647,12 @@ def match_decompose(
                 step, t, p, m = waiting.pop()
                 sent = done.value
                 continue
-            if (
-                debug
-                and fact is not None
-                and not mask_order_decreases(index, fact, t2, p2, m2, t, p, m)
-            ):
-                raise MeasureViolationError(
-                    "recursive matching call does not decrease the tuple order"
-                )
             waiting.append((step, t, p, m))
-            t, p, m = t2, p2, m2
-            step, sent = ev(t, p, m, f2), None
+            if fact is None:  # a filter query: a fresh root
+                p, m, f = f, full, None
+            else:
+                t, p, m = child(t, p, m, fact, orig)
+            step, sent = ev(t, p, m, f), None
     except BaseException:
         # an exception's traceback holds this frame, and a query it left
         # unanswered would keep every split: clearing now frees the

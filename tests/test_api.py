@@ -95,3 +95,14 @@ def test_the_layout_table_names_every_module():
         if name.endswith(".py") and name != "__init__.py"
     ]
     assert sorted(named) == sorted(modules)
+
+
+def test_the_runtime_order_check_is_gone():
+    # `matching.child` builds every edge from the fact of its rule, so the
+    # check that compared each edge with that fact, and its public error,
+    # were deleted
+    import redsem.matching
+
+    for name in ("MeasureViolationError", "mask_order_decreases", "_is_item"):
+        assert not hasattr(redsem, name) and not hasattr(redsem.matching, name)
+    assert callable(redsem.matching.child) and "child" not in redsem.__all__

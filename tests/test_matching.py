@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import redsem
 from conftest import LAMBDA_FILE
-from genterms import gen_case, gen_term
+from genterms import gen_case, gen_pattern, gen_term, maybe_left_recursive_grammar
 from redsem import (
     HOLE,
     HOLE_PAT,
@@ -26,12 +26,12 @@ from redsem import (
     Literal,
     LitPat,
     MatchResult,
-    MeasureViolationError,
     NamePat,
     NtPat,
     SoundnessCheckError,
     TailCtx,
     decompose,
+    enumerate_decompositions,
     is_left_recursive,
     match_decompose,
     matches,
@@ -45,13 +45,16 @@ from redsem import (
     remove_prod,
     trace,
 )
+from redsem.grammar import GrammarIndex
 from redsem.matching import (
     EMPTY_BINDINGS,
     EMPTY_DECOMPOSITION,
     MATCH,
+    SAME_TERM,
     _list_count,
     bind_name,
     bindings_union,
+    child,
     combine,
     grammar_index,
     select,
@@ -425,6 +428,115 @@ class TestTupleOrder:
         )
 
 
+def flattened(t):
+    """t's items as the list rule flattens it: a plain list's items, or a
+    context term's heads down its tail-tagged path, then its hole side and
+    the tail of its head-tagged node."""
+    if isinstance(t, ListTerm):
+        return list(t.items)
+    items, c = [], t.context
+    while isinstance(c, TailCtx):
+        items.append(c.head)
+        c = c.rest
+    return [*items, CtxTerm(c.hole_side), *c.tail]
+
+
+def edge_facts(index, t, p, m):
+    """(kind, fact) for every edge that a rule of the judgment may make from
+    (t, p, m), a hole side for every split of t."""
+    if isinstance(p, NtPat):
+        for entry in index[p.name][0]:
+            if m & entry[0]:
+                yield "production", entry
+    elif isinstance(p, NamePat):
+        yield "name body", SAME_TERM
+    elif isinstance(p, InHolePat):
+        yield "context side", SAME_TERM
+        for c, u in enumerate_decompositions(t):
+            kind = "bare-hole side" if c == HOLE else "hole side"
+            yield kind, (c, u, EMPTY_BINDINGS)
+    elif isinstance(p, ListPat) and _list_count(t) == len(p.items):
+        items = flattened(t)
+        for i in range(len(items)):
+            yield "list item", (i, items)
+
+
+class TestChild:
+    """Every edge is made by `child`, so its goal must lie below its parent
+    in the tuple order read on Grammar values, for every kind of fact."""
+
+    KINDS = {
+        "production",
+        "name body",
+        "context side",
+        "bare-hole side",
+        "hole side",
+        "list item",
+    }
+
+    @staticmethod
+    def cases(rng, n):
+        """gen_case's, and a grammar that may be left recursive with a
+        random term and pattern; each grammar with some productions
+        repeated, so that removal has a first occurrence to pick."""
+        for k in range(n):
+            if k % 2:
+                g, t, p = gen_case(rng)
+            else:
+                g = maybe_left_recursive_grammar(rng)
+                nts = tuple(sorted({q.nonterminal for q in g.productions}))
+                t, p = gen_term(rng, rng.randint(1, 4)), gen_pattern(rng, 3, nts)
+            prods = list(g.productions)
+            for _ in range(rng.randint(0, 2)):
+                prods.insert(rng.randint(0, len(prods)), rng.choice(prods))
+            yield new_grammar(prods), t, p
+
+    @staticmethod
+    def masks(rng, g):
+        """g's index, or the index of g followed by a current grammar one
+        production short; the original grammar's mask; and the masks a
+        goal may have: the index's full mask, which a filter query reads,
+        the current grammar's half, and a random sub-mask of each."""
+        if rng.random() < 0.5:
+            index = grammar_index(g)
+            starts = [index.full]
+        else:
+            current = remove_prod(g, rng.choice(g.productions))
+            index = GrammarIndex(g.productions + current.productions)
+            starts = [index.full, index.full ^ grammar_index(g).full]
+        orig = grammar_index(g).full
+        starts += [m & rng.getrandbits(index.full.bit_length()) for m in starts]
+        return index, orig, starts
+
+    def test_every_goal_lies_below_its_parent(self):
+        rng, seen, edges = random.Random(20261022), set(), 0
+        for g, t, p in self.cases(rng, 120):
+            index, orig, starts = self.masks(rng, g)
+            grammars = {}
+
+            def problem(t, p, m):
+                if m not in grammars:
+                    prods = index.productions
+                    grammars[m] = new_grammar(q for i, q in enumerate(prods) if m >> i & 1)
+                return Problem(t, p, grammars[m])
+
+            terms = [t, *list(proper_subterms(t))[:6]]
+            patterns = [*subpatterns(p), *(q.pattern for q in g.productions)]
+            patterns += [NtPat(q.nonterminal) for q in g.productions]
+            counts = {_list_count(s) for s in terms} - {None}
+            patterns += [ListPat((HOLE_PAT,) * n) for n in counts]
+            for s in terms:
+                for q in patterns:
+                    for m in starts:
+                        for kind, fact in edge_facts(index, s, q, m):
+                            goal = child(s, q, m, fact, orig)
+                            assert reference_order(problem(*goal), problem(s, q, m)), kind
+                            seen.add(kind)
+                            edges += 1
+        assert seen == self.KINDS
+        assert edges > 1000
+
+
 class TestImmediatePart:
     """The general order's identity path: a term built from one of the
     parent term's immediate parts is accepted without a scan."""
@@ -640,39 +752,20 @@ class TestWorkColumns:
 
 
 class TestDebugChecksUnderMemo:
-    # tuple-order checks on right chain 16 under (nt E) when every
-    # non-terminal subproblem was solved afresh, before memoization
-    UNMEMOIZED_CHECKS = 8566
+    # edges on right chain 16 under (nt E) when every non-terminal
+    # subproblem was solved afresh, before memoization
+    UNMEMOIZED_EDGES = 8566
 
     def query(self, lam):
         return lam.grammar, right_chain(16), NtPat("E")
 
-    def counting(self, monkeypatch, name, reject_at=None, wrong=None):
-        import redsem.matching as matching
-
-        real = getattr(matching, name)
-        calls = [0]
-
-        def wrapped(*args):
-            calls[0] += 1
-            if calls[0] == reject_at:
-                return wrong
-            return real(*args)
-
-        monkeypatch.setattr(matching, name, wrapped)
-        return calls
-
-    def test_measure_check_runs_on_every_distinct_edge(self, lam, monkeypatch):
+    def test_each_distinct_edge_is_made_once(self, lam, monkeypatch):
         g, t, p = self.query(lam)
-        calls = self.counting(monkeypatch, "mask_order_decreases")
-        assert len(match_decompose(g, t, p, debug=True)) == 33
-        total = calls[0]
-        assert 0 < total < self.UNMEMOIZED_CHECKS // 2
-        for k in (1, total // 2, total):
-            monkeypatch.undo()
-            self.counting(monkeypatch, "mask_order_decreases", k, False)
-            with pytest.raises(MeasureViolationError):
-                match_decompose(g, t, p, debug=True)
+        calls = inject(monkeypatch, "child")
+        for debug in (True, False):
+            calls[0] = 0
+            assert len(match_decompose(g, t, p, debug=debug)) == 33
+            assert 0 < calls[0] < self.UNMEMOIZED_EDGES // 2
 
     def test_broken_plug_leaves_checked_list_unchanged(self, lam, monkeypatch):
         # the checks compare each split with the pieces it is built from
@@ -804,71 +897,6 @@ class TestInductiveDebugChecks:
         splits = [r for r in got if isinstance(r.decomposition, ContextDecomposition)]
         assert len(splits) == 33
         assert calls[0] == 0
-
-
-def parent_term(args):
-    index, fact, t2, p2, m2, t, p, m = args
-    return index, fact, t, p2, m2, t, p, m
-
-
-def copied_term(args):
-    index, fact, t2, p2, m2, t, p, m = args
-    return index, fact, copy.deepcopy(t2), p2, m2, t, p, m
-
-
-def copied_pattern(args):
-    index, fact, t2, p2, m2, t, p, m = args
-    return index, fact, t2, copy.deepcopy(p2), m2, t, p, m
-
-
-def uncleared_mask(args):
-    index, fact, t2, p2, m2, t, p, m = args
-    return index, fact, t2, p2, m, t, p, m
-
-
-class TestEdgeFacts:
-    """The order check compares each edge with the fact of the rule that
-    made it, by identity.  Handed an edge with one part changed at the
-    first, middle and last edge it applies to, the real check refuses it.
-    The parent term is a fault only on an edge that leaves it, and the
-    parent's mask only on a production edge, which must clear a bit."""
-
-    FAULTS = {
-        "parent term": (lambda a: a[2] is not a[5], parent_term),
-        "copy of the term": (lambda a: True, copied_term),
-        "copy of the pattern": (lambda a: True, copied_pattern),
-        "mask with no bit cleared": (lambda a: isinstance(a[6], NtPat), uncleared_mask),
-    }
-
-    def inject(self, monkeypatch, applies, change=None, at=None):
-        import redsem.matching as matching
-
-        real, seen = matching.mask_order_decreases, [0]
-
-        def wrapped(*args):
-            if applies(args):
-                seen[0] += 1
-                if seen[0] == at:
-                    args = change(args)
-            return real(*args)
-
-        monkeypatch.setattr(matching, "mask_order_decreases", wrapped)
-        return seen
-
-    @pytest.mark.parametrize("fault", sorted(FAULTS))
-    @pytest.mark.parametrize("name", ["E", "redex"])
-    def test_changed_edge_is_refused(self, lam, monkeypatch, name, fault):
-        g, t, p = lam.grammar, right_chain(16), parse_pattern(CHAIN_PATTERNS[name])
-        applies, change = self.FAULTS[fault]
-        seen = self.inject(monkeypatch, applies)
-        match_decompose(g, t, p, debug=True)
-        total = seen[0]
-        assert total > 2
-        for k in (1, (total + 1) // 2, total):
-            monkeypatch.undo()
-            self.inject(monkeypatch, applies, change, k)
-            with pytest.raises(MeasureViolationError):
-                match_decompose(g, t, p, debug=True)
 
 
 def test_deep_right_chain_within_default_recursion_limit(lam):
@@ -1098,19 +1126,20 @@ class TestHoleDirected:
 
 
 def count_hole_sides(monkeypatch):
-    """Record the in-hole hole-side edges that the order check sees, the
-    edges whose fact is the context side's split tuple, each as its
+    """Record the in-hole hole-side edges that `child` makes, the edges
+    whose fact is the context side's split, each as its
     (t_next, p_next, m_next, t_prev, p_prev, m_prev)."""
     import redsem.matching as matching
 
-    real, made = matching.mask_order_decreases, []
+    real, made = matching.child, []
 
-    def counted(index, fact, *edge):
-        if type(fact) is tuple:
-            made.append(edge)
-        return real(index, fact, *edge)
+    def counted(t, p, m, fact, orig):
+        goal = real(t, p, m, fact, orig)
+        if isinstance(p, InHolePat) and fact is not matching.SAME_TERM:
+            made.append((*goal, t, p, m))
+        return goal
 
-    monkeypatch.setattr(matching, "mask_order_decreases", counted)
+    monkeypatch.setattr(matching, "child", counted)
     return made
 
 
@@ -1142,8 +1171,9 @@ class TestHoleSideReuse:
         made = count_hole_sides(monkeypatch)
         p = parse_pattern(CHAIN_PATTERNS["redex"])
         for t, oracle in self.CHAINS:
-            got = match_decompose(lam.grammar, t, p, debug=True)
-            assert len(got) == 1 and made == []
+            for debug in (True, False):
+                got = match_decompose(lam.grammar, t, p, debug=debug)
+                assert len(got) == 1 and made == []
             assert not oracle or agrees_with_oracle(lam.grammar, t, p)
 
     @pytest.mark.parametrize("depth", [2, 3])
@@ -1242,9 +1272,11 @@ class TestHoleSideReuse:
     def test_reentry_grammar_derives_hole_sides(self, monkeypatch, key):
         g = new_grammar([(nt, parse_pattern(rhs)) for nt, rhs in REENTRY_PRODUCTIONS])
         made = count_hole_sides(monkeypatch)
-        got = match_decompose(g, parse_term(key[0]), parse_pattern(key[1]), debug=True)
-        assert len(got) == REENTRY_RAW_COUNTS[key]
-        assert len(made) == self.REENTRY_HOLE_SIDES[key]
+        t, p = parse_term(key[0]), parse_pattern(key[1])
+        for debug in (True, False):
+            del made[:]
+            assert len(match_decompose(g, t, p, debug=debug)) == REENTRY_RAW_COUNTS[key]
+            assert len(made) == self.REENTRY_HOLE_SIDES[key]
 
 
 def list_count(t):
@@ -1318,8 +1350,8 @@ class TestExactPruning:
         assert matches(g, t, p) == oracle_match(g, t, p)
         assert decompose(g, t, p) == oracle_decompose(g, t, p)
 
-    # mask_order_decreases calls on right chain 16 with the checks on, the
-    # chain read with one object per node.  Before the pruning the same
+    # edges that `child` makes on right chain 16, the same with the checks
+    # on and off, the chain read with one object per node.  Before the pruning the same
     # queries made 1,210, 1,591 and 971, and 455, 517 and 333 while a list
     # pattern split its list into a head and a tail: 101, 145 and 83 of
     # those were tail edges, and under the redex pattern 34 more were
@@ -1335,53 +1367,47 @@ class TestExactPruning:
 
     @pytest.mark.parametrize("name", sorted(PRUNED_EDGES))
     def test_edge_counts_pinned(self, lam, monkeypatch, name):
-        import redsem.matching as matching
-
-        real, calls = matching.mask_order_decreases, [0]
-
-        def counted(*args):
-            calls[0] += 1
-            return real(*args)
-
-        monkeypatch.setattr(matching, "mask_order_decreases", counted)
+        calls = inject(monkeypatch, "child")
         p = parse_pattern(CHAIN_PATTERNS[name])
-        for t, edges in (
-            (unshared_right_chain(16), self.PRUNED_EDGES),
-            (right_chain(16), self.SHARED_EDGES),
+        for t, edges, debug in (
+            (unshared_right_chain(16), self.PRUNED_EDGES, True),
+            (unshared_right_chain(16), self.PRUNED_EDGES, False),
+            (right_chain(16), self.SHARED_EDGES, True),
+            (right_chain(16), self.SHARED_EDGES, False),
         ):
             calls[0] = 0
-            got = match_decompose(lam.grammar, t, p, debug=True)
+            got = match_decompose(lam.grammar, t, p, debug=debug)
             assert len(got) == CHAIN_RESULT_COUNTS[("right", 16, name)][0]
             assert calls[0] == edges[name]
 
-    # structural comparisons of terms or patterns made inside the order
-    # check in the same queries: it compares objects by identity.  While
-    # it scanned for sub-terms, is_proper_subterm ran 1, 0 and 0 times
-    # here, and 252, 290 and 166 times before it accepted the parts of the
-    # parent term by identity
-    CHECK_COMPARISONS = {"redex": 0, "E": 0, "e": 0}
+    # structural comparisons of terms or patterns made inside `child` in
+    # the same queries: it builds each goal from the objects it is handed,
+    # and scans no term for the goal's
+    CHILD_COMPARISONS = {"redex": 0, "E": 0, "e": 0}
 
-    @pytest.mark.parametrize("name", sorted(CHECK_COMPARISONS))
+    @pytest.mark.parametrize("name", sorted(CHILD_COMPARISONS))
     def test_subterm_scans_pinned(self, lam, monkeypatch, name):
         import redsem.matching as matching
 
-        real, inside, compared = matching.mask_order_decreases, [False], [0, 0]
+        real, inside, compared, made = matching.child, [False], [0, 0], [0]
 
-        def checked(*args):
+        def building(*args):
             inside[0] = True
+            made[0] += 1
             try:
                 return real(*args)
             finally:
                 inside[0] = False
 
-        monkeypatch.setattr(matching, "mask_order_decreases", checked)
+        monkeypatch.setattr(matching, "child", building)
         for cls in (Literal, ListTerm, CtxTerm, HeadCtx, TailCtx, type(HOLE)):
             self.count_eq(monkeypatch, cls, inside, compared)
         for cls in (LitPat, type(HOLE_PAT), ListPat, NamePat, NtPat, InHolePat):
             self.count_eq(monkeypatch, cls, inside, compared)
         t, p = right_chain(16), parse_pattern(CHAIN_PATTERNS[name])
         match_decompose(lam.grammar, t, p, debug=True)
-        assert compared[0] == self.CHECK_COMPARISONS[name]
+        assert made[0] == self.SHARED_EDGES[name]
+        assert compared[0] == self.CHILD_COMPARISONS[name]
         assert compared[1] > 0  # the hole rule compares t with the hole term
 
     @staticmethod

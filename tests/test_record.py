@@ -203,6 +203,30 @@ def test_classes_without_fields_are_all_equal():
     assert hash(Hole()) == hash(()) and Hole() != HolePat()
 
 
+@pytest.mark.parametrize(
+    "make, field, cls",
+    [
+        (LitPat, lambda: Literal("a"), Literal),
+        (CtxTerm, lambda: HeadCtx(HOLE, (Literal("b"),)), HeadCtx),
+    ],
+    ids=["LitPat", "CtxTerm"],
+)
+def test_a_shared_field_is_not_compared(monkeypatch, make, field, cls):
+    # a one-field record compares its field by identity first, as the
+    # tuple of the fields does for each of its items: a field the two
+    # sides share calls no `__eq__`, and an equal copy calls it once
+    eq, calls = cls.__eq__, [0]
+
+    def counted(self, other):
+        calls[0] += 1
+        return eq(self, other)
+
+    monkeypatch.setattr(cls, "__eq__", counted)
+    shared = field()
+    assert make(shared) == make(shared) and calls[0] == 0
+    assert make(shared) == make(field()) and calls[0] == 1
+
+
 def test_a_trace_grows_its_lists_in_place_and_is_unhashable():
     # the fields have no defaults: `trace` passes all three
     with pytest.raises(TypeError, match=r"Trace\.__init__"):

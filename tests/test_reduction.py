@@ -385,27 +385,29 @@ class TestSession:
         assert sessions[0] is sessions[1] and matching._open.session is None
 
     def test_a_trace_checks_each_shared_subproblem_once(self, lam, monkeypatch):
-        # order checks made by the 9 calls of a right-chain trace, and by
-        # the same calls made afresh, one session each: on the chain read
-        # with one object per node (668 and 1,161 while a list pattern
-        # split its list into a head and a tail), and on the chain as
-        # parse_term reads it, one object per distinct sub-term.  The
-        # in-hole rule reads a hole side that a filter query derived from
-        # the query's results, which moved these from (9, 499, 815) and
-        # (9, 466, 699): the redex pattern's hole side on each chain makes
-        # no edge of its own
-        checks(monkeypatch, True)
-        edges = inject(monkeypatch, "mask_order_decreases")
-        real, calls = record(monkeypatch)
-        got = []
-        for t in (unshared_right_chain(8), right_chain(8)):
-            edges[0], calls[:] = 0, []
-            trace(lam.grammar, list(lam.rules), t, 9)
-            in_session = edges[0]
-            for args, kwargs, _, _ in calls:
-                real(*args, **kwargs)
-            got.append((len(calls), in_session, edges[0] - in_session))
-        assert got == [(9, 459, 775), (9, 426, 659)]
+        # edges made by the 9 calls of a right-chain trace, and by the same
+        # calls made afresh, one session each, the same with the checks on
+        # and off: on the chain read with one object per node (668 and
+        # 1,161 while a list pattern split its list into a head and a
+        # tail), and on the chain as parse_term reads it, one object per
+        # distinct sub-term.  The in-hole rule reads a hole side that a
+        # filter query derived from the query's results, which moved these
+        # from (9, 499, 815) and (9, 466, 699): the redex pattern's hole
+        # side on each chain makes no edge of its own
+        for on in (True, False):
+            monkeypatch.undo()
+            checks(monkeypatch, on)
+            edges = inject(monkeypatch, "child")
+            real, calls = record(monkeypatch)
+            got = []
+            for t in (unshared_right_chain(8), right_chain(8)):
+                edges[0], calls[:] = 0, []
+                trace(lam.grammar, list(lam.rules), t, 9)
+                in_session = edges[0]
+                for args, kwargs, _, _ in calls:
+                    real(*args, **kwargs)
+                got.append((len(calls), in_session, edges[0] - in_session))
+            assert got == [(9, 459, 775), (9, 426, 659)]
 
     def test_generated_cases_share_a_session(self):
         # four patterns on one term object per case, in both orders; each
