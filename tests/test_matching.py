@@ -899,6 +899,56 @@ class TestInductiveDebugChecks:
         assert calls[0] == 0
 
 
+class TestEdgeFacts:
+    """The tuple order read on Grammar values, which criterion 5 and
+    `TestChild` check each edge against, accepts every edge that `child`
+    makes on a chain and refuses it with one part changed.  The parent term
+    is a fault on an edge that leaves it from a list pattern (on an in-hole
+    hole side the same term under the smaller hole pattern still lies
+    below its parent), and the parent's mask on a production edge, which
+    must remove its production."""
+
+    FAULTS = {
+        "parent term": (
+            lambda goal, parent: goal[0] is not parent[0] and isinstance(parent[1], ListPat),
+            lambda goal, parent: (parent[0], goal[1], goal[2]),
+        ),
+        "mask with no bit cleared": (
+            lambda goal, parent: isinstance(parent[1], NtPat),
+            lambda goal, parent: (goal[0], goal[1], parent[2]),
+        ),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("name", ["E", "redex", "e"])
+    def test_changed_edge_is_refused(self, lam, monkeypatch, name, fault):
+        import redsem.matching as matching
+
+        g, t, p = lam.grammar, right_chain(16), parse_pattern(CHAIN_PATTERNS[name])
+        applies, change = self.FAULTS[fault]
+        real, edges = matching.child, []
+
+        def recorded(t, p, m, fact, orig):
+            goal = real(t, p, m, fact, orig)
+            edges.append((goal, (t, p, m)))
+            return goal
+
+        monkeypatch.setattr(matching, "child", recorded)
+        match_decompose(g, t, p, debug=True)
+        grammars = {}
+
+        def problem(t, p, m):
+            if m not in grammars:
+                grammars[m] = new_grammar(q for i, q in enumerate(g.productions) if m >> i & 1)
+            return Problem(t, p, grammars[m])
+
+        faulty = [(goal, parent) for goal, parent in edges if applies(goal, parent)]
+        assert len(faulty) > 2
+        for goal, parent in faulty:
+            assert reference_order(problem(*goal), problem(*parent))
+            assert not reference_order(problem(*change(goal, parent)), problem(*parent))
+
+
 def test_deep_right_chain_within_default_recursion_limit(lam):
     # about ten Python frames per chain level: the memo must add none
     assert len(decompose(lam.grammar, right_chain(80), NtPat("E"))) == 161
