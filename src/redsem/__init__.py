@@ -5,9 +5,20 @@ terminating matcher/decomposer; an independent brute-force oracle for the
 matching and decomposition judgments; context-sensitive reduction rules;
 and an s-expression surface syntax with a CLI.
 
-The imports below are the public API, the names the README's Library
-section lists; everything else is imported from its submodule.
+The public API is the names the README's Library section lists,
+``__all__``; everything else is imported from its submodule.  Importing
+the package loads only the layers every answering request uses: terms
+and the rule syntax, grammars, the matcher and the reader.  The reducer
+(`redsem.reduction`) and the oracle (`redsem.oracle`) load on first use:
+their public names, and the two submodule attributes, are resolved by
+the module ``__getattr__`` below.  It looks each name up in its module
+on every access and never binds it here, so a wrapper installed on the
+submodule is seen through ``redsem`` too, and removing the wrapper
+leaves nothing behind.
 """
+
+import types as _types
+from importlib import import_module as _import_module
 
 from .errors import EngineError
 from .grammar import (
@@ -43,20 +54,6 @@ from .matching import (
     match_decompose,
     matches,
 )
-from .oracle import (
-    OracleFuelError,
-    enumerate_decompositions,
-    oracle_decompose,
-    oracle_match,
-    oracle_match_original,
-)
-from .reduction import (
-    TemplateContextError,
-    Trace,
-    UnboundTemplateVariableError,
-    step,
-    trace,
-)
 from .terms import (
     HOLE,
     HOLE_PAT,
@@ -73,14 +70,38 @@ from .terms import (
     NamePat,
     NtPat,
     TailCtx,
+    UnboundTemplateVariableError,
     plug,
 )
 
-import types as _types
+# the public names of the layers loaded on first use, by submodule
+_LAZY = {
+    "oracle": (
+        "OracleFuelError",
+        "enumerate_decompositions",
+        "oracle_decompose",
+        "oracle_match",
+        "oracle_match_original",
+    ),
+    "reduction": ("TemplateContextError", "Trace", "step", "trace"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 # importing a submodule binds it here too; only the imported names export
 __all__ = [
     name
     for name, value in list(globals().items())
     if not name.startswith("_") and not isinstance(value, _types.ModuleType)
-]
+] + list(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return _import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_HOME})

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
 import threading
 from operator import itemgetter
@@ -23,7 +22,6 @@ from .language import (
     to_context,
 )
 from .matching import Bindings, ContextDecomposition, match_decompose
-from .oracle import oracle_decompose, oracle_match
 from .reduction import step, trace
 from .terms import CtxTerm, plug
 
@@ -138,6 +136,8 @@ def _cmd_query(args) -> _Reply:
         kept.append((line, split, c, s, b))
 
     if args.oracle:
+        from .oracle import oracle_decompose, oracle_match
+
         engine = {(c, s, b) if splits else b for _, _, c, s, b in kept}
         oracle_fn = oracle_decompose if splits else oracle_match
         oracle = oracle_fn(lang.grammar, term, pattern)
@@ -151,6 +151,8 @@ def _cmd_query(args) -> _Reply:
     kept.sort(key=itemgetter(0))
     lines = [line for line, *_ in kept]
     if args.format == "json":
+        import json
+
         results = []
         for _, split, _, _, b in kept:
             if split is not None:

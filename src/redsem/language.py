@@ -21,7 +21,6 @@ from ._record import record
 from .errors import EngineError
 from .grammar import Grammar, Production, new_grammar
 from .matching import Bindings
-from .reduction import RefTemplate, Rule, Template
 from .terms import (
     HOLE,
     HOLE_PAT,
@@ -39,7 +38,10 @@ from .terms import (
     NamePat,
     NtPat,
     Pattern,
+    RefTemplate,
+    Rule,
     TailCtx,
+    Template,
     Term,
     subpatterns,
 )

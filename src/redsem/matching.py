@@ -148,10 +148,10 @@ def child(
     - *Name body, in-hole context side* (fact: `SAME_TERM`): t under the
       name body or the context pattern, with the mask kept.
     - *In-hole hole side* (fact: the context side's split (c, u, b) of t):
-      u under the hole pattern.  After a bare hole, u is t and the mask
-      is kept; otherwise u is a proper sub-term of t, as every split is
-      sound (see *Inductive checks* in `match_decompose`), under the
-      original grammar.
+      u under the hole pattern and `hole_side_mask`.  After a bare hole,
+      u is t and the mask is kept; otherwise u is a proper sub-term of t,
+      as every split is sound (see *Inductive checks* in
+      `match_decompose`), under the original grammar.
     """
     if isinstance(p, ListPat):
         i, items = fact
@@ -163,7 +163,14 @@ def child(
     if fact is SAME_TERM:
         return t, p.pattern if isinstance(p, NamePat) else p.context_pat, m
     c, u, _ = fact
-    return u, p.hole_pat, m if isinstance(c, Hole) else orig
+    return u, p.hole_pat, hole_side_mask(c, m, orig)
+
+
+def hole_side_mask(c: Context, m: int, orig: int) -> int:
+    """The mask of an in-hole's hole side, after its context side split
+    the term with context c under mask m: a bare hole consumed no input,
+    so m is kept; any other context did, so the original grammar."""
+    return m if isinstance(c, Hole) else orig
 
 
 _LIST_SPLIT_ERROR = "list split is not built from its input's pieces"
@@ -571,10 +578,9 @@ def match_decompose(
                 if c is None:
                     continue
                 # a hole side that is an answered filter query's subproblem
-                # reads its results; its mask is the one `child` gives it
-                m_hole = mask if isinstance(c, Hole) else orig
+                # reads its results; `child` gives its edge the same mask
                 query = None
-                if filt is None and m_hole == full:
+                if filt is None and hole_side_mask(c, mask, orig) == full:
                     query = memo.get((id(u), id(p.hole_pat)))
                 found = query and query[2]
                 if found is None:

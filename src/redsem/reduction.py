@@ -3,7 +3,10 @@
 A rule pairs a pattern with a template; applying it instantiates the
 template under every set of bindings the pattern produces.  Templates can
 plug instantiated terms into bound contexts, which is how rules rewrite
-inside evaluation contexts without a substitution function.
+inside evaluation contexts without a substitution function.  The rule
+syntax, `Rule` and the template nodes, is defined in `redsem.terms`,
+which the reader uses without this module, and is importable from here
+too.
 """
 
 from __future__ import annotations
@@ -21,56 +24,19 @@ from .terms import (
     ListPat,
     ListTerm,
     LitPat,
-    NamePat,
-    Pattern,
+    RefTemplate,
+    Rule,
+    Template,
     Term,
+    UnboundTemplateVariableError,
+    pattern_binding_vars,
     plug,
-    subpatterns,
+    template_vars,
 )
-
-
-class UnboundTemplateVariableError(EngineError):
-    """A template references a variable the bindings do not supply."""
 
 
 class TemplateContextError(EngineError):
     """The context slot of an in-hole template produced a non-context."""
-
-
-@record
-class RefTemplate:
-    """Instantiates to the term bound to the variable."""
-
-    var: str
-
-
-# A template is read into the pattern nodes, plus `RefTemplate` (see
-# `instantiate`); the reader alone decides which nodes a template holds.
-Template = LitPat | HolePat | ListPat | RefTemplate | InHolePat
-
-
-def template_vars(tpl: Template) -> set[str]:
-    return {q.var for q in subpatterns(tpl) if isinstance(q, RefTemplate)}
-
-
-def pattern_binding_vars(p: Pattern) -> set[str]:
-    return {q.var for q in subpatterns(p) if isinstance(q, NamePat)}
-
-
-@record
-class Rule:
-    name: str
-    lhs: Pattern
-    rhs: Template
-
-    def __new__(cls, name: str, lhs: Pattern, rhs: Template) -> Rule:
-        free = template_vars(rhs) - pattern_binding_vars(lhs)
-        if free:
-            raise UnboundTemplateVariableError(
-                f"rule {name!r} uses unbound template variable(s): "
-                + ", ".join(sorted(free))
-            )
-        return object.__new__(cls)
 
 
 _CHECK, _PLUG = object(), object()  # the steps of an in-hole after its parts

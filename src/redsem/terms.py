@@ -14,6 +14,12 @@ term also declares ``_text``, which starts unset until
 `redsem.language.print_term` fills it with the term's printed text; like
 ``_hash``, it takes no part in equality, hash or repr, and pickle and
 copy drop it.
+
+The rule syntax sits here too, next to the pattern nodes a template is
+read into: a template is those nodes plus `RefTemplate`, and `Rule`
+checks at construction that its template uses only variables its
+pattern binds.  So reading a language file needs no reducer;
+`redsem.reduction` gives rules their meaning.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from ._record import record
+from .errors import EngineError
 
 
 @record
@@ -162,6 +169,47 @@ def subpatterns(p: Pattern) -> Iterator[Pattern]:
             todo.append(p.pattern)
         elif isinstance(p, InHolePat):
             todo += (p.hole_pat, p.context_pat)
+
+
+class UnboundTemplateVariableError(EngineError):
+    """A template references a variable the bindings do not supply."""
+
+
+@record
+class RefTemplate:
+    """Instantiates to the term bound to the variable."""
+
+    var: str
+
+
+# A template is read into the pattern nodes, plus `RefTemplate` (see
+# `redsem.reduction.instantiate`); the reader alone decides which nodes a
+# template holds.
+Template = LitPat | HolePat | ListPat | RefTemplate | InHolePat
+
+
+def template_vars(tpl: Template) -> set[str]:
+    return {q.var for q in subpatterns(tpl) if isinstance(q, RefTemplate)}
+
+
+def pattern_binding_vars(p: Pattern) -> set[str]:
+    return {q.var for q in subpatterns(p) if isinstance(q, NamePat)}
+
+
+@record
+class Rule:
+    name: str
+    lhs: Pattern
+    rhs: Template
+
+    def __new__(cls, name: str, lhs: Pattern, rhs: Template) -> Rule:
+        free = template_vars(rhs) - pattern_binding_vars(lhs)
+        if free:
+            raise UnboundTemplateVariableError(
+                f"rule {name!r} uses unbound template variable(s): "
+                + ", ".join(sorted(free))
+            )
+        return object.__new__(cls)
 
 
 def plug(c: Context, t: Term) -> Term:

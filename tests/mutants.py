@@ -3,11 +3,13 @@
 Run from the repository root with `python tests/mutants.py`.  Each
 mutant is one string replacement in `src/redsem/matching.py`: in `child`,
 which builds the goal of every edge of the judgment from the fact of the
-rule that makes it, or in `ev`, which yields those facts.  At least one
-mutant changes each kind of fact.  A mutant runs in its own copy of the
-tree: first the property test that puts every goal `child` builds below
-its parent in the tuple order, then, if that passes, the matching and
-acceptance tests, stopping at the first failure.  It prints the test
+rule that makes it, in `hole_side_mask`, which states the hole side's
+mask for `child` and for `ev`'s reading of a filter query, or in `ev`,
+which yields those facts.  At least one mutant changes each kind of
+fact.  A mutant runs in its own copy of the tree: first the property
+test that puts every goal `child` builds below its parent in the tuple
+order, then, if that passes, the matching and acceptance tests,
+stopping at the first failure.  It prints the test
 that kills each mutant, and exits 1 when a mutant survives or when only
 its timeout stops it; 2 when the unmutated tree fails the same tests.
 Needs only the standard library, pytest and hypothesis.
@@ -47,12 +49,12 @@ MUTANTS = {
         "return items[i], p.items[i], m",
     ),
     "hole side under the original grammar after a bare hole": (
-        "return u, p.hole_pat, m if isinstance(c, Hole) else orig",
-        "return u, p.hole_pat, orig",
+        "return m if isinstance(c, Hole) else orig",
+        "return orig",
     ),
     "hole side under the current mask after a proper split": (
-        "return u, p.hole_pat, m if isinstance(c, Hole) else orig",
-        "return u, p.hole_pat, m",
+        "return m if isinstance(c, Hole) else orig",
+        "return m",
     ),
     "name body goes to the name pattern itself": (
         "return t, p.pattern if isinstance(p, NamePat) else p.context_pat, m",

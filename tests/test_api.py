@@ -4,11 +4,17 @@ import ast
 import importlib
 import os
 import re
+import subprocess
+import sys
 import types
+
+import pytest
 
 import redsem
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+LAZY_LAYERS = ("redsem.oracle", "redsem.reduction")
 
 
 def read(*parts):
@@ -106,3 +112,82 @@ def test_the_runtime_order_check_is_gone():
     for name in ("MeasureViolationError", "mask_order_decreases", "_is_item"):
         assert not hasattr(redsem, name) and not hasattr(redsem.matching, name)
     assert callable(redsem.matching.child) and "child" not in redsem.__all__
+
+
+# run without `site`, which imports modules of its own on some installs
+START_UP = """\
+import sys
+lam = sys.argv[1]
+
+def loaded():
+    return sorted({"redsem.oracle", "redsem.reduction", "json"} & set(sys.modules))
+
+import redsem
+redsem.load_language(lam)
+print(loaded())
+from redsem.cli import run_cli
+real, sys.stdout = sys.stdout, open(sys.argv[2], "w", encoding="utf-8")
+codes = [
+    run_cli(["match", "-g", lam, "-p", "(nt e)", "-t", "((λ x x) (λ y y))"]),
+    run_cli(["decompose", "-g", lam, "-p", "(nt E)", "-t", "((λ x x) (λ y y))"]),
+]
+sys.stdout.close()
+sys.stdout = real
+print(codes, loaded())
+layers = {"redsem.oracle", "redsem.reduction"}
+lazy = [n for n in redsem.__all__ if getattr(redsem, n).__module__ in layers]
+print(sorted(lazy), sorted(set(lazy) & set(vars(redsem))))
+print(redsem.oracle is sys.modules["redsem.oracle"])
+print(redsem.reduction is sys.modules["redsem.reduction"])
+print(sorted(set(redsem.__all__) - set(dir(redsem))))
+"""
+
+
+def test_start_up_loads_only_the_layers_a_request_uses(tmp_path):
+    # the reducer and the oracle load on first use; a match or decompose
+    # request loads neither the oracle nor `json`
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-S",
+            "-c",
+            START_UP,
+            os.path.join(ROOT, "tests", "fixtures", "lambda.sexp"),
+            str(tmp_path / "out"),
+        ],
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+        env=dict(os.environ, PYTHONPATH=SRC, PYTHONIOENCODING="utf-8"),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lazy = sorted(n for n in redsem.__all__ if getattr(redsem, n).__module__ in LAZY_LAYERS)
+    assert proc.stdout.splitlines() == [
+        "[]",
+        "[0, 0] ['redsem.reduction']",
+        f"{lazy} []",
+        "True",
+        "True",
+        "[]",
+    ]
+    assert len(lazy) == 9
+    out = (tmp_path / "out").read_text(encoding="utf-8").splitlines()
+    assert out[0] == "(bindings)" and len(out) == 4
+
+
+def test_a_lazy_name_is_looked_up_in_its_module_on_every_access(monkeypatch):
+    # a wrapper set on the submodule is what `redsem` gives, and undoing
+    # it leaves no copy behind
+    import redsem.oracle
+    import redsem.reduction
+
+    for module, name in (redsem.oracle, "oracle_match"), (redsem.reduction, "step"):
+        real = getattr(module, name)
+        assert getattr(redsem, name) is real and name not in vars(redsem)
+        monkeypatch.setattr(module, name, lambda *args: None)
+        assert getattr(redsem, name) is getattr(module, name) is not real
+        monkeypatch.undo()
+        assert getattr(redsem, name) is real and name not in vars(redsem)
+    with pytest.raises(AttributeError):
+        redsem.no_such_name
